@@ -1,6 +1,6 @@
 """Ablation — the Q3 exploration/exploitation knobs (paper §4, Table 2).
 
-DESIGN.md's ablation targets: each agent family exposes one headline
+The ablation targets: each agent family exposes one headline
 exploration knob (ACO's greediness, BO's acquisition function, GA's
 mutation rate, RL's algorithm variant). These benches sweep each knob
 in isolation on a fixed environment and verify the knob actually moves

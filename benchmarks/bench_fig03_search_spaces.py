@@ -3,9 +3,11 @@
 Fig. 3 of the paper tabulates each environment's parameters and total
 search-space size (1.9e7 / 2e14 / 1.6e17 / 1e24 at the paper's full
 granularity). Our grids keep every parameter axis at reduced
-granularity (documented in DESIGN.md); this bench prints the table and
-asserts the structural properties the experiments rely on: mixed
-categorical/numeric axes and intractably large cardinalities.
+granularity (each environment's action-space builder documents its
+grid, e.g. ``repro.dramsys.config.controller_space``); this bench
+prints the table and asserts the structural properties the experiments
+rely on: mixed categorical/numeric axes and intractably large
+cardinalities.
 """
 
 from repro.envs.dram import DRAMGymEnv

@@ -4,7 +4,7 @@ Paper experiment: a random-forest proxy trained on a diverse ArchGym
 dataset replaces the DRAM simulator, achieving ~2000x speedup at <1%
 RMSE. Our simulator substrate is itself transaction-level (orders of
 magnitude faster than the cycle-accurate DRAMSys the paper measures
-against — see DESIGN.md), so the *ratio* here lands in the
+against), so the *ratio* here lands in the
 hundreds-to-thousands range depending on batch size rather than
 matching 2000x exactly; the claims asserted are
 

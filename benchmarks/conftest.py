@@ -1,7 +1,8 @@
 """Shared helpers for the paper-figure benchmarks.
 
 Every benchmark runs a scaled-down but structurally faithful version of
-one paper experiment (see DESIGN.md §3 for the full index), prints the
+one paper experiment (its file name names the figure or table; README.md,
+"Tests and benchmarks", says how to run and scale them), prints the
 figure's rows/series, and asserts its qualitative shape. Experiments
 execute exactly once via ``benchmark.pedantic`` — they are stochastic
 search runs, not microbenchmarks, so repeated timing rounds would only

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import SimulationError
 from repro.dramsys.config import ControllerConfig
@@ -38,6 +38,10 @@ from repro.dramsys.device import DDR4_2400, DramDevice
 from repro.dramsys.traces import Trace
 
 __all__ = ["SimResult", "DramSimulator"]
+
+#: One decoded request: ``(order, bank, row, is_write)``, where ``order``
+#: is its index in the trace.
+_Request = Tuple[int, int, int, bool]
 
 
 @dataclass(frozen=True)
@@ -74,51 +78,21 @@ class SimResult:
         }
 
 
-@dataclass
-class _Bank:
-    open_row: Optional[int] = None
-    ready_at: float = 0.0
-    last_act: float = float("-inf")
-    blocked_until: float = 0.0      # refresh blackout
-    opened_since: Optional[float] = None
-    open_time: float = 0.0
-
-    def accumulate_open(self, until: float) -> None:
-        if self.opened_since is not None:
-            self.open_time += max(0.0, until - self.opened_since)
-            self.opened_since = None
-
-
-@dataclass
-class _Entry:
-    order: int
-    arrival: float
-    address: int
-    bank: int
-    row: int
-    is_write: bool
-    finish: float = 0.0
-
-
-@dataclass
-class _RefreshPlan:
-    """Granularity-specific refresh parameters (derived from policy)."""
-
-    interval: float         # time between refresh operations
-    duration: float         # blackout per operation
-    energy: float           # nJ per operation
-    banks_per_op: int       # how many banks each operation blocks
-
-
 class DramSimulator:
     """Simulates memory traces against controller design points.
 
-    A single instance is stateless across calls: :meth:`simulate` can be
-    invoked repeatedly (the DSE loop does exactly that).
+    :meth:`simulate` can be invoked repeatedly (the DSE loop does exactly
+    that). Between calls an instance keeps one thing: a memo of the last
+    trace it decoded — each request's arrival time and
+    ``(order, bank, row, is_write)`` — keyed by the identity of the trace
+    and the device. :class:`~repro.dramsys.traces.Trace` is frozen, so the
+    memo cannot go stale, and it is replaced as one attribute, so a
+    concurrent call sees either the old entry or the new one.
     """
 
     def __init__(self, device: DramDevice = DDR4_2400):
         self.device = device
+        self._decoded: Optional[tuple] = None  # (trace, device, arrivals, requests)
 
     # -- public API ---------------------------------------------------------------
 
@@ -126,335 +100,337 @@ class DramSimulator:
         """Run ``trace`` through a controller built from ``config``."""
         if len(trace) == 0:
             raise SimulationError("cannot simulate an empty trace")
-        return _Run(self.device, config, trace).execute()
+        arrivals, requests = self._decode(trace)
+        return _run(self.device, config, arrivals, requests)
+
+    def _decode(self, trace: Trace) -> Tuple[Tuple[float, ...], Tuple[_Request, ...]]:
+        """Arrival times and decoded requests of ``trace``, memoized."""
+        device = self.device
+        memo = self._decoded
+        if memo is not None and memo[0] is trace and memo[1] is device:
+            return memo[2], memo[3]
+        arrivals = tuple(r.arrival_ns for r in trace.requests)
+        requests = tuple(
+            (order, *device.map_address(r.address), r.is_write)
+            for order, r in enumerate(trace.requests)
+        )
+        self._decoded = (trace, device, arrivals, requests)
+        return arrivals, requests
 
 
-class _Run:
-    """One simulation execution (all mutable state lives here)."""
+def _refresh(
+    banks: tuple, at: float, first_bank: int, banks_per_op: int, duration: float
+) -> int:
+    """Execute one refresh operation at ``at``: precharge and black out
+    ``banks_per_op`` banks, round-robin from ``first_bank``. ``banks`` is
+    the per-bank ``(open_row, opened_since, open_time, blocked_until)``
+    lists. Returns the first bank of the next operation."""
+    open_row, opened_since, open_time, blocked_until = banks
+    nbanks = len(open_row)
+    for i in range(banks_per_op):
+        b = (first_bank + i) % nbanks
+        since = opened_since[b]
+        if since is not None:   # refresh precharges the row
+            open_time[b] += max(0.0, at - since)
+            opened_since[b] = None
+        open_row[b] = None
+        blocked_until[b] = max(blocked_until[b], at + duration)
+    return (first_bank + banks_per_op) % nbanks
 
-    def __init__(self, device: DramDevice, config: ControllerConfig, trace: Trace):
-        self.dev = device
-        self.t = device.timings
-        self.cfg = config
-        self.trace = trace
 
-        self.banks = [_Bank() for _ in range(device.banks)]
-        self.bus_free = 0.0
-        self.bus_last_write: Optional[bool] = None
-        self.now = 0.0
+def _run(
+    device: DramDevice,
+    cfg: ControllerConfig,
+    arrivals: Tuple[float, ...],
+    requests: Tuple[_Request, ...],
+) -> SimResult:
+    """One simulation execution. All mutable state is local; per-bank
+    state lives in six flat lists indexed by bank."""
+    t, e, nbanks, n = device.timings, device.energy, device.banks, len(requests)
+    trc, trcd, trp, tras = t.trc, t.trcd, t.trp, t.tras
+    tcl, tcwd, twr, twtr, trtw = t.tcl, t.tcwd, t.twr, t.twtr, t.trtw
+    burst_time = t.burst_time
+    e_act, e_read, e_write = e.e_act, e.e_read, e.e_write
 
-        # refresh
-        self.plan = self._refresh_plan()
-        self.refresh_due = self.plan.interval
-        self.refresh_debt = 0
-        self.refresh_credit = 0
-        self.refresh_rr_bank = 0
-        self.n_refreshes = 0
+    # -- the configuration, resolved once per run ----------------------------------
+    cap = cfg.request_buffer_size
+    max_active = cfg.max_active_transactions
+    max_postponed = cfg.refresh_max_postponed
+    max_pulledin = cfg.refresh_max_pulledin
+    fifo_scheduler = cfg.scheduler == "Fifo"
+    grouped_scheduler = cfg.scheduler == "FrFcFsGrp"
+    read_write_buffer = cfg.scheduler_buffer == "ReadWrite"
+    bankwise_buffer = cfg.scheduler_buffer == "Bankwise"
+    drain_stop = max(1, cap // 4)
+    drain_start = max(1, (3 * cap) // 4)
+    # Fifo arbiter: reordering restricted to the oldest half-window
+    window = 0 if cfg.arbiter == "Reorder" else max(1, (cap + 1) // 2)
+    close_pages = cfg.page_policy != "Open"
+    close_always = cfg.page_policy == "Closed"
+    release_in_order = cfg.resp_queue_policy != "Reorder"
 
-        # energy accounting (nJ), split by component
-        self.e_act_total = 0.0
-        self.e_rw_total = 0.0
-        self.e_refresh_total = 0.0
-
-        # stats
-        self.row_hits = 0
-        self.row_misses = 0
-        self.row_conflicts = 0
-        self.reads = 0
-        self.writes = 0
-
-        # in-flight transaction cap
-        self.inflight: List[float] = []  # min-heap of finish times
-
-        # read/write drain state for the ReadWrite buffer organization
-        self.draining_writes = False
-        # bankwise round-robin pointer
-        self.bank_rr = 0
-
-    # -- refresh ---------------------------------------------------------------------
-
-    def _refresh_plan(self) -> _RefreshPlan:
-        t, e, nbanks = self.t, self.dev.energy, self.dev.banks
-        if self.cfg.refresh_policy == "AllBank":
-            return _RefreshPlan(t.trefi, t.trfc, e.e_refresh, nbanks)
-        if self.cfg.refresh_policy == "SameBank":
-            # two bank groups refreshed alternately, half the blackout each
-            return _RefreshPlan(t.trefi / 2, t.trfc * 0.6, e.e_refresh / 2, nbanks // 2)
+    # granularity-specific refresh parameters: time between operations,
+    # blackout and energy per operation, banks each operation blocks
+    if cfg.refresh_policy == "AllBank":
+        interval, duration, refresh_energy, banks_per_op = (
+            t.trefi, t.trfc, e.e_refresh, nbanks)
+    elif cfg.refresh_policy == "SameBank":
+        # two bank groups refreshed alternately, half the blackout each
+        interval, duration, refresh_energy, banks_per_op = (
+            t.trefi / 2, t.trfc * 0.6, e.e_refresh / 2, nbanks // 2)
+    else:
         # PerBank: one bank at a time, short blackout, lowest disturbance
-        return _RefreshPlan(t.trefi / nbanks, t.trfc * 0.3, e.e_refresh / nbanks, 1)
+        interval, duration, refresh_energy, banks_per_op = (
+            t.trefi / nbanks, t.trfc * 0.3, e.e_refresh / nbanks, 1)
 
-    def _blocked_banks_for_refresh(self) -> List[int]:
-        n = self.plan.banks_per_op
-        start = self.refresh_rr_bank
-        self.refresh_rr_bank = (start + n) % self.dev.banks
-        return [(start + i) % self.dev.banks for i in range(n)]
+    # -- per-bank state ------------------------------------------------------------
+    open_row: List[Optional[int]] = [None] * nbanks
+    ready_at = [0.0] * nbanks
+    last_act = [float("-inf")] * nbanks
+    blocked_until = [0.0] * nbanks          # refresh blackout
+    opened_since: List[Optional[float]] = [None] * nbanks
+    open_time = [0.0] * nbanks
 
-    def _perform_refresh(self, at: float, count: int = 1) -> float:
-        """Execute ``count`` back-to-back refresh operations at ``at``.
-        Returns the time the blackout ends."""
-        end = at
-        for _ in range(count):
-            for b in self._blocked_banks_for_refresh():
-                bank = self.banks[b]
-                bank.accumulate_open(end)   # refresh precharges the row
-                bank.open_row = None
-                bank.blocked_until = max(bank.blocked_until, end + self.plan.duration)
-            self.e_refresh_total += self.plan.energy
-            self.n_refreshes += 1
-            end += self.plan.duration
-        return end
+    refreshed_state = (open_row, opened_since, open_time, blocked_until)
 
-    def _refresh_tick(self, buffer_nonempty: bool) -> None:
-        """Apply the postpone/pull-in policy at the current time."""
-        while self.now >= self.refresh_due:
-            if self.refresh_credit > 0:
+    # -- main loop -----------------------------------------------------------------
+    now = 0.0
+    bus_free = 0.0
+    bus_last_write: Optional[bool] = None
+    refresh_due = interval
+    refresh_debt = 0
+    refresh_credit = 0
+    inflight: List[float] = []      # min-heap of finish times
+    draining_writes = False         # ReadWrite buffer organization
+    bank_rr = 0                     # Bankwise round-robin pointer
+    refresh_rr_bank = 0
+    n_refreshes = 0
+    row_hits = row_misses = row_conflicts = reads = writes = 0
+    e_act_total = 0.0
+    e_rw_total = 0.0
+    e_refresh_total = 0.0
+    finish = [0.0] * n
+    heappush, heappop = heapq.heappush, heapq.heappop
+
+    next_idx = 0
+    buffer: List[_Request] = []
+    while next_idx < n or buffer:
+        # admit arrivals up to the request buffer capacity
+        while next_idx < n and arrivals[next_idx] <= now and len(buffer) < cap:
+            buffer.append(requests[next_idx])
+            next_idx += 1
+
+        if not buffer:
+            # idle: issue early refreshes into the gap, up to the pull-in
+            # cap, then jump to the next arrival
+            next_arrival = arrivals[next_idx]
+            while refresh_credit < max_pulledin and now + duration <= next_arrival:
+                refresh_rr_bank = _refresh(
+                    refreshed_state, now, refresh_rr_bank, banks_per_op, duration
+                )
+                e_refresh_total += refresh_energy
+                n_refreshes += 1
+                refresh_credit += 1
+                now += duration
+            now = max(now, next_arrival)
+            continue
+
+        # refresh postpone / pull-in policy at the current time
+        while now >= refresh_due:
+            if refresh_credit > 0:
                 # a pulled-in refresh already covered this interval
-                self.refresh_credit -= 1
-                self.refresh_due += self.plan.interval
-            elif buffer_nonempty and self.refresh_debt < self.cfg.refresh_max_postponed:
-                self.refresh_debt += 1
-                self.refresh_due += self.plan.interval
+                refresh_credit -= 1
+            elif refresh_debt < max_postponed:
+                refresh_debt += 1
             else:
                 # pay the whole debt in one blackout burst
-                self._perform_refresh(self.now, count=self.refresh_debt + 1)
-                self.refresh_debt = 0
-                self.refresh_due += self.plan.interval
+                end = now
+                for _ in range(refresh_debt + 1):
+                    refresh_rr_bank = _refresh(
+                        refreshed_state, end, refresh_rr_bank, banks_per_op, duration
+                    )
+                    e_refresh_total += refresh_energy
+                    n_refreshes += 1
+                    end += duration
+                refresh_debt = 0
+            refresh_due += interval
 
-    def _try_pull_in(self, idle_until: float) -> None:
-        """Issue early refreshes into an idle gap, up to the pull-in cap."""
-        while (
-            self.refresh_credit < self.cfg.refresh_max_pulledin
-            and self.now + self.plan.duration <= idle_until
-        ):
-            self._perform_refresh(self.now)
-            self.refresh_credit += 1
-            self.now += self.plan.duration
+        # in-flight cap: wait for the oldest transaction to retire
+        while len(inflight) >= max_active:
+            now = max(now, heappop(inflight))
+        while inflight and inflight[0] <= now:
+            heappop(inflight)
 
-    # -- scheduling -----------------------------------------------------------------
+        # candidates: the scheduler-buffer organization, then the arbiter
+        if read_write_buffer:
+            pending_writes = [r for r in buffer if r[3]]
+            if draining_writes:
+                if len(pending_writes) <= drain_stop:
+                    draining_writes = False
+            elif len(pending_writes) >= drain_start:
+                draining_writes = True
+            if draining_writes and pending_writes:
+                pool = pending_writes
+            else:
+                pool = [r for r in buffer if not r[3]] or buffer
+        elif bankwise_buffer:
+            banks_with_work = sorted({r[1] for r in buffer})
+            rr_bank = banks_with_work[bank_rr % len(banks_with_work)]
+            bank_rr = (bank_rr + 1) % len(banks_with_work)
+            pool = [r for r in buffer if r[1] == rr_bank]
+        else:
+            pool = buffer
+        if window:
+            pool = pool[:window]
 
-    def _visible(self, buffer: List[_Entry]) -> List[_Entry]:
-        """Entries the scheduler may reorder among (arbiter policy)."""
-        if self.cfg.arbiter == "Reorder":
-            return buffer
-        # Fifo arbiter: reordering restricted to the oldest half-window
-        window = max(1, (self.cfg.request_buffer_size + 1) // 2)
-        return buffer[:window]
+        # scheduler: FR-FCFS takes the oldest row hit, else the oldest
+        # request; FrFcFsGrp first prefers row hits in the current bus
+        # direction, and after the row hits the same direction
+        entry = None
+        if not fifo_scheduler:
+            if grouped_scheduler:
+                for r in pool:
+                    if open_row[r[1]] == r[2] and r[3] == bus_last_write:
+                        entry = r
+                        break
+            if entry is None:
+                for r in pool:
+                    if open_row[r[1]] == r[2]:
+                        entry = r
+                        break
+            if entry is None and grouped_scheduler:
+                for r in pool:
+                    if r[3] == bus_last_write:
+                        entry = r
+                        break
+        if entry is None:
+            entry = pool[0]
+        buffer.remove(entry)
 
-    def _candidates(self, buffer: List[_Entry]) -> List[_Entry]:
-        """Apply the scheduler-buffer organization, then the arbiter."""
-        org = self.cfg.scheduler_buffer
-        if org == "ReadWrite":
-            writes = [e for e in buffer if e.is_write]
-            cap = self.cfg.request_buffer_size
-            if self.draining_writes:
-                if len(writes) <= max(1, cap // 4):
-                    self.draining_writes = False
-            elif len(writes) >= max(1, (3 * cap) // 4):
-                self.draining_writes = True
-            pool = writes if (self.draining_writes and writes) else \
-                [e for e in buffer if not e.is_write] or buffer
-            return self._visible(pool)
-        if org == "Bankwise":
-            banks_with_work = sorted({e.bank for e in buffer})
-            for step in range(len(banks_with_work)):
-                b = banks_with_work[(self.bank_rr + step) % len(banks_with_work)]
-                pool = [e for e in buffer if e.bank == b]
-                if pool:
-                    self.bank_rr = (self.bank_rr + step + 1) % max(1, len(banks_with_work))
-                    return self._visible(pool)
-        return self._visible(buffer)
-
-    def _select(self, buffer: List[_Entry]) -> _Entry:
-        pool = self._candidates(buffer)
-        policy = self.cfg.scheduler
-        if policy == "Fifo":
-            return pool[0]
-
-        def is_hit(e: _Entry) -> bool:
-            return self.banks[e.bank].open_row == e.row
-
-        if policy == "FrFcFs":
-            hits = [e for e in pool if is_hit(e)]
-            return hits[0] if hits else pool[0]
-
-        # FrFcFsGrp: row hits matching the current bus direction first,
-        # then any row hit, then same-direction, then oldest.
-        direction = self.bus_last_write
-        same_dir_hits = [e for e in pool if is_hit(e) and e.is_write == direction]
-        if same_dir_hits:
-            return same_dir_hits[0]
-        hits = [e for e in pool if is_hit(e)]
-        if hits:
-            return hits[0]
-        same_dir = [e for e in pool if e.is_write == direction]
-        return same_dir[0] if same_dir else pool[0]
-
-    # -- per-access timing ---------------------------------------------------------
-
-    def _service(self, entry: _Entry) -> None:
-        bank = self.banks[entry.bank]
-        t = self.t
-        start = max(self.now, bank.ready_at, bank.blocked_until)
-
-        if bank.open_row == entry.row:
-            self.row_hits += 1
+        # per-access timing. A maximum written as ``x = a`` then
+        # ``if b > x: x = b`` is ``max(a, b)`` exactly (the first of equal
+        # operands wins), without the call.
+        order, bank, row, is_write = entry
+        start = now
+        if ready_at[bank] > start:
+            start = ready_at[bank]
+        if blocked_until[bank] > start:
+            start = blocked_until[bank]
+        current_row = open_row[bank]
+        if current_row == row:
+            row_hits += 1
             col_ready = start
-        elif bank.open_row is None:
-            self.row_misses += 1
-            act_at = max(start, bank.last_act + t.trc)
-            bank.last_act = act_at
-            bank.opened_since = act_at
-            bank.open_row = entry.row
-            self.e_act_total += self.dev.energy.e_act
-            col_ready = act_at + t.trcd
         else:
-            self.row_conflicts += 1
-            bank.accumulate_open(start)
-            pre_done = max(start + t.trp, bank.last_act + t.tras + t.trp)
-            act_at = max(pre_done, bank.last_act + t.trc)
-            bank.last_act = act_at
-            bank.opened_since = act_at
-            bank.open_row = entry.row
-            self.e_act_total += self.dev.energy.e_act
-            col_ready = act_at + t.trcd
+            if current_row is None:
+                row_misses += 1
+                act_at = start
+                if last_act[bank] + trc > act_at:
+                    act_at = last_act[bank] + trc
+            else:
+                row_conflicts += 1
+                since = opened_since[bank]
+                if since is not None:
+                    open_time[bank] += max(0.0, start - since)
+                act_at = start + trp                    # precharge done
+                if last_act[bank] + tras + trp > act_at:
+                    act_at = last_act[bank] + tras + trp
+                if last_act[bank] + trc > act_at:
+                    act_at = last_act[bank] + trc
+            last_act[bank] = act_at
+            opened_since[bank] = act_at
+            open_row[bank] = row
+            e_act_total += e_act
+            col_ready = act_at + trcd
 
-        cas = t.tcwd if entry.is_write else t.tcl
+        cas = tcwd if is_write else tcl
         turnaround = 0.0
-        if self.bus_last_write is not None and self.bus_last_write != entry.is_write:
-            turnaround = t.twtr if self.bus_last_write else t.trtw
-        data_start = max(col_ready + cas, self.bus_free + turnaround)
-        finish = data_start + t.burst_time
+        if bus_last_write is not None and bus_last_write != is_write:
+            turnaround = twtr if bus_last_write else trtw
+        data_start = col_ready + cas
+        if bus_free + turnaround > data_start:
+            data_start = bus_free + turnaround
+        done_at = data_start + burst_time
 
-        self.bus_free = finish
-        self.bus_last_write = entry.is_write
-        bank.ready_at = finish + (t.twr if entry.is_write else 0.0)
-        entry.finish = finish
+        bus_free = done_at
+        bus_last_write = is_write
+        ready_at[bank] = done_at + (twr if is_write else 0.0)
+        finish[order] = done_at
 
-        if entry.is_write:
-            self.writes += 1
-            self.e_rw_total += self.dev.energy.e_write
+        if is_write:
+            writes += 1
+            e_rw_total += e_write
         else:
-            self.reads += 1
-            self.e_rw_total += self.dev.energy.e_read
+            reads += 1
+            e_rw_total += e_read
 
-        self.now = data_start
-        heapq.heappush(self.inflight, finish)
+        now = data_start
+        heappush(inflight, done_at)
 
-    def _apply_page_policy(self, entry: _Entry, buffer: List[_Entry]) -> None:
-        bank = self.banks[entry.bank]
-        policy = self.cfg.page_policy
-        if policy == "Open":
-            return
-        same_row_pending = any(
-            e.bank == entry.bank and e.row == entry.row for e in buffer
-        )
-        if policy == "Closed" or (
-            policy == "ClosedAdaptive" and not same_row_pending
-        ) or (
-            policy == "OpenAdaptive" and not same_row_pending
-        ):
-            close_at = bank.ready_at
-            bank.accumulate_open(close_at)
-            bank.open_row = None
+        # page policy: close the row, except that the adaptive policies
+        # keep it open while a pending request targets it
+        keep_open = not close_pages
+        if not (keep_open or close_always):
+            for r in buffer:
+                if r[1] == bank and r[2] == row:
+                    keep_open = True
+                    break
+        if not keep_open:
+            close_at = ready_at[bank]
+            since = opened_since[bank]
+            if since is not None:
+                open_time[bank] += max(0.0, close_at - since)
+                opened_since[bank] = None
+            open_row[bank] = None
             # auto-precharge overlaps other banks; only this bank pays tRP
-            bank.ready_at = close_at + self.t.trp
+            ready_at[bank] = close_at + trp
 
-    # -- main loop -------------------------------------------------------------------
+    end_time = max(finish)
+    exec_time = max(end_time, 1e-9)
 
-    def execute(self) -> SimResult:
-        requests = list(self.trace.requests)
-        n = len(requests)
-        entries: List[_Entry] = []
-        for i, r in enumerate(requests):
-            bank, row = self.dev.map_address(r.address)
-            entries.append(_Entry(i, r.arrival_ns, r.address, bank, row, r.is_write))
-
-        pending = entries  # sorted by arrival already
-        next_idx = 0
-        buffer: List[_Entry] = []
-        done: List[_Entry] = []
-
-        while next_idx < n or buffer:
-            # admit arrivals up to the request buffer capacity
-            while (
-                next_idx < n
-                and pending[next_idx].arrival <= self.now
-                and len(buffer) < self.cfg.request_buffer_size
-            ):
-                buffer.append(pending[next_idx])
-                next_idx += 1
-
-            if not buffer:
-                # idle: opportunity to pull refreshes in, then jump to the
-                # next arrival
-                next_arrival = pending[next_idx].arrival
-                self._try_pull_in(next_arrival)
-                self.now = max(self.now, next_arrival)
-                continue
-
-            self._refresh_tick(buffer_nonempty=True)
-
-            # in-flight cap: wait for the oldest transaction to retire
-            while len(self.inflight) >= self.cfg.max_active_transactions:
-                self.now = max(self.now, heapq.heappop(self.inflight))
-            while self.inflight and self.inflight[0] <= self.now:
-                heapq.heappop(self.inflight)
-
-            entry = self._select(buffer)
-            buffer.remove(entry)
-            self._service(entry)
-            self._apply_page_policy(entry, buffer)
-            done.append(entry)
-
-        end_time = max(e.finish for e in done)
-        exec_time = max(end_time, 1e-9)
-
-        # response queue: in-order release adds queueing delay
-        latencies = self._release_latencies(done)
-        avg_latency = sum(latencies) / len(latencies)
-
-        # background energy from bank-open residency
-        for bank in self.banks:
-            bank.accumulate_open(end_time)
-        open_frac = min(
-            1.0, sum(b.open_time for b in self.banks) / exec_time
-        )
-        e = self.dev.energy
-        p_bg = e.p_background_idle + (e.p_background_active - e.p_background_idle) * open_frac
-        background_energy = p_bg * exec_time  # W * ns = nJ
-        cmd_energy = self.e_act_total + self.e_rw_total + self.e_refresh_total
-        total_energy = cmd_energy + background_energy
-
-        bytes_moved = n * self.dev.line_bytes
-        return SimResult(
-            avg_latency_ns=avg_latency,
-            power_w=total_energy / exec_time,
-            energy_uj=total_energy / 1e3,
-            exec_time_ns=exec_time,
-            bandwidth_gbps=bytes_moved / exec_time,
-            row_hits=self.row_hits,
-            row_misses=self.row_misses,
-            row_conflicts=self.row_conflicts,
-            refreshes=self.n_refreshes,
-            reads=self.reads,
-            writes=self.writes,
-            energy_breakdown_nj={
-                "activate": self.e_act_total,
-                "read_write": self.e_rw_total,
-                "refresh": self.e_refresh_total,
-                "background": background_energy,
-            },
-        )
-
-    def _release_latencies(self, done: List[_Entry]) -> List[float]:
-        ordered = sorted(done, key=lambda e: e.order)
-        latencies: List[float] = []
-        if self.cfg.resp_queue_policy == "Reorder":
-            for e in ordered:
-                latencies.append(max(0.0, e.finish - e.arrival))
-            return latencies
+    # response queue: in-order release adds queueing delay. Latencies and
+    # bank-open times are added left to right in plain loops, not with the
+    # builtin sum(), which Python 3.12+ compensates for floats.
+    total_latency = 0.0
+    if release_in_order:
         release = 0.0
-        for e in ordered:
-            release = max(release, e.finish)
-            latencies.append(max(0.0, release - e.arrival))
-        return latencies
+        for arrival, done_at in zip(arrivals, finish):
+            release = max(release, done_at)
+            total_latency += max(0.0, release - arrival)
+    else:
+        for arrival, done_at in zip(arrivals, finish):
+            total_latency += max(0.0, done_at - arrival)
+    avg_latency = total_latency / n
+
+    # background energy from bank-open residency
+    total_open = 0.0
+    for bank in range(nbanks):
+        since = opened_since[bank]
+        if since is not None:
+            open_time[bank] += max(0.0, end_time - since)
+        total_open += open_time[bank]
+    open_frac = min(1.0, total_open / exec_time)
+    p_bg = e.p_background_idle + (e.p_background_active - e.p_background_idle) * open_frac
+    background_energy = p_bg * exec_time  # W * ns = nJ
+    cmd_energy = e_act_total + e_rw_total + e_refresh_total
+    total_energy = cmd_energy + background_energy
+
+    bytes_moved = n * device.line_bytes
+    return SimResult(
+        avg_latency_ns=avg_latency,
+        power_w=total_energy / exec_time,
+        energy_uj=total_energy / 1e3,
+        exec_time_ns=exec_time,
+        bandwidth_gbps=bytes_moved / exec_time,
+        row_hits=row_hits,
+        row_misses=row_misses,
+        row_conflicts=row_conflicts,
+        refreshes=n_refreshes,
+        reads=reads,
+        writes=writes,
+        energy_breakdown_nj={
+            "activate": e_act_total,
+            "read_write": e_rw_total,
+            "refresh": e_refresh_total,
+            "background": background_energy,
+        },
+    )

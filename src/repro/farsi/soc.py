@@ -109,14 +109,19 @@ class SoCConfig:
 
     @property
     def static_mw(self) -> float:
-        pe_idle = sum(pe.idle_mw for pe in self.pes)
+        # a plain loop, not sum(): Python 3.12+ compensates float sums
+        pe_idle = 0.0
+        for pe in self.pes:
+            pe_idle += pe.idle_mw
         noc = 2.0 + 0.05 * self.noc_bus_width_bits * self.noc_freq_ghz
         mem = 5.0 + 2.0 * self.mem_channels * self.mem_freq_ghz
         return pe_idle + noc + mem
 
     @property
     def area_mm2(self) -> float:
-        pe_area = sum(pe.area_mm2 for pe in self.pes)
+        pe_area = 0.0
+        for pe in self.pes:
+            pe_area += pe.area_mm2
         noc_area = 0.3 + 0.002 * self.noc_bus_width_bits
         mem_area = 0.8 * self.mem_channels
         return pe_area + noc_area + mem_area

@@ -146,15 +146,14 @@ class MaestroModel:
         t1 = {d: min(mapping.l1_tile(d), dims[d]) for d in LOOP_DIMS}
         t2 = {d: min(max(mapping.l2_tile(d), t1[d]), dims[d]) for d in LOOP_DIMS}
 
-        # buffer footprints
-        l1_fill = sum(
-            self._tensor_words(t, {d: float(t1[d]) for d in LOOP_DIMS}, layer)
-            for t in _TENSOR_DIMS
-        )
-        l2_fill = sum(
-            self._tensor_words(t, {d: float(t2[d]) for d in LOOP_DIMS}, layer)
-            for t in _TENSOR_DIMS
-        )
+        # buffer footprints, added in a plain loop rather than with sum(),
+        # which Python 3.12+ compensates for floats
+        l1_sizes = {d: float(t1[d]) for d in LOOP_DIMS}
+        l2_sizes = {d: float(t2[d]) for d in LOOP_DIMS}
+        l1_fill = l2_fill = 0.0
+        for t in _TENSOR_DIMS:
+            l1_fill += self._tensor_words(t, l1_sizes, layer)
+            l2_fill += self._tensor_words(t, l2_sizes, layer)
         if l1_fill > acc.l1_words or l2_fill > acc.l2_words:
             return MaestroLayerCost(
                 layer=layer.name, feasible=False,

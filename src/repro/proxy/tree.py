@@ -136,30 +136,37 @@ class DecisionTreeRegressor:
         return self
 
     def _flatten(self) -> None:
-        """Pack the node tree into flat arrays for vectorized prediction."""
-        feats: List[int] = []
-        thresh: List[float] = []
-        left: List[int] = []
-        right: List[int] = []
+        """Pack the node tree into flat arrays for vectorized prediction.
+
+        Leaves are absorbing: a leaf tests feature 0 against +inf and is
+        both of its own children, so a descent of exactly the tree's depth
+        leaves every row at its leaf. Node ``k``'s right child is
+        ``_children[2k]`` and its left child ``_children[2k + 1]``.
+        """
+        feature: List[int] = []
+        threshold: List[float] = []
+        children: List[int] = []
         value: List[float] = []
 
         def visit(node: _Node) -> int:
-            idx = len(feats)
-            feats.append(node.feature)
-            thresh.append(node.threshold)
-            left.append(-1)
-            right.append(-1)
+            idx = len(value)
             value.append(node.value)
-            if not node.is_leaf:
-                left[idx] = visit(node.left)
-                right[idx] = visit(node.right)
+            children.extend((idx, idx))
+            if node.is_leaf:
+                feature.append(0)
+                threshold.append(np.inf)
+            else:
+                feature.append(node.feature)
+                threshold.append(node.threshold)
+                children[2 * idx + 1] = visit(node.left)
+                children[2 * idx] = visit(node.right)
             return idx
 
         visit(self._root)
-        self._feats = np.array(feats, dtype=np.int64)
-        self._thresh = np.array(thresh, dtype=np.float64)
-        self._left = np.array(left, dtype=np.int64)
-        self._right = np.array(right, dtype=np.int64)
+        self._depth = self.depth_
+        self._feature = np.array(feature, dtype=np.int64)
+        self._threshold = np.array(threshold, dtype=np.float64)
+        self._children = np.array(children, dtype=np.int64)
         self._value = np.array(value, dtype=np.float64)
 
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
@@ -192,17 +199,12 @@ class DecisionTreeRegressor:
                 f"expected X with {self.n_features_} features, got {X.shape}"
             )
         # vectorized descent: every row walks the flat arrays in lockstep
+        # for exactly depth steps (a row that reaches its leaf stays there)
         rows = np.arange(len(X))
         idx = np.zeros(len(X), dtype=np.int64)
-        while True:
-            feats = self._feats[idx]
-            active = feats >= 0
-            if not active.any():
-                break
-            f = np.where(active, feats, 0)
-            go_left = X[rows, f] <= self._thresh[idx]
-            child = np.where(go_left, self._left[idx], self._right[idx])
-            idx = np.where(active, child, idx)
+        for _ in range(self._depth):
+            go_left = X[rows, self._feature[idx]] <= self._threshold[idx]
+            idx = self._children[2 * idx + go_left]
         return self._value[idx]
 
     @property

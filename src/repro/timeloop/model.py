@@ -82,7 +82,7 @@ class TimeloopModel:
         tk = _pow2_upto(layer.K)
         tc = _pow2_upto(channels)
         tp = _pow2_upto(layer.P)
-        TK, TC, TP = (a.reshape(-1) for a in np.meshgrid(tk, tc, tp, indexing="ij"))
+        # every (tk, tc, tp) tiling, tk varying slowest
         TK, TC, TP = (
             np.repeat(tk, len(tc) * len(tp)),
             np.tile(np.repeat(tc, len(tp)), len(tk)),

@@ -224,14 +224,26 @@ class TestProxyEnv:
 @given(st.integers(0, 10_000), st.integers(10, 60), st.integers(1, 4))
 @settings(max_examples=25, deadline=None)
 def test_prop_tree_predictions_within_target_range(seed, n, depth):
-    """A regression tree can never predict outside [min(y), max(y)]."""
+    """A regression tree can never predict outside [min(y), max(y)], and
+    its vectorized predict equals a walk of the node tree exactly, NaN
+    rows included (a NaN compares false with ``<=``, so it goes right)."""
     rng = np.random.default_rng(seed)
     X = rng.random((n, 3))
     y = rng.normal(size=n)
     tree = DecisionTreeRegressor(max_depth=depth, seed=seed).fit(X, y)
-    pred = tree.predict(rng.random((50, 3)))
+    Xq = rng.random((50, 3))
+    Xq[rng.random(Xq.shape) < 0.2] = np.nan
+    pred = tree.predict(Xq)
     assert pred.min() >= y.min() - 1e-12
     assert pred.max() <= y.max() + 1e-12
+
+    def walk(row):
+        node = tree._root
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        return node.value
+
+    assert pred.tolist() == [walk(row) for row in Xq]
 
 
 @given(st.integers(0, 10_000))

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation integrity check (CI's `docs` job).
 
-Two gates over ``README.md`` and every ``docs/*.md``:
+Two gates over ``README.md`` and every ``docs/*.md``, and one over code:
 
 1. **Internal links resolve.** Every relative markdown link target
    (``[text](docs/ARCHITECTURE.md)``, ``[x](../README.md#quickstart)``)
@@ -17,9 +17,13 @@ Two gates over ``README.md`` and every ``docs/*.md``:
    (``repro.cli.build_parser()``, subcommands included), so a renamed
    or removed flag breaks the docs job instead of the first reader
    who copy-pastes the recipe.
+3. **Code cites docs that exist.** Every ``*.md`` path cited in a
+   ``.py`` file under ``src/``, ``tools/`` or ``benchmarks/`` (a
+   docstring's "see docs/ARCHITECTURE.md") must name a file that
+   exists, relative to the repository root or to the citing file.
 
 Usage: ``python tools/check_docs.py`` (repo root). Exits non-zero
-listing every broken link / unknown flag.
+listing every broken link / unknown flag / dangling citation.
 """
 
 from __future__ import annotations
@@ -37,6 +41,11 @@ _LINK_RE = re.compile(r"\[[^\]^\[]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 _FENCE_RE = re.compile(r"^```(\w*)\s*$")
 _FLAG_RE = re.compile(r"(--[a-z][a-z0-9-]*)")
+#: A markdown file path cited in code, with or without directories or a
+#: leading ``../``; not the tail of a URL and not a bare suffix.
+_MD_CITE_RE = re.compile(r"(?<![\w./:-])([\w.-][\w./-]*\.md)\b")
+#: Code directories whose ``.py`` files' doc citations are checked.
+CODE_DIRS = ("src", "tools", "benchmarks")
 
 
 def doc_files():
@@ -100,6 +109,23 @@ def check_links(path: pathlib.Path):
                 )
 
 
+def check_code_citations():
+    """Yield error strings for ``*.md`` paths cited in code that name no
+    existing file."""
+    for top in CODE_DIRS:
+        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                for cited in _MD_CITE_RE.findall(line):
+                    if not any(
+                        (base / cited).exists()
+                        for base in (REPO_ROOT, path.parent)
+                    ):
+                        yield (
+                            f"{path.relative_to(REPO_ROOT)}:{lineno}: "
+                            f"cites {cited}, which does not exist"
+                        )
+
+
 def bash_blocks(path: pathlib.Path):
     """Yield each fenced ``bash``/``sh``/``console`` block's text."""
     block, lang, in_fence = [], "", False
@@ -155,6 +181,7 @@ def main() -> int:
         return 1
     files = doc_files()
     commands_checked = 0
+    errors.extend(check_code_citations())
     for path in files:
         errors.extend(check_links(path))
         for block in bash_blocks(path):
@@ -173,7 +200,8 @@ def main() -> int:
     print(
         f"OK: {len(files)} doc file(s) checked — links resolve, "
         f"{commands_checked} repro command(s) use only real CLI flags "
-        f"({len(known_flags)} known)"
+        f"({len(known_flags)} known); every doc cited in "
+        f"{'/, '.join(CODE_DIRS)}/ exists"
     )
     return 0
 
