@@ -1,10 +1,26 @@
 """CART regression tree (numpy implementation).
 
-scikit-learn is unavailable in this environment, so the random-forest
-proxy models of §7.2 are built on this from-scratch tree: greedy
-variance-reduction splits found with vectorized prefix-sum scans, with
-the usual depth / leaf-size / feature-subsampling controls the forest
-needs.
+scikit-learn is not a dependency, so the random-forest proxy models of
+§7.2 are built on this from-scratch tree: greedy variance-reduction
+splits, with the usual depth / leaf-size / feature-subsampling controls
+the forest needs.
+
+A node costs a fixed handful of numpy calls, however many candidate
+features it scores. It is an index array into the training rows, kept in
+row order. Its ``m`` candidate features are gathered as the rows of one
+``(m, n)`` array, which one stable ``argsort`` sorts. What is sorted is
+each value's position in a stable sort of its feature over all rows,
+found once per fit: positions order the node's rows exactly as their
+values do, and numpy sorts small integers several times faster than
+floats. Prefix sums of ``y`` and ``y²`` (squared once per fit) along
+the sorted rows then score every split of every candidate in one pass.
+
+The trees are the ones the per-feature scan it replaced grew, node for
+node (``tests/test_tree_parity.py`` checks it against the copy kept in
+``tests/tree_reference.py``): every float expression keeps its operands
+and their order, the best feature is picked in subset order by the same
+``> best + 1e-12`` rule, and the feature subsets are drawn once per
+splittable node in depth-first pre-order.
 """
 
 from __future__ import annotations
@@ -33,51 +49,19 @@ class _Node:
         return self.left is None
 
 
-def _best_split(
-    X: np.ndarray, y: np.ndarray, features: np.ndarray, min_leaf: int
-):
-    """Find the (feature, threshold) minimizing total child SSE.
+def _sort_keys(xt: np.ndarray) -> np.ndarray:
+    """Each value of ``xt`` replaced by its position in a stable sort of
+    its row.
 
-    For each feature the samples are sorted once; prefix sums of y and
-    y^2 yield every split's SSE in O(n).
+    Positions order any subset of a row's values exactly as a stable
+    sort of the values does: by value, NaNs last, ties in row order.
+    Positions below 2**16 are stored as ``uint16``, which numpy sorts
+    with a radix sort, several times faster than it sorts floats.
     """
-    n = len(y)
-    best_gain = 0.0
-    best_feature = -1
-    best_threshold = 0.0
-
-    total_sum = y.sum()
-    total_sq = (y * y).sum()
-    parent_sse = total_sq - total_sum * total_sum / n
-
-    for j in features:
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-
-        # split after position k (left = first k+1 samples)
-        k = np.arange(min_leaf - 1, n - min_leaf)
-        if len(k) == 0:
-            continue
-        left_n = k + 1.0
-        right_n = n - left_n
-        left_sse = csq[k] - csum[k] ** 2 / left_n
-        right_sum = total_sum - csum[k]
-        right_sse = (total_sq - csq[k]) - right_sum**2 / right_n
-        gain = parent_sse - (left_sse + right_sse)
-
-        # forbid splits between equal feature values
-        valid = xs[k] < xs[k + 1]
-        gain = np.where(valid, gain, -np.inf)
-        idx = int(np.argmax(gain))
-        if gain[idx] > best_gain + 1e-12:
-            best_gain = float(gain[idx])
-            best_feature = int(j)
-            best_threshold = float((xs[k[idx]] + xs[k[idx] + 1]) / 2.0)
-
-    return best_feature, best_threshold, best_gain
+    n = xt.shape[1]
+    keys = np.empty(xt.shape, np.uint16 if n <= 1 << 16 else np.intp)
+    np.put_along_axis(keys, np.argsort(xt, axis=1, kind="stable"), np.arange(n), axis=1)
+    return keys
 
 
 class DecisionTreeRegressor:
@@ -105,10 +89,23 @@ class DecisionTreeRegressor:
             raise ProxyModelError("max_depth must be >= 1")
         if min_samples_leaf < 1:
             raise ProxyModelError("min_samples_leaf must be >= 1")
+        if not (
+            max_features is None
+            or max_features == "sqrt"
+            or (
+                isinstance(max_features, (int, np.integer))
+                and not isinstance(max_features, bool)
+                and max_features >= 1
+            )
+        ):
+            raise ProxyModelError(
+                "max_features must be None, 'sqrt' or an int >= 1, "
+                f"got {max_features!r}"
+            )
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
-        self.rng = np.random.default_rng(seed)
+        self.seed = seed
         self._root: Optional[_Node] = None
         self.n_features_: int = 0
         self.n_nodes_: int = 0
@@ -131,7 +128,13 @@ class DecisionTreeRegressor:
             raise ProxyModelError("cannot fit on zero samples")
         self.n_features_ = X.shape[1]
         self.n_nodes_ = 0
-        self._root = self._grow(X, y, depth=0)
+        # a fresh generator per fit, so a refit on the same data grows
+        # the same tree
+        self.rng = np.random.default_rng(self.seed)
+        xt = np.ascontiguousarray(X.T)
+        self._root = self._grow(
+            xt, _sort_keys(xt), y, y * y, np.arange(len(y)), depth=0
+        )
         self._flatten()
         return self
 
@@ -169,25 +172,68 @@ class DecisionTreeRegressor:
         self._children = np.array(children, dtype=np.int64)
         self._value = np.array(value, dtype=np.float64)
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        node = _Node(value=float(y.mean()))
+    def _grow(
+        self,
+        xt: np.ndarray,
+        keys: np.ndarray,
+        y: np.ndarray,
+        y2: np.ndarray,
+        rows: np.ndarray,
+        depth: int,
+    ) -> _Node:
+        """Grow the subtree over the training rows ``rows`` (ascending).
+
+        ``xt`` is ``X`` transposed, one feature per row, ``keys`` its
+        :func:`_sort_keys`, and ``y2`` is ``y * y``. The best split
+        minimizes the children's total SSE.
+        """
+        n = len(rows)
+        y_node = y[rows]
+        total_sum = y_node.sum()
+        node = _Node(value=float(total_sum / n))
         self.n_nodes_ += 1
+        min_leaf = self.min_samples_leaf
         if (
             depth >= self.max_depth
-            or len(y) < 2 * self.min_samples_leaf
-            or np.ptp(y) < 1e-15
+            or n < 2 * min_leaf
+            or y_node.max() - y_node.min() < 1e-15
         ):
             return node
-        feature, threshold, gain = _best_split(
-            X, y, self._feature_subset(X.shape[1]), self.min_samples_leaf
-        )
-        if feature < 0 or gain <= 0.0:
+        features = self._feature_subset(len(xt))
+        total_sq = y2[rows].sum()
+        parent_sse = total_sq - total_sum * total_sum / n
+
+        # row i of each (m, n) array is candidate features[i], sorted
+        cand = features[:, None]
+        sorted_rows = rows[keys[cand, rows].argsort(axis=1, kind="stable")]
+        xs = xt[cand, sorted_rows]
+        csum = y[sorted_rows].cumsum(axis=1)
+        csq = y2[sorted_rows].cumsum(axis=1)
+
+        # split after sorted position k in [lo, hi) (left = first k+1)
+        lo, hi = min_leaf - 1, n - min_leaf
+        left_n = np.arange(lo, hi) + 1.0
+        right_n = n - left_n
+        left_sse = csq[:, lo:hi] - csum[:, lo:hi] ** 2 / left_n
+        right_sum = total_sum - csum[:, lo:hi]
+        right_sse = (total_sq - csq[:, lo:hi]) - right_sum**2 / right_n
+        gain = parent_sse - (left_sse + right_sse)
+
+        # forbid splits between equal feature values
+        gain = np.where(xs[:, lo:hi] < xs[:, lo + 1 : hi + 1], gain, -np.inf)
+        pos = gain.argmax(axis=1)
+        best, best_gain = -1, 0.0
+        for i, g in enumerate(gain.max(axis=1).tolist()):
+            if g > best_gain + 1e-12:
+                best, best_gain = i, g
+        if best < 0:
             return node
-        mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(X[mask], y[mask], depth + 1)
-        node.right = self._grow(X[~mask], y[~mask], depth + 1)
+        k = lo + pos[best]
+        node.feature = int(features[best])
+        node.threshold = float((xs[best, k] + xs[best, k + 1]) / 2.0)
+        go_left = xt[node.feature, rows] <= node.threshold
+        node.left = self._grow(xt, keys, y, y2, rows[go_left], depth + 1)
+        node.right = self._grow(xt, keys, y, y2, rows[~go_left], depth + 1)
         return node
 
     def predict(self, X: np.ndarray) -> np.ndarray:

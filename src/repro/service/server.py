@@ -52,6 +52,7 @@ with 4xx/5xx statuses — the client maps them onto
 
 from __future__ import annotations
 
+import selectors
 import socket
 import threading
 import time
@@ -78,6 +79,10 @@ from repro.service.wire import (
 __all__ = ["EvaluationService"]
 
 EnvFactory = Callable[..., ArchGymEnv]
+
+#: The serve loop's selector, chosen as the stdlib ``socketserver`` does:
+#: poll needs no extra file descriptor, unlike epoll.
+_ServerSelector = getattr(selectors, "PollSelector", selectors.SelectSelector)
 
 
 class _UnknownEnvironment(ServiceError):
@@ -487,7 +492,61 @@ class _QuietServer(ThreadingHTTPServer):
     """ThreadingHTTPServer that does not traceback-spam when a client
     (or :meth:`EvaluationService.stop`) drops a keep-alive socket —
     disconnects are business as usual for an evaluation host. Every
-    other handler exception still reports normally."""
+    other handler exception still reports normally.
+
+    It also stops at once. The stdlib serve loop notices ``shutdown()``
+    only at its next poll, up to 0.5 s later; this loop also selects on
+    one end of a socket pair, and ``shutdown()`` writes a byte to the
+    other. As in the stdlib, a shutdown requested before the loop starts
+    ends it as soon as it does.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        # before the listener binds: a failed bind calls server_close()
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._wake_recv.setblocking(False)
+        self._stop_requested = False
+        self._stopped = threading.Event()
+        super().__init__(*args, **kwargs)
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        self._stopped.clear()
+        try:
+            with _ServerSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_recv, selectors.EVENT_READ)
+                while not self._stop_requested:
+                    ready = selector.select(poll_interval)
+                    if self._stop_requested:
+                        break
+                    for key, _ in ready:
+                        if key.fileobj is self._wake_recv:
+                            # a byte left by the shutdown of an earlier loop
+                            try:
+                                self._wake_recv.recv(4096)
+                            except BlockingIOError:
+                                pass
+                        else:
+                            self._handle_request_noblock()
+                    self.service_actions()
+        finally:
+            self._stop_requested = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop the serve loop and wait until it has (from another
+        thread, as with the stdlib server)."""
+        self._stop_requested = True
+        try:
+            self._wake_send.send(b"\0")
+        except OSError:
+            pass  # closed: the loop has already ended
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_recv.close()
+        self._wake_send.close()
 
     def handle_error(self, request: Any, client_address: Any) -> None:
         import sys

@@ -74,8 +74,20 @@ class TestTree:
             DecisionTreeRegressor(max_depth=0)
         with pytest.raises(ProxyModelError):
             DecisionTreeRegressor(min_samples_leaf=0)
+        for bad in ("log2", 0.5, 2.0, 0, -1, True, False):
+            with pytest.raises(ProxyModelError):
+                DecisionTreeRegressor(max_features=bad)
+        for good in (None, "sqrt", 1, np.int64(3)):
+            DecisionTreeRegressor(max_features=good)
         with pytest.raises(ProxyModelError):
             DecisionTreeRegressor().fit(np.zeros((0, 2)), np.zeros(0))
+
+    def test_refit_grows_the_same_tree(self):
+        rng = np.random.default_rng(1)
+        X, y = rng.random((200, 6)), rng.random(200)
+        tree = DecisionTreeRegressor(max_features="sqrt", seed=3)
+        first = tree.fit(X, y).predict(X)
+        assert np.array_equal(tree.fit(X, y).predict(X), first)
 
     def test_single_sample(self):
         tree = DecisionTreeRegressor().fit(np.array([[1.0, 2.0]]), np.array([3.0]))

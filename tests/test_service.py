@@ -176,6 +176,44 @@ class TestServerEndpoints:
         with pytest.raises(ServiceError, match="already started"):
             service.start()
 
+    def test_stop_of_idle_service_is_prompt(self):
+        """``stop()`` wakes the serve loop rather than waiting out its
+        0.5 s poll."""
+        svc = EvaluationService()
+        svc.start()
+        time.sleep(0.05)  # let the serve loop block in select
+        start = time.perf_counter()
+        svc.stop()
+        assert time.perf_counter() - start < 0.2
+
+    def test_shutdown_before_serve_loop_starts_still_returns(self):
+        """As with the stdlib server: a shutdown requested before the
+        loop runs ends the loop as soon as it starts, and a later loop
+        still stops promptly."""
+        from repro.service.server import _QuietServer
+
+        server = _QuietServer(("127.0.0.1", 0), BaseHTTPRequestHandler)
+        try:
+            stopper = threading.Thread(target=server.shutdown)
+            stopper.start()
+            time.sleep(0.05)
+            assert stopper.is_alive()  # waits for the loop to run
+            loop = threading.Thread(target=server.serve_forever)
+            loop.start()
+            stopper.join(timeout=5)
+            loop.join(timeout=5)
+            assert not stopper.is_alive() and not loop.is_alive()
+            loop = threading.Thread(target=server.serve_forever)
+            loop.start()
+            time.sleep(0.05)
+            start = time.perf_counter()
+            server.shutdown()
+            assert time.perf_counter() - start < 0.2
+            loop.join(timeout=5)
+            assert not loop.is_alive()
+        finally:
+            server.server_close()
+
     def test_duplicate_registration_rejected(self, service):
         with pytest.raises(ServiceError, match="already registered"):
             service.register("SvcCounting-v0", SvcCountingEnv)
