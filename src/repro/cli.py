@@ -231,14 +231,10 @@ def _add_durability_args(parser: argparse.ArgumentParser) -> None:
                              "heterogeneous fleets rebalance "
                              "automatically (results stay "
                              "byte-identical); requires --service-url")
+    # Accepted and ignored for one release, so old command lines keep
+    # working.
     parser.add_argument("--async-dispatch", action="store_true",
-                        help="run the pool's scatter/stream fan-out as "
-                             "coroutine tasks on one event loop instead "
-                             "of one worker thread per chunk/host — a "
-                             "32-host pool costs one OS thread, the "
-                             "step to pools of hundreds of hosts "
-                             "(results stay byte-identical); requires "
-                             "--service-url")
+                        help=argparse.SUPPRESS)
     parser.add_argument("--cache-replicas", type=int, default=None,
                         metavar="N",
                         help="with --shared-cache and --service-url: "
@@ -348,7 +344,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         generation_dispatch=args.generation_dispatch,
         pipeline=args.pipeline,
         auto_weights=args.auto_weights,
-        async_dispatch=args.async_dispatch,
         cache_replicas=args.cache_replicas,
         proxy_screen=args.proxy_screen,
         proxy_oversample=args.proxy_oversample,
@@ -384,7 +379,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         timeout_s=args.service_timeout, retries=args.service_retries,
         batch=args.service_batch,
         auto_weights=args.auto_weights,
-        async_dispatch=args.async_dispatch,
         cache_replicas=args.cache_replicas,
         proxy_screen=args.proxy_screen,
     )

@@ -1,7 +1,6 @@
 """Built-in checkers. Importing this package registers all of them."""
 
 from repro.lint.checkers import (  # noqa: F401  (imported for registration)
-    async_discipline,
     counters,
     fingerprint,
     imports,

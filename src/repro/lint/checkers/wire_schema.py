@@ -7,11 +7,10 @@ emits) fails only at runtime, possibly only under one dispatch mode.
 This checker extracts both sides of the schema from the AST of the
 ``service/`` modules and enforces containment:
 
-- every key a client (``client.py`` *and* its async sibling
-  ``aio.py``) puts in a request body must be parsed somewhere
-  server-side (``request["k"]`` / ``request.get("k")`` in
-  ``server.py`` or ``wire.py``);
-- every key a client — or a shared response parser in ``wire.py`` —
+- every key the client (``client.py``) puts in a request body must
+  be parsed somewhere server-side (``request["k"]`` /
+  ``request.get("k")`` in ``server.py`` or ``wire.py``);
+- every key the client — or a response parser in ``wire.py`` —
   reads out of a parsed response must be produced somewhere
   server-side (a ``_reply(...)`` payload or the ``health()``
   inventory).
@@ -146,19 +145,10 @@ class WireSchemaChecker(Checker):
     )
 
     def check(self, project: Project) -> Iterator[Finding]:
-        # Both transports are clients of the same wire format: the
-        # async sibling is held to the identical schema containment.
-        clients = [
-            sf
-            for sf in (
-                _service_file(project, "client.py"),
-                _service_file(project, "aio.py"),
-            )
-            if sf is not None
-        ]
+        client = _service_file(project, "client.py")
         server = _service_file(project, "server.py")
         wire = _service_file(project, "wire.py")
-        if not clients or server is None:
+        if client is None or server is None:
             return  # need both ends of the wire to compare
         parsed_keys: Dict[str, int] = {}
         produced: List[str] = []
@@ -168,32 +158,29 @@ class WireSchemaChecker(Checker):
             parsed_keys.update(_read_keys(sf, "request"))
             produced.extend(_server_produced_keys(sf))
         produced_set = set(produced)
-        for client in clients:
-            sent = _client_sent_keys(client)
-            for key, lineno in sorted(sent.items(), key=lambda kv: kv[1]):
-                if key not in parsed_keys:
-                    yield Finding(
-                        self.name,
-                        client.display,
-                        lineno,
-                        f"client sends request key '{key}' that the "
-                        "server never parses — drift between "
-                        f"{client.display.rsplit('/', 1)[-1]} and "
-                        "server.py/wire.py",
-                    )
-            # Response-key reads: the shared wire.py parsers read most
-            # response keys on behalf of both clients, so collect the
-            # client's own reads plus wire.py's.
-            reads = dict(_read_keys(client, "parsed"))
-            for key, lineno in sorted(reads.items(), key=lambda kv: kv[1]):
-                if key not in produced_set:
-                    yield Finding(
-                        self.name,
-                        client.display,
-                        lineno,
-                        f"client reads response key '{key}' that the "
-                        "server never produces",
-                    )
+        sent = _client_sent_keys(client)
+        for key, lineno in sorted(sent.items(), key=lambda kv: kv[1]):
+            if key not in parsed_keys:
+                yield Finding(
+                    self.name,
+                    client.display,
+                    lineno,
+                    f"client sends request key '{key}' that the server "
+                    "never parses — drift between client.py and "
+                    "server.py/wire.py",
+                )
+        # Response-key reads: the client's own here, the wire.py
+        # response parsers' (which read most keys for it) below.
+        reads = dict(_read_keys(client, "parsed"))
+        for key, lineno in sorted(reads.items(), key=lambda kv: kv[1]):
+            if key not in produced_set:
+                yield Finding(
+                    self.name,
+                    client.display,
+                    lineno,
+                    f"client reads response key '{key}' that the "
+                    "server never produces",
+                )
         if wire is not None:
             for key, lineno in sorted(
                 _read_keys(wire, "parsed").items(), key=lambda kv: kv[1]
@@ -203,6 +190,6 @@ class WireSchemaChecker(Checker):
                         self.name,
                         wire.display,
                         lineno,
-                        f"shared response parser reads key '{key}' that "
-                        "the server never produces",
+                        f"response parser reads key '{key}' that the "
+                        "server never produces",
                     )

@@ -6,10 +6,7 @@ serves ``POST /evaluate``, ``POST /evaluate_batch`` (many design
 points per round trip, memoized server-side into the cache store),
 ``GET /healthz``, and ``GET/PUT /cache/<key>``.
 Client side: :class:`ServiceClient` (persistent keep-alive
-connections, retry/timeout policy), its coroutine sibling
-:class:`AsyncServiceClient` (one event loop holds a whole fleet's
-requests in flight — the ``--async-dispatch`` transport),
-:class:`RemoteBackend` (adapts a
+connections, retry/timeout policy), :class:`RemoteBackend` (adapts a
 client — or a :class:`repro.sweeps.HostPool` — to ``ArchGymEnv``'s
 ``evaluate`` / ``evaluate_batch`` / ``evaluate_batch_stream`` backend
 hooks), and :func:`RemoteEnv` (attach-and-return convenience). The
@@ -19,7 +16,6 @@ remote mode stay byte-identical to an in-process run (see
 ``docs/ARCHITECTURE.md``).
 """
 
-from repro.service.aio import AsyncServiceClient
 from repro.service.client import ServiceClient
 from repro.service.remote import RemoteBackend, RemoteEnv
 from repro.service.server import EvaluationService
@@ -28,7 +24,6 @@ from repro.service.wire import WIRE_FORMAT
 __all__ = [
     "EvaluationService",
     "ServiceClient",
-    "AsyncServiceClient",
     "RemoteBackend",
     "RemoteEnv",
     "WIRE_FORMAT",

@@ -60,12 +60,6 @@ class RemoteBackend:
         observed service rate (``/healthz`` counters, EWMA-smoothed) —
         see :class:`~repro.sweeps.hostpool.HostPool`. Ignored for a
         single URL, where there is nothing to balance.
-    async_dispatch:
-        Run a multi-host pool's scatter/stream fan-out as coroutine
-        tasks on one event loop instead of worker threads — see
-        :class:`~repro.sweeps.hostpool.HostPool`. A pure thread-count/
-        wall-clock knob (results byte-identical either way); ignored
-        for a single URL, where there is no fan-out.
     client_kwargs:
         ``timeout_s`` / ``retries`` / ``backoff_s`` when ``service`` is
         a URL or a sequence of URLs.
@@ -78,7 +72,6 @@ class RemoteBackend:
         batch: bool = False,
         weights: Optional[Sequence[float]] = None,
         auto_weights: bool = False,
-        async_dispatch: bool = False,
         **client_kwargs: Any,
     ) -> None:
         if isinstance(service, str):
@@ -94,7 +87,6 @@ class RemoteBackend:
 
                 self.client = HostPool(
                     urls, weights=weights, auto_weights=auto_weights,
-                    async_dispatch=async_dispatch,
                     **client_kwargs,
                 )
         else:  # a ready-made ServiceClient or HostPool: policy is theirs
@@ -191,7 +183,7 @@ class RemoteBackend:
         """Close the transport's persistent resources: a single
         client's keep-alive sockets (every thread's, not just the
         caller's), or a pool's whole complement — each host's clients
-        plus the async dispatch loop. The backend itself stays usable;
+        plus its scatter worker. The backend itself stays usable;
         connections reopen lazily on the next dispatch."""
         close = getattr(self.client, "close", None)
         if close is not None:

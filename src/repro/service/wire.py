@@ -203,11 +203,8 @@ def parse_cache_query(query: str) -> Tuple[int, int]:
 
 
 def parse_metrics_response(parsed: Dict[str, Any], what: str) -> Dict[str, float]:
-    """Validate one ``{"metrics": {...}}`` response body.
-
-    Shared by the sync and async clients so both enforce — and report —
-    exactly the same schema; ``what`` names the call for the error.
-    """
+    """Validate one ``{"metrics": {...}}`` response body (``what``
+    names the call for the error)."""
     metrics = parsed.get("metrics")
     if not isinstance(metrics, dict):
         raise ServiceError(f"{what} has no metrics object: {parsed!r}")

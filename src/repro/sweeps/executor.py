@@ -113,11 +113,6 @@ class BackendSpec:
     #: per-host service rates (a placement knob — results are
     #: byte-identical either way).
     auto_weights: bool = False
-    #: Run a multi-host pool's scatter/stream fan-out as coroutine
-    #: tasks on one event loop instead of worker threads (a pure
-    #: thread-count/wall-clock knob — results are byte-identical
-    #: either way).
-    async_dispatch: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("local", "remote"):
@@ -166,7 +161,6 @@ class BackendSpec:
                 list(self.service_weights) if self.service_weights else None
             ),
             auto_weights=self.auto_weights,
-            async_dispatch=self.async_dispatch,
             timeout_s=self.timeout_s,
             retries=self.retries,
         )
@@ -192,7 +186,6 @@ def _backend_cache_key(spec: BackendSpec) -> Tuple[Any, ...]:
         spec.service_urls,
         spec.service_weights,
         spec.auto_weights,
-        spec.async_dispatch,
         json.dumps(spec.env_kwargs, sort_keys=True, default=str)
         if spec.env_kwargs
         else None,
@@ -231,9 +224,9 @@ def close_cached_backends() -> None:
 
     The trial-teardown hook: a sweep batch leaves the process with
     zero open sockets — including keep-alive connections owned by
-    dispatch threads that have since exited, and the async dispatch
-    loop — while the next batch still reuses the memoized backends
-    (their connections and loop reopen lazily on first dispatch).
+    dispatch threads that have since exited — and no scatter worker
+    threads, while the next batch still reuses the memoized backends
+    (their connections and workers reopen lazily on first dispatch).
     """
     for backend in _BACKEND_CACHE.values():
         close = getattr(backend, "close", None)
@@ -258,7 +251,6 @@ def resolve_execution_backend(
     retries: Optional[int] = None,
     batch: bool = False,
     auto_weights: bool = False,
-    async_dispatch: bool = False,
     cache_replicas: Optional[int] = None,
     proxy_screen: bool = False,
 ) -> Tuple[Optional[BackendSpec], Optional[str], Optional[str]]:
@@ -274,8 +266,7 @@ def resolve_execution_backend(
     :class:`BackendSpec` (with any ``timeout_s``/``retries``
     overrides; ``None`` keeps the spec defaults, ``batch`` routes
     through ``/evaluate_batch``, ``auto_weights`` lets a multi-host
-    pool self-tune its dispatch weights, ``async_dispatch`` runs the
-    pool's fan-out on one event loop); ``shared_cache`` prefers the
+    pool self-tune its dispatch weights); ``shared_cache`` prefers the
     service's ``/cache`` store (cross-machine; the *first* host's, so
     every trial reads one map — with writes replicated to
     ``cache_replicas`` pool hosts, see
@@ -287,12 +278,6 @@ def resolve_execution_backend(
             "auto-weights (--auto-weights / auto_weights=True) tunes a "
             "remote host pool's dispatch weights and therefore requires "
             "a service_url"
-        )
-    if async_dispatch and service_url is None:
-        raise ExecutorError(
-            "async dispatch (--async-dispatch / async_dispatch=True) "
-            "runs a remote host pool's fan-out on one event loop and "
-            "therefore requires a service_url"
         )
     if proxy_screen and not shared_cache:
         raise ExecutorError(
@@ -354,7 +339,6 @@ def resolve_execution_backend(
             service_urls=urls,
             service_weights=weights,
             auto_weights=auto_weights,
-            async_dispatch=async_dispatch,
             env_kwargs=env_kwargs,
             batch=batch,
             **overrides,

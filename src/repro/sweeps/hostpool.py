@@ -16,8 +16,10 @@ simulator's speed; :class:`HostPool` points a sweep at N of them:
   parallel, and reassembles the results in request order with
   per-point host provenance — the transport under generation-native
   agents (GA/ACO populations), which turns N per-point round trips
-  into one per host. The scatter is a *barrier*: the call returns
-  only when the slowest host has finished its chunk.
+  into one per host. Each host's chunk runs on that host's one
+  persistent scatter worker thread, so every generation reuses the
+  same keep-alive socket per host. The scatter is a *barrier*: the
+  call returns only when the slowest host has finished its chunk.
 - **Streaming dispatch with work stealing.**
   :meth:`HostPool.evaluate_batch_stream` removes that barrier. The
   batch is cut into small contiguous *work units* that hosts pull
@@ -48,19 +50,6 @@ Server-produced errors (HTTP 4xx/5xx bodies — unknown env, cost-model
 crash) are **not** failover events: they are deterministic and would
 fail identically on every host, so they propagate immediately.
 
-- **Async dispatch.** With ``async_dispatch=True`` the scatter and
-  stream paths run as coroutine tasks on one event loop owned by a
-  single daemon runner thread: per-host worker *coroutines* replace
-  worker threads (an :class:`asyncio.Semaphore` per host keeps the
-  one-request-per-host discipline), a stolen unit's straggler
-  duplicate is *cancelled* outright once the winner lands, and
-  quarantine/revival/backfill/auto-weights run as coroutines over
-  :class:`~repro.service.aio.AsyncServiceClient` probes. The sync
-  driver API above is unchanged and results, per-host provenance, and
-  counters are byte-identical to threaded dispatch — it is purely a
-  thread-count/wall-clock knob, the step from tens of hosts to
-  hundreds.
-
 The pool quacks like :class:`~repro.service.client.ServiceClient` for
 ``evaluate``/``evaluate_batch``, so
 :class:`~repro.service.remote.RemoteBackend` can carry either without
@@ -69,16 +58,15 @@ knowing which it holds.
 
 from __future__ import annotations
 
-import asyncio
 import math
 import queue
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ServiceError, ServiceTransportError
-from repro.service.aio import AsyncServiceClient
 from repro.service.client import ServiceClient
 
 __all__ = ["HostPool", "weighted_split"]
@@ -133,8 +121,7 @@ class _Host:
     __slots__ = (
         "url", "client", "probe_client", "weight", "alive", "inflight",
         "evals", "last_error", "quarantined_at", "auto_weight",
-        "rate_ewma", "seen_evals", "seen_busy_s",
-        "aio_client", "aio_probe", "aio_sem",
+        "rate_ewma", "seen_evals", "seen_busy_s", "scatter_worker",
     )
 
     def __init__(
@@ -166,15 +153,11 @@ class _Host:
         # healthz counter baselines for per-window rate deltas
         self.seen_evals = 0
         self.seen_busy_s = 0.0
-        #: Async-dispatch transports (populated when the owning pool
-        #: runs with ``async_dispatch=True``): the evaluation client,
-        #: the short-timeout zero-retry probe, and the per-host
-        #: semaphore that keeps the one-request-at-a-time discipline a
-        #: worker thread used to provide. The semaphore is created
-        #: lazily *on* the runner loop (3.9 binds it at construction).
-        self.aio_client: Optional[AsyncServiceClient] = None
-        self.aio_probe: Optional[AsyncServiceClient] = None
-        self.aio_sem: Optional[asyncio.Semaphore] = None
+        #: The one thread that runs this host's scatter chunks, created
+        #: on first scatter and shut down by :meth:`HostPool.close`:
+        #: one request per host at a time, and one keep-alive socket
+        #: (the client keeps one per thread) for every generation.
+        self.scatter_worker: Optional[ThreadPoolExecutor] = None
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else f"quarantined ({self.last_error})"
@@ -230,23 +213,11 @@ class HostPool:
     auto_weights_interval_s:
         Seconds between auto-weight refreshes (``0`` refreshes on
         every dispatch — useful in tests and microbenchmarks).
-    async_dispatch:
-        Run :meth:`evaluate_batch_scatter` and
-        :meth:`evaluate_batch_stream` as coroutine tasks on one event
-        loop (owned by a single daemon runner thread) instead of
-        spawning a worker thread per chunk/host: per-host worker
-        coroutines with an :class:`asyncio.Semaphore` apiece, work
-        stealing that *cancels* the straggler's duplicate task once
-        the winner lands, and revival/backfill/auto-weights refresh as
-        coroutines over async probes. A pure thread-count/wall-clock
-        knob: the sync API, results, per-host provenance, and all
-        counters are byte-identical to threaded dispatch, but a
-        32-host pool costs one OS thread instead of one per host —
-        the scaling step toward pools of hundreds of hosts.
 
     Thread-safe: the parallel executor may drive one pool from many
     threads; host selection and in-flight accounting sit under one
-    lock, while the HTTP calls themselves run outside it.
+    lock, while the HTTP calls themselves run outside it. Scatters
+    from several threads queue behind each host's one scatter worker.
     """
 
     def __init__(
@@ -259,7 +230,6 @@ class HostPool:
         weights: Optional[Sequence[float]] = None,
         auto_weights: bool = False,
         auto_weights_interval_s: float = 5.0,
-        async_dispatch: bool = False,
     ) -> None:
         if isinstance(urls, str):  # a lone URL is a 1-host pool
             urls = (urls,)
@@ -327,22 +297,6 @@ class HostPool:
         #: Cache entries copied into revived hosts by the
         #: anti-entropy backfill.
         self.cache_backfills = 0
-        self.async_dispatch = bool(async_dispatch)
-        if self.async_dispatch:
-            for host in self._hosts:
-                host.aio_client = AsyncServiceClient(
-                    host.url, timeout_s=timeout_s, retries=retries,
-                    backoff_s=backoff_s,
-                )
-                host.aio_probe = AsyncServiceClient(
-                    host.url, timeout_s=min(timeout_s, 2.0), retries=0,
-                    backoff_s=backoff_s,
-                )
-        #: The dispatch event loop and its single daemon runner thread
-        #: (created lazily on first async dispatch; recreated after
-        #: :meth:`close`). Mutated under ``_lock``.
-        self._aio_loop: Optional[asyncio.AbstractEventLoop] = None
-        self._aio_thread: Optional[threading.Thread] = None
 
     # -- introspection ------------------------------------------------------------
 
@@ -423,22 +377,6 @@ class HostPool:
             if not alive:
                 host.quarantined_at = time.monotonic()
 
-    def _claim_revival_probe(self, host: _Host, now: float) -> bool:
-        """Atomically check-and-claim one revival probe slot: True when
-        ``host`` is quarantined and its rest period has elapsed. The
-        claim restarts its clock, so concurrent dispatchers — and a
-        failed probe — cannot double-probe within one window. Shared by
-        the threaded and async revival paths so their policy cannot
-        drift."""
-        with self._lock:
-            due = (
-                not host.alive
-                and now - host.quarantined_at >= self.revive_after_s
-            )
-            if due:
-                host.quarantined_at = now  # claim this probe slot
-        return due
-
     def _timed_revival(self) -> None:
         """Re-probe quarantined hosts whose rest period has elapsed.
 
@@ -451,14 +389,17 @@ class HostPool:
             return
         now = time.monotonic()
         for host in self._hosts:
-            if not self._claim_revival_probe(host, now):
-                continue
-            try:
-                host.probe_client.healthz()
-            except ServiceError:
-                continue
-            self._backfill_cache(host)
-            self._mark(host, alive=True)
+            with self._lock:
+                due = (
+                    not host.alive
+                    and now - host.quarantined_at >= self.revive_after_s
+                )
+                if due:
+                    # Claim this probe slot: concurrent dispatchers —
+                    # and a failed probe — cannot double-probe.
+                    host.quarantined_at = now
+            if due:
+                self._probe_and_revive(host)
 
     def _error_inventory(self) -> str:
         with self._lock:
@@ -473,16 +414,20 @@ class HostPool:
         for host in self._hosts:
             with self._lock:
                 dead = not host.alive
-            if not dead:
-                continue
-            try:
-                host.probe_client.healthz()
-            except ServiceError:
-                continue
-            self._backfill_cache(host)
-            self._mark(host, alive=True)
-            revived += 1
+            if dead and self._probe_and_revive(host):
+                revived += 1
         return revived
+
+    def _probe_and_revive(self, host: _Host) -> bool:
+        """Short healthz probe of a quarantined host; a responder is
+        backfilled, then rejoins the pool."""
+        try:
+            host.probe_client.healthz()
+        except ServiceError:
+            return False
+        self._backfill_cache(host)
+        self._mark(host, alive=True)
+        return True
 
     def _backfill_cache(self, revived: _Host) -> None:
         """Anti-entropy: page a living replica's cache into ``revived``.
@@ -535,9 +480,11 @@ class HostPool:
         """
         if not self.auto_weights:
             return
-        if not self._claim_refresh_slot():
-            return
+        now = time.monotonic()
         with self._lock:
+            if now - self._weights_refreshed_at < self.auto_weights_interval_s:
+                return
+            self._weights_refreshed_at = now  # claim this refresh slot
             living = [h for h in self._hosts if h.alive]
         for host in living:
             try:
@@ -550,16 +497,6 @@ class HostPool:
                 float(health.get("busy_s", 0.0)),
             )
         self._apply_auto_weights()
-
-    def _claim_refresh_slot(self) -> bool:
-        """Atomically claim the next auto-weights refresh window (one
-        refresher per ``auto_weights_interval_s``, threaded or async)."""
-        now = time.monotonic()
-        with self._lock:
-            if now - self._weights_refreshed_at < self.auto_weights_interval_s:
-                return False
-            self._weights_refreshed_at = now  # claim this refresh slot
-            return True
 
     def _note_rate_sample(self, host: _Host, evals: int, busy: float) -> None:
         """Fold one host's healthz counter reading into its rate EWMA."""
@@ -607,201 +544,6 @@ class HostPool:
                         host.rate_ewma / top, _AUTO_WEIGHT_FLOOR
                     )
             self.auto_weight_updates += 1
-
-    # -- async dispatch core --------------------------------------------------------
-
-    def _ensure_loop(self) -> asyncio.AbstractEventLoop:
-        """The pool's dispatch event loop, created (with its single
-        daemon runner thread) on first use and after :meth:`close`."""
-        with self._lock:
-            loop = self._aio_loop
-            if loop is not None:
-                return loop
-            loop = asyncio.new_event_loop()
-            thread = threading.Thread(
-                target=loop.run_forever, name="hostpool-aio", daemon=True
-            )
-            self._aio_loop = loop
-            self._aio_thread = thread
-        thread.start()
-        return loop
-
-    def _run_on_loop(self, coro: Any) -> Any:
-        """Run one coroutine to completion on the dispatch loop from a
-        sync caller thread — the bridge that keeps the driver-facing
-        API synchronous while the fan-out itself is task-based."""
-        return asyncio.run_coroutine_threadsafe(coro, self._ensure_loop()).result()
-
-    def _host_sem(self, host: _Host) -> asyncio.Semaphore:
-        """``host``'s one-request-at-a-time semaphore — the async
-        stand-in for the one worker thread a host used to get. Created
-        lazily *on* the running loop (3.9 binds the loop at
-        construction) and reset by :meth:`close`."""
-        sem = host.aio_sem
-        if sem is None:
-            sem = asyncio.Semaphore(1)
-            host.aio_sem = sem
-        return sem
-
-    async def _aclose_clients(self) -> None:
-        """Park-and-close every async transport's pooled connections."""
-        for host in self._hosts:
-            if host.aio_client is not None:
-                await host.aio_client.close()
-            if host.aio_probe is not None:
-                await host.aio_probe.close()
-
-    async def _timed_revival_async(self) -> None:
-        """Coroutine twin of :meth:`_timed_revival`: same claim policy
-        (shared via :meth:`_claim_revival_probe`), probing over the
-        async transport so a due probe never blocks the loop."""
-        if self.revive_after_s is None:
-            return
-        now = time.monotonic()
-        for host in self._hosts:
-            if not self._claim_revival_probe(host, now):
-                continue
-            try:
-                await host.aio_probe.healthz()
-            except ServiceError:
-                continue
-            await self._backfill_cache_async(host)
-            self._mark(host, alive=True)
-
-    async def _revive_sweep_async(self) -> int:
-        """Coroutine twin of :meth:`_revive_sweep`."""
-        revived = 0
-        for host in self._hosts:
-            with self._lock:
-                dead = not host.alive
-            if not dead:
-                continue
-            try:
-                await host.aio_probe.healthz()
-            except ServiceError:
-                continue
-            await self._backfill_cache_async(host)
-            self._mark(host, alive=True)
-            revived += 1
-        return revived
-
-    async def _backfill_cache_async(self, revived: _Host) -> None:
-        """Coroutine twin of :meth:`_backfill_cache`: same donor walk,
-        paging, partial-copy-kept semantics, and ``cache_backfills``
-        accounting, over the async probes."""
-        with self._lock:
-            donors = [h for h in self._hosts if h.alive and h is not revived]
-        for donor in donors:
-            copied = 0
-            offset = 0
-            try:
-                while True:
-                    entries, total = await donor.aio_probe.cache_list(
-                        offset=offset, limit=_BACKFILL_PAGE
-                    )
-                    for key_str, metrics in entries:
-                        await revived.aio_probe.cache_put(key_str, metrics)
-                        copied += 1
-                    offset += len(entries)
-                    if not entries or offset >= total:
-                        break
-            except ServiceError:
-                with self._lock:
-                    self.cache_backfills += copied
-                continue  # partial copy kept; try the next donor
-            with self._lock:
-                self.cache_backfills += copied
-            return
-
-    async def _refresh_auto_weights_async(self) -> None:
-        """Coroutine twin of :meth:`_refresh_auto_weights`: identical
-        claim/sample/apply policy via the shared helpers, polling the
-        async probes."""
-        if not self.auto_weights:
-            return
-        if not self._claim_refresh_slot():
-            return
-        with self._lock:
-            living = [h for h in self._hosts if h.alive]
-        for host in living:
-            try:
-                health = await host.aio_probe.healthz()
-            except ServiceError:
-                continue  # quarantining is the dispatch path's call
-            self._note_rate_sample(
-                host,
-                int(health.get("evaluations", 0)),
-                float(health.get("busy_s", 0.0)),
-            )
-        self._apply_auto_weights()
-
-    async def _try_host_async(
-        self, host: _Host, op: str, n_evals: int, *args: Any, **kwargs: Any
-    ) -> Any:
-        """Coroutine twin of :meth:`_try_host`: one attempt pinned to
-        ``host`` under its semaphore, quarantine-and-reraise on
-        transport death."""
-        with self._lock:
-            host.inflight += 1
-        ok = False
-        try:
-            async with self._host_sem(host):
-                result = await getattr(host.aio_client, op)(*args, **kwargs)
-            ok = True
-            return result
-        except ServiceTransportError as exc:
-            self._mark(host, alive=False, error=str(exc))
-            raise
-        finally:
-            self._release(host, n_evals, ok)
-
-    async def _call_async(
-        self, op: str, n_evals: int, *args: Any, **kwargs: Any
-    ) -> Tuple[Any, str]:
-        """Coroutine twin of :meth:`_call` — same least-load failover
-        loop and at most one all-dead revival sweep — except that it
-        *returns* ``(result, host_url)`` instead of stamping the
-        calling thread's ``last_host`` (tasks share one loop thread, so
-        a thread-local cannot carry per-chunk provenance here)."""
-        await self._timed_revival_async()
-        await self._refresh_auto_weights_async()
-        revived_once = False
-        while True:
-            host = self._acquire()
-            if host is None:
-                if not revived_once and await self._revive_sweep_async():
-                    revived_once = True
-                    continue
-                raise ServiceTransportError(
-                    f"all {len(self._hosts)} evaluation host(s) failed: "
-                    f"{self._error_inventory()}"
-                )
-            ok = False
-            try:
-                async with self._host_sem(host):
-                    result = await getattr(host.aio_client, op)(*args, **kwargs)
-                ok = True
-            except ServiceTransportError as exc:
-                self._mark(host, alive=False, error=str(exc))
-                continue
-            finally:
-                self._release(host, n_evals, ok)
-            return result, host.url
-
-    async def _unit_eval(
-        self,
-        host: _Host,
-        env: str,
-        sub: List[Dict[str, Any]],
-        env_kwargs: Optional[Dict[str, Any]],
-        memoize: bool,
-    ) -> List[Dict[str, float]]:
-        """One streaming work unit on ``host`` — the cancellable inner
-        task work stealing aborts when another host wins the unit."""
-        async with self._host_sem(host):
-            return await host.aio_client.evaluate_batch(
-                env, sub, env_kwargs=env_kwargs, memoize=memoize,
-            )
 
     # -- dispatch -----------------------------------------------------------------
 
@@ -944,22 +686,6 @@ class HostPool:
         actions = list(actions)
         if not actions:
             return [], []
-        if self.async_dispatch:
-            out = self._run_on_loop(
-                self._scatter_async(env, actions, env_kwargs, memoize)
-            )
-            if out is None:
-                # Single-chunk batch: delegate exactly like the
-                # threaded path so tiny batches keep least-load
-                # placement (and the thread-local provenance stamp).
-                metrics = self._call(
-                    "evaluate_batch", len(actions), env, actions,
-                    env_kwargs=env_kwargs, memoize=memoize,
-                )
-                return metrics, [self.last_host] * len(actions)
-            metrics, hosts = out
-            self._local.last_host = hosts[-1]
-            return metrics, hosts
         self._timed_revival()
         self._refresh_auto_weights()
         with self._lock:
@@ -983,123 +709,47 @@ class HostPool:
             )
             return metrics, [self.last_host] * len(actions)
 
-        chunk_metrics: List[Optional[List[Dict[str, float]]]] = (
-            [None] * len(chunks)
-        )
-        chunk_hosts: List[Optional[str]] = [None] * len(chunks)
-        chunk_errors: List[Optional[BaseException]] = [None] * len(chunks)
-
-        def run_chunk(index: int, host: _Host, sub: List[Dict[str, Any]]) -> None:
-            try:
-                try:
-                    got = self._try_host(
-                        host, "evaluate_batch", len(sub), env, sub,
-                        env_kwargs=env_kwargs, memoize=memoize,
-                    )
-                    served_by = host.url
-                except ServiceTransportError:
-                    # The assigned host died (now quarantined): re-run
-                    # the chunk through the normal failover path.
-                    got = self._call(
-                        "evaluate_batch", len(sub), env, sub,
-                        env_kwargs=env_kwargs, memoize=memoize,
-                    )
-                    served_by = self._local.last_host
-                chunk_metrics[index] = got
-                chunk_hosts[index] = served_by
-            except BaseException as exc:  # surfaced to the caller below
-                chunk_errors[index] = exc
-
-        threads = [
-            threading.Thread(
-                target=run_chunk, args=(i, host, sub), daemon=True,
-                name=f"hostpool-scatter-{i}",
-            )
-            for i, (host, sub) in enumerate(chunks)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for error in chunk_errors:
-            if error is not None:
-                raise error
-
-        metrics: List[Dict[str, float]] = []
-        hosts: List[Optional[str]] = []
-        for index, (_, sub) in enumerate(chunks):
-            metrics.extend(chunk_metrics[index])
-            hosts.extend([chunk_hosts[index]] * len(sub))
-        self._local.last_host = hosts[-1]
-        return metrics, hosts
-
-    async def _scatter_async(
-        self,
-        env: str,
-        actions: List[Dict[str, Any]],
-        env_kwargs: Optional[Dict[str, Any]],
-        memoize: bool,
-    ) -> Optional[Tuple[List[Dict[str, float]], List[Optional[str]]]]:
-        """Coroutine core of the async generation scatter.
-
-        Identical split/failover/reassembly policy to the threaded
-        path — weight-proportional contiguous chunks, pinned attempt
-        then least-load failover, request-order reassembly with
-        per-point provenance — but the chunks are ``gather``-ed tasks
-        on one loop instead of one thread each. Returns ``None`` for a
-        batch that would land on a single host; the sync wrapper
-        delegates that to the whole-batch path, exactly like the
-        threaded scatter does.
-        """
-        await self._timed_revival_async()
-        await self._refresh_auto_weights_async()
-        with self._lock:
-            alive = [h for h in self._hosts if h.alive]
-        if len(alive) > 1:
-            counts = weighted_split(
-                len(actions), [h.auto_weight for h in alive]
-            )
-            chunks: List[Tuple[_Host, List[Dict[str, Any]]]] = []
-            cursor = 0
-            for host, count in zip(alive, counts):
-                if count:
-                    chunks.append((host, actions[cursor:cursor + count]))
-                    cursor += count
-        else:
-            chunks = []
-        if len(chunks) <= 1:
-            return None
-
-        async def run_chunk(
+        def run_chunk(
             host: _Host, sub: List[Dict[str, Any]]
-        ) -> Tuple[List[Dict[str, float]], str]:
+        ) -> Tuple[List[Dict[str, float]], Optional[str]]:
             try:
-                got = await self._try_host_async(
+                got = self._try_host(
                     host, "evaluate_batch", len(sub), env, sub,
                     env_kwargs=env_kwargs, memoize=memoize,
                 )
                 return got, host.url
             except ServiceTransportError:
-                # The assigned host died (now quarantined): re-run
-                # the chunk through the normal failover path.
-                return await self._call_async(
+                # The assigned host died (now quarantined): re-run the
+                # chunk through the normal failover path.
+                got = self._call(
                     "evaluate_batch", len(sub), env, sub,
                     env_kwargs=env_kwargs, memoize=memoize,
                 )
+                return got, self._local.last_host
 
-        results = await asyncio.gather(
-            *(run_chunk(host, sub) for host, sub in chunks),
-            return_exceptions=True,
-        )
-        for result in results:  # first failure in chunk order, like threaded
-            if isinstance(result, BaseException):
-                raise result
+        futures = [
+            self._scatter_worker(host).submit(run_chunk, host, sub)
+            for host, sub in chunks
+        ]
+        wait(futures)  # the barrier: every chunk lands (or fails) first
         metrics: List[Dict[str, float]] = []
         hosts: List[Optional[str]] = []
-        for (_, sub), (got, url) in zip(chunks, results):
+        for (_, sub), future in zip(chunks, futures):
+            got, url = future.result()  # first failure in chunk order
             metrics.extend(got)
             hosts.extend([url] * len(sub))
+        self._local.last_host = hosts[-1]
         return metrics, hosts
+
+    def _scatter_worker(self, host: _Host) -> ThreadPoolExecutor:
+        """``host``'s scatter thread, started on first use (and again
+        after :meth:`close`)."""
+        with self._lock:
+            if host.scatter_worker is None:
+                host.scatter_worker = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="hostpool-scatter"
+                )
+            return host.scatter_worker
 
     def evaluate_batch_stream(
         self,
@@ -1156,11 +806,6 @@ class HostPool:
         """
         actions = list(actions)
         if not actions:
-            return
-        if self.async_dispatch:
-            yield from self._stream_async_driver(
-                env, actions, env_kwargs, memoize, unit_size
-            )
             return
         self._timed_revival()
         self._refresh_auto_weights()
@@ -1329,291 +974,26 @@ class HostPool:
                 stop[0] = True
         self._local.last_host = last_host
 
-    async def _stream_prep_async(self) -> List[_Host]:
-        """Revival + auto-weights refresh on the loop, then the alive
-        snapshot the stream sizes its work units from — the same
-        prologue the threaded stream runs inline."""
-        await self._timed_revival_async()
-        await self._refresh_auto_weights_async()
-        with self._lock:
-            return [h for h in self._hosts if h.alive]
-
-    def _stream_async_driver(
-        self,
-        env: str,
-        actions: List[Dict[str, Any]],
-        env_kwargs: Optional[Dict[str, Any]],
-        memoize: bool,
-        unit_size: Optional[int],
-    ) -> Iterator[Tuple[int, List[Dict[str, float]], Optional[str]]]:
-        """Sync generator face of the async stream.
-
-        Launches :meth:`_stream_async` on the dispatch loop and drains
-        its completion queue, yielding units in completion order with
-        the same validation, delegation, and error surface as the
-        threaded generator. Abandonment (the pipelining hook) cancels
-        the supervisor, which cancels every in-flight task — where the
-        threaded stream lets abandoned straggler requests drain on
-        daemon threads, the async stream simply aborts them.
-        """
-        alive = self._run_on_loop(self._stream_prep_async())
-        if unit_size is None:
-            # ~4 units per living host, exactly like the threaded path.
-            unit_size = max(1, math.ceil(len(actions) / (4 * max(1, len(alive)))))
-        if unit_size < 1:
-            raise ServiceError(f"unit_size must be >= 1, got {unit_size}")
-        units: List[Tuple[int, List[Dict[str, Any]]]] = [
-            (start, actions[start:start + unit_size])
-            for start in range(0, len(actions), unit_size)
-        ]
-        if len(alive) < 2 or len(units) < 2:
-            metrics = self._call(
-                "evaluate_batch", len(actions), env, actions,
-                env_kwargs=env_kwargs, memoize=memoize,
-            )
-            yield 0, metrics, self.last_host
-            return
-        with self._lock:
-            self.stream_units += len(units)
-        completions: "queue.Queue[Tuple[str, Any, Any, Any]]" = queue.Queue()
-        future = asyncio.run_coroutine_threadsafe(
-            self._stream_async(env, units, alive, env_kwargs, memoize, completions),
-            self._ensure_loop(),
-        )
-        n_done = 0
-        last_host: Optional[str] = None
-        try:
-            while n_done < len(units):
-                kind, a, b, c = completions.get()
-                if kind == "unit":
-                    uid, got, url = a, b, c
-                    start, sub = units[uid]
-                    if len(got) != len(sub):
-                        raise ServiceError(
-                            f"host {url} answered {len(got)} metric "
-                            f"object(s) for a {len(sub)}-point unit"
-                        )
-                    n_done += 1
-                    last_host = url
-                    yield start, got, url
-                else:  # ("error", exc, ...)
-                    raise a
-        finally:
-            # Finished or abandoned: tear the supervisor down (it
-            # cancels every worker and in-flight unit task).
-            future.cancel()
-        self._local.last_host = last_host
-
-    async def _stream_async(
-        self,
-        env: str,
-        units: List[Tuple[int, List[Dict[str, Any]]]],
-        alive: List[_Host],
-        env_kwargs: Optional[Dict[str, Any]],
-        memoize: bool,
-        completions: "queue.Queue[Tuple[str, Any, Any, Any]]",
-    ) -> None:
-        """Streaming-dispatch supervisor: the coroutine twin of the
-        threaded worker crew.
-
-        One worker *coroutine* per living host pulls units from the
-        shared queue (steal policy, requeue-on-death, restaff-on-all-
-        dead, and every counter identical to the threaded path). Where
-        a threaded thief's straggler had to drain on its own, here the
-        unit's winner **cancels** the losers' in-flight tasks outright
-        — each successful cancellation is the same discarded-duplicate
-        event ``stream_duplicates`` counts, landed early instead of
-        late (a loser that completed before the cancel counts its own,
-        exactly like a threaded late finisher). Scheduling state
-        (``pending``/``runners``/``done``) needs no lock at all: every
-        mutation happens between awaits on the one loop thread — the
-        threaded path's ``state_lock`` has no twin here. Counters and
-        host state stay under ``self._lock``, shared with sync callers.
-        """
-        pending: "deque[int]" = deque(range(len(units)))
-        runners: Dict[int, Dict[_Host, "asyncio.Task"]] = {}
-        done: Dict[int, bool] = {}
-        stop = [False]
-        exits: "asyncio.Queue[_Host]" = asyncio.Queue()
-        worker_tasks: List["asyncio.Task"] = []
-
-        def take_work(host: _Host) -> Optional[Tuple[int, bool]]:
-            """Next unit for ``host`` (bumping in-flight), or None."""
-            if stop[0]:
-                return None
-            if pending:
-                uid, stolen = pending.popleft(), False
-            else:
-                candidates = [
-                    u for u, r in runners.items()
-                    if u not in done and r and host not in r
-                ]
-                if not candidates:
-                    return None
-                uid = min(candidates, key=lambda u: (len(runners[u]), u))
-                stolen = True
-            runners.setdefault(uid, {})
-            with self._lock:
-                host.inflight += 1
-                if stolen:
-                    self.stream_steals += 1
-            return uid, stolen
-
-        async def worker(host: _Host) -> None:
-            try:
-                while True:
-                    work = take_work(host)
-                    if work is None:
-                        return
-                    uid, _ = work
-                    start, sub = units[uid]
-                    task = asyncio.ensure_future(
-                        self._unit_eval(host, env, sub, env_kwargs, memoize)
-                    )
-                    runners[uid][host] = task
-                    try:
-                        got = await task
-                    except ServiceTransportError as exc:
-                        self._mark(host, alive=False, error=str(exc))
-                        with self._lock:
-                            host.inflight -= 1
-                        crew = runners.get(uid)
-                        if crew is not None:
-                            crew.pop(host, None)
-                        if uid not in done and not crew:
-                            # No thief carries this unit: put it
-                            # back for the surviving workers.
-                            pending.appendleft(uid)
-                        return  # quarantined: this worker retires
-                    except asyncio.CancelledError:
-                        with self._lock:
-                            host.inflight -= 1
-                        crew = runners.get(uid)
-                        if crew is not None:
-                            crew.pop(host, None)
-                        if task.cancelled():
-                            # The unit's winner cancelled this
-                            # duplicate (already counted): keep
-                            # pulling work.
-                            continue
-                        # The worker itself is being torn down: abort
-                        # the in-flight unit and propagate.
-                        task.cancel()
-                        raise
-                    except BaseException as exc:
-                        # Server-produced (deterministic) error: would
-                        # fail identically on every host — surface it.
-                        with self._lock:
-                            host.inflight -= 1
-                        stop[0] = True
-                        crew = runners.get(uid)
-                        if crew is not None:
-                            crew.pop(host, None)
-                        completions.put(("error", exc, None, None))
-                        return
-                    crew = runners.pop(uid, None) or {}
-                    crew.pop(host, None)
-                    won = uid not in done
-                    if won:
-                        done[uid] = True
-                    with self._lock:
-                        host.inflight -= 1
-                        if won:
-                            host.evals += len(sub)
-                        else:
-                            self.stream_duplicates += 1
-                    if won:
-                        for straggler in crew.values():
-                            if straggler is not None and straggler.cancel():
-                                with self._lock:
-                                    self.stream_duplicates += 1
-                        completions.put(("unit", uid, got, host.url))
-            finally:
-                exits.put_nowait(host)
-
-        def staff(hosts: Sequence[_Host]) -> int:
-            for host in hosts:
-                worker_tasks.append(asyncio.ensure_future(worker(host)))
-            return len(hosts)
-
-        workers_live = staff(alive)
-        revived_once = False
-        try:
-            while len(done) < len(units):
-                await exits.get()
-                workers_live -= 1
-                if workers_live > 0:
-                    continue
-                if len(done) >= len(units) or stop[0]:
-                    break
-                # Every worker is gone with units outstanding: at most
-                # one revival sweep per stream (like _call), then
-                # restaff the living hosts — which includes a host
-                # whose worker merely ran out of stealable work before
-                # a straggler died and requeued its unit.
-                if not revived_once and await self._revive_sweep_async():
-                    revived_once = True
-                with self._lock:
-                    living = [h for h in self._hosts if h.alive]
-                if not living:
-                    raise ServiceTransportError(
-                        f"all {len(self._hosts)} evaluation "
-                        f"host(s) failed with "
-                        f"{len(units) - len(done)} work unit(s) "
-                        f"outstanding: {self._error_inventory()}"
-                    )
-                workers_live = staff(living)
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            completions.put(("error", exc, None, None))
-        finally:
-            stop[0] = True
-            for task in worker_tasks:
-                task.cancel()
-            for crew in list(runners.values()):
-                for straggler in list(crew.values()):
-                    if straggler is not None:
-                        straggler.cancel()
-
     def healthz(self) -> Dict[str, Any]:
         """Liveness document of the least-loaded living host."""
         return self._call("healthz", 0)
 
     def close(self) -> None:
-        """Release every transport resource the pool holds: all hosts'
-        sync clients (every dispatch thread's keep-alive sockets, not
-        just the calling thread's), the async clients' pooled
-        connections, and the dispatch loop with its runner thread.
+        """Release every transport resource the pool holds: each host's
+        scatter worker thread, then all hosts' clients (every dispatch
+        thread's keep-alive sockets, not just the calling thread's).
 
         Teardown-only by contract (no dispatch may be in flight), but
         the pool itself stays usable: quarantine state and counters
-        survive, and the loop/connections are recreated lazily on the
+        survive, and workers/connections are recreated lazily on the
         next dispatch — which is what lets a cached backend keep its
         pool across trials while each trial's teardown returns the
         process to zero open sockets.
         """
-        with self._lock:
-            loop, self._aio_loop = self._aio_loop, None
-            thread, self._aio_thread = self._aio_thread, None
-        if loop is not None:
-            try:
-                asyncio.run_coroutine_threadsafe(
-                    self._aclose_clients(), loop
-                ).result(timeout=5)
-            except Exception:
-                pass  # best effort: the loop is going away regardless
-            loop.call_soon_threadsafe(loop.stop)
-            if thread is not None:
-                thread.join(timeout=5)
-            try:
-                loop.close()
-            except RuntimeError:
-                pass
         for host in self._hosts:
+            with self._lock:
+                worker, host.scatter_worker = host.scatter_worker, None
+            if worker is not None:
+                worker.shutdown()
             host.client.close()
             host.probe_client.close()
-            # The semaphore was bound to the closed loop (3.9 binds at
-            # construction): drop it so the next dispatch rebuilds it
-            # on the fresh loop.
-            host.aio_sem = None

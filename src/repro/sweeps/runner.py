@@ -324,7 +324,6 @@ def run_lottery_sweep(
     generation_dispatch: bool = False,
     pipeline: bool = False,
     auto_weights: bool = False,
-    async_dispatch: bool = False,
     cache_replicas: Optional[int] = None,
     proxy_screen: bool = False,
     proxy_oversample: int = 4,
@@ -462,15 +461,6 @@ def run_lottery_sweep(
         fleets rebalance automatically. Requires ``service_url``. A
         placement knob: results are byte-identical either way, so it
         stays outside the durable-sweep fingerprint.
-    async_dispatch:
-        Run a multi-host pool's scatter/stream fan-out as coroutine
-        tasks on one event loop (one daemon runner thread) instead of
-        one worker thread per chunk/host — the step from tens of hosts
-        to hundreds without a thread explosion. Requires
-        ``service_url``. A pure thread-count/wall-clock knob:
-        reports, datasets, shards, and per-host provenance are
-        byte-identical either way, so it stays outside the
-        durable-sweep fingerprint.
     cache_replicas:
         Replication factor of the server-backed shared cache tier:
         every ``put`` fans out to this many pool hosts (default
@@ -530,7 +520,6 @@ def run_lottery_sweep(
         retries=service_retries,
         batch=service_batch,
         auto_weights=auto_weights,
-        async_dispatch=async_dispatch,
         cache_replicas=cache_replicas,
         proxy_screen=proxy_screen,
     )

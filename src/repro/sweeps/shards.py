@@ -89,8 +89,7 @@ FINGERPRINT_EXEMPT = {
     "auto_weights": "observed-rate host weighting; dispatch placement only",
     "generation_dispatch": "batched generation transport, same results",
     "pipeline": "streaming dispatch with stealing, same results",
-    "async_dispatch": "event-loop transport for the same fan-out; "
-                      "resume-compatible either way, wall-clock only",
+    "async_dispatch": "accepted no-op, removed next round",
     "out_dir": "names the shard directory itself",
     "resume": "re-runs only missing trials of the same fingerprint",
     # -- presentation-only flags --

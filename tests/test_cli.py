@@ -111,6 +111,27 @@ class TestCommands:
         assert code == 0
         assert out.read_text().startswith("env_id")
 
+    def test_async_dispatch_flag_is_an_accepted_no_op(self, tmp_path, capsys):
+        """``--async-dispatch`` still parses (old command lines keep
+        working), is hidden from ``--help``, and changes nothing."""
+        args = [
+            "sweep", "--env", "MaestroGym-v0", "--agents", "rw,ga",
+            "--trials", "2", "--samples", "8", "--seed", "5",
+        ]
+        exports = {}
+        for name, extra in (("plain", []), ("flagged", ["--async-dispatch"])):
+            exports[name] = tmp_path / f"{name}.json"
+            assert main(args + extra + ["--export", str(exports[name])]) == 0
+        payloads = [json.loads(p.read_text()) for p in exports.values()]
+        for payload in payloads:
+            for row in payload["rows"]:
+                row["wall_time_s"] = row["sim_time_s"] = 0.0
+        assert payloads[0] == payloads[1]
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        assert "--async-dispatch" not in capsys.readouterr().out
+
 
 class TestDurableCommands:
     SWEEP_ARGS = [

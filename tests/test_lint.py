@@ -433,20 +433,6 @@ class TestWireSchema:
         assert result.findings == []
         assert rules_of(result.suppressed) == ["wire-schema"]
 
-    def test_async_client_held_to_same_schema(self, tmp_path):
-        files = wire_tree()
-        files["service/aio.py"] = """
-            class AsyncClient:
-                async def evaluate(self):
-                    request = {"mystery": 1}
-                    parsed = await self._checked("POST", "/evaluate", request)
-                    return parsed.get("metrics")
-        """
-        result = lint_tree(tmp_path, files, "wire-schema")
-        assert rules(result) == ["wire-schema"]
-        assert "aio.py" in result.findings[0].path
-        assert "'mystery'" in result.findings[0].message
-
     def test_shared_wire_parser_reads_checked(self, tmp_path):
         files = wire_tree()
         files["service/wire.py"] = """
@@ -456,91 +442,6 @@ class TestWireSchema:
         result = lint_tree(tmp_path, files, "wire-schema")
         assert rules(result) == ["wire-schema"]
         assert "'phantom'" in result.findings[0].message
-
-
-# ---------------------------------------------------------------------------
-# async-discipline
-
-
-class TestAsyncDiscipline:
-    def test_flags_blocking_calls_in_coroutines(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "repro/sweeps/pool.py": """
-                import time
-                import http.client
-
-                async def refresh(host):
-                    time.sleep(0.1)
-                    conn = http.client.HTTPConnection("h")
-                    host.probe_client.healthz()
-            """,
-        }, "async-discipline")
-        assert rules(result) == ["async-discipline"] * 3
-        assert "asyncio.sleep" in result.findings[0].message
-        assert "AsyncServiceClient" in result.findings[1].message
-        assert "probe_client.healthz" in result.findings[2].message
-
-    def test_flags_local_sync_client_and_from_import_sleep(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "repro/service/thing.py": """
-                from time import sleep
-                from repro.service.client import ServiceClient
-
-                async def probe(url):
-                    client = ServiceClient(url)
-                    sleep(1)
-                    return client.cache_list()
-            """,
-        }, "async-discipline")
-        assert rules(result) == ["async-discipline"] * 2
-        messages = " ".join(f.message for f in result.findings)
-        assert "time.sleep" in messages
-        assert "client.cache_list" in messages
-
-    def test_clean_async_transport_and_sync_defs(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "repro/sweeps/pool.py": """
-                import asyncio
-                import time
-
-                async def refresh(host):
-                    await asyncio.sleep(0.1)
-                    await host.aio_probe.healthz()
-                    got = await host.aio_client.evaluate_batch("E", [])
-
-                    def helper():  # a value, not loop-thread code
-                        time.sleep(1)
-                    return got
-
-                def sync_path(host):
-                    time.sleep(0.1)  # fine outside coroutines
-                    return host.probe_client.healthz()
-            """,
-        }, "async-discipline")
-        assert result.findings == []
-
-    def test_out_of_scope_tree_ignored(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "scripts/tool.py": """
-                import time
-
-                async def nap():
-                    time.sleep(1)
-            """,
-        }, "async-discipline")
-        assert result.findings == []
-
-    def test_suppression_comment(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "repro/sweeps/pool.py": """
-                import time
-
-                async def handoff():
-                    time.sleep(0)  # repro-lint: allow(async-discipline)
-            """,
-        }, "async-discipline")
-        assert result.findings == []
-        assert rules_of(result.suppressed) == ["async-discipline"]
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +497,6 @@ class TestUnusedImport:
 class TestFramework:
     def test_checker_registry(self):
         assert checker_names() == [
-            "async-discipline",
             "counter-threading",
             "fingerprint-coverage",
             "lock-guard",

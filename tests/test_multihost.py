@@ -1,6 +1,6 @@
 """Tests for multi-host sweep scheduling (`repro.sweeps.HostPool`).
 
-Three batteries:
+Five batteries:
 
 1. **Scheduling** — least-load dispatch with round-robin tie-breaks
    (a serial caller spreads over the fleet), per-host accounting, and
@@ -11,23 +11,23 @@ Three batteries:
    bodies is retried, then quarantined; a restarted host is revived.
 3. **Parity** — the acceptance battery: one fixed-seed DRAM sweep run
    serial in-process, with ``workers=4``, against a single service,
-   over a 2-host pool with batching enabled, and over the same pool
-   with ``async_dispatch`` (coroutine fan-out on one event loop)
-   produces byte-identical reports, datasets, and shard artifacts.
+   and over a 2-host pool with batching enabled produces
+   byte-identical reports, datasets, and shard artifacts.
 4. **Generation parity** — the generation-native battery: a GA+ACO
    sweep run serial, with ``generation_dispatch`` in-process, with
-   ``generation_dispatch`` over a weighted 2-host pool, in
+   ``generation_dispatch`` over a weighted 2-host pool, and in
    ``pipeline`` mode (streaming dispatch with work stealing) both
-   in-process and over the pool, and with ``async_dispatch`` flipped
-   on for both pool modes produces byte-identical reports, datasets,
-   and shard artifacts, with the weight-2 host carrying the larger
-   share of the scattered generations.
+   in-process and over the pool produces byte-identical reports,
+   datasets, and shard artifacts, with the weight-2 host carrying the
+   larger share of the scattered generations.
 5. **Transport teardown** — the keep-alive leak regression: client,
    pool, and cached-backend teardown reclaim every persistent socket
-   (including exited dispatch threads'), in both dispatch cores.
+   (including exited dispatch threads') and every scatter worker, and
+   repeated scatters reuse one socket per host.
 """
 
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -510,23 +510,20 @@ class TestCacheBackfill:
         finally:
             restarted.stop()
 
-    @pytest.mark.parametrize(
-        "async_dispatch", [False, True], ids=["threaded", "async"]
-    )
     def test_revival_and_backfill_ride_an_inflight_scatter(
-        self, two_services, async_dispatch
+        self, two_services
     ):
         """The hardest interleaving: the timed revival probe fires at
         the entry of a scatter dispatch, so the anti-entropy backfill
         runs while that same scatter is about to fan out — the revived
         host must rejoin with a complete cache *and* serve part of the
-        very batch whose dispatch revived it. Both dispatch cores."""
+        very batch whose dispatch revived it."""
         a, b = two_services
         url_b, port_b = b.url, b.port
         client_a, seeded = self._seed(a.url, 4)
         pool = HostPool(
             [a.url, url_b], timeout_s=5.0, retries=0, backoff_s=0.01,
-            revive_after_s=0.05, async_dispatch=async_dispatch,
+            revive_after_s=0.05,
         )
         b.stop()
         actions = [{"x": i % 8, "m": "a"} for i in range(8)]
@@ -595,37 +592,83 @@ class TestTransportTeardown:
         assert client.connections_opened == 4
         client.close()
 
-    @pytest.mark.parametrize(
-        "async_dispatch", [False, True], ids=["threaded", "async"]
-    )
-    def test_pool_close_reclaims_every_host_transport(
-        self, two_services, async_dispatch
-    ):
+    def test_pool_close_reclaims_every_host_transport(self, two_services):
         a, b = two_services
-        pool = HostPool(
-            [a.url, b.url], timeout_s=5.0, retries=0,
-            async_dispatch=async_dispatch,
-        )
+        # Pools other tests dropped without close() may still be
+        # retiring their workers; only this pool's threads count.
+        before = set(threading.enumerate())
+        pool = HostPool([a.url, b.url], timeout_s=5.0, retries=0)
         actions = [{"x": i % 8, "m": "a"} for i in range(8)]
         pool.evaluate_batch_scatter("SvcCounting-v0", actions)
         pool.close()
         for host in pool._hosts:
             assert host.client._all_conns == set()
             assert host.probe_client._all_conns == set()
-            if async_dispatch:
-                assert not host.aio_client._idle
-                assert not host.aio_probe._idle
-        # No dispatch machinery left running either: scatter workers
-        # are per-call, and close() tears down the event-loop thread.
+            assert host.scatter_worker is None
+        # No dispatch machinery left running either: close() joins
+        # every host's scatter worker.
         lingering = [
             t.name
-            for t in threading.enumerate()
+            for t in set(threading.enumerate()) - before
             if t.name.startswith("hostpool-")
         ]
         assert lingering == []
-        # The pool stays usable; transports reopen lazily.
-        pool.evaluate("SvcCounting-v0", {"x": 0, "m": "a"})
+        # The pool stays usable; workers and transports reopen lazily.
+        pool.evaluate_batch_scatter("SvcCounting-v0", actions)
         pool.close()
+
+    def test_repeated_scatters_reuse_one_socket_per_host(self, two_services):
+        """Each host's chunks run on one persistent worker thread, and
+        the client keeps one keep-alive socket per thread — so ten
+        generations cost each host one socket, not ten."""
+        a, b = two_services
+        pool = HostPool([a.url, b.url], timeout_s=5.0, retries=0)
+        actions = [{"x": i % 8, "m": "a"} for i in range(8)]
+        try:
+            for _ in range(10):
+                _, hosts = pool.evaluate_batch_scatter(
+                    "SvcCounting-v0", actions
+                )
+                assert set(hosts) == {a.url, b.url}
+            for host in pool._hosts:
+                assert host.client.connections_opened == 1
+                assert host.client.requests_sent == 10
+        finally:
+            pool.close()
+
+    def test_concurrent_scatters_start_one_worker_per_host(
+        self, two_services
+    ):
+        """Scatters from several driver threads at once: each host's
+        worker is started exactly once, so the hosts still see one
+        socket each, and every caller gets its own correct result."""
+        a, b = two_services
+        pool = HostPool([a.url, b.url], timeout_s=5.0, retries=0)
+        actions = [{"x": i % 8, "m": "a"} for i in range(8)]
+        env = SvcCountingEnv()
+        expected = [env.evaluate(x) for x in actions]
+        results = []
+
+        def drive():
+            results.append(
+                pool.evaluate_batch_scatter("SvcCounting-v0", actions)[0]
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=drive) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        assert results == [expected] * 6
+        for host in pool._hosts:
+            assert host.client.connections_opened == 1
 
     def test_trial_teardown_closes_cached_backend_sockets(
         self, two_services
@@ -803,11 +846,6 @@ class TestFourModeParity:
                     service_batch=True,
                     out_dir=tmp_path / "hostpool", **self.KW
                 ),
-                "hostpool-async": run_lottery_sweep(
-                    factory, service_url=list(pool_urls),
-                    service_batch=True, async_dispatch=True,
-                    out_dir=tmp_path / "hostpool-async", **self.KW
-                ),
             }
         finally:
             single.stop()
@@ -818,7 +856,7 @@ class TestFourModeParity:
     def test_reports_bit_identical(self, modes):
         _, reports, _ = modes
         reference = _normalized(reports["serial"])
-        for mode in ("workers4", "service", "hostpool", "hostpool-async"):
+        for mode in ("workers4", "service", "hostpool"):
             assert _normalized(reports[mode]) == reference, mode
 
     def test_datasets_byte_identical(self, modes):
@@ -838,20 +876,17 @@ class TestFourModeParity:
         assert shard_names  # the durable path really produced shards
         for name in shard_names:
             reference = _normalized_shard_bytes(tmp_path / "serial" / name)
-            for mode in ("workers4", "service", "hostpool", "hostpool-async"):
+            for mode in ("workers4", "service", "hostpool"):
                 assert (
                     _normalized_shard_bytes(tmp_path / mode / name) == reference
                 ), f"{mode}/{name}"
 
     def test_both_pool_hosts_participated(self, modes):
         _, reports, (url_a, url_b) = modes
-        for mode in ("hostpool", "hostpool-async"):
-            by_host = reports[mode].remote_evals_by_host
-            assert by_host.get(url_a, 0) > 0, mode
-            assert by_host.get(url_b, 0) > 0, mode
-            assert (
-                sum(by_host.values()) == reports[mode].remote_evals
-            ), mode
+        by_host = reports["hostpool"].remote_evals_by_host
+        assert by_host.get(url_a, 0) > 0
+        assert by_host.get(url_b, 0) > 0
+        assert sum(by_host.values()) == reports["hostpool"].remote_evals
 
 
 class TestGenerationParity:
@@ -911,19 +946,6 @@ class TestGenerationParity:
                     pipeline=True,
                     out_dir=tmp_path / "pipeline-pool", **self.KW
                 ),
-                "async-pool": run_lottery_sweep(
-                    factory,
-                    service_url=[pool_a.url + "=2", pool_b.url],
-                    generation_dispatch=True, service_batch=True,
-                    async_dispatch=True,
-                    out_dir=tmp_path / "async-pool", **self.KW
-                ),
-                "async-pipeline-pool": run_lottery_sweep(
-                    factory,
-                    service_url=[pool_a.url, pool_b.url],
-                    pipeline=True, async_dispatch=True,
-                    out_dir=tmp_path / "async-pipeline-pool", **self.KW
-                ),
             }
         finally:
             pool_a.stop()
@@ -935,7 +957,6 @@ class TestGenerationParity:
         reference = _normalized(reports["serial"])
         for mode in (
             "generation", "weighted-pool", "pipeline", "pipeline-pool",
-            "async-pool", "async-pipeline-pool",
         ):
             assert _normalized(reports[mode]) == reference, mode
 
@@ -958,7 +979,6 @@ class TestGenerationParity:
             reference = _normalized_shard_bytes(tmp_path / "serial" / name)
             for mode in (
                 "generation", "weighted-pool", "pipeline", "pipeline-pool",
-                "async-pool", "async-pipeline-pool",
             ):
                 assert (
                     _normalized_shard_bytes(tmp_path / mode / name) == reference
@@ -969,9 +989,8 @@ class TestGenerationParity:
         remote evaluation, and the weight-2 host carried the larger
         share of the generations."""
         _, reports, (url_a, url_b) = modes
-        for mode in ("weighted-pool", "async-pool"):
-            by_host = reports[mode].remote_evals_by_host
-            assert by_host.get(url_a, 0) > 0, mode
-            assert by_host.get(url_b, 0) > 0, mode
-            assert sum(by_host.values()) == reports[mode].remote_evals, mode
-            assert by_host[url_a] > by_host[url_b], mode
+        by_host = reports["weighted-pool"].remote_evals_by_host
+        assert by_host.get(url_a, 0) > 0
+        assert by_host.get(url_b, 0) > 0
+        assert sum(by_host.values()) == reports["weighted-pool"].remote_evals
+        assert by_host[url_a] > by_host[url_b]

@@ -13,7 +13,6 @@ Four batteries:
    completes on the survivor, all hosts dead raises a
    :class:`ServiceTransportError` inventory, and server-produced
    errors propagate without quarantine.
-
 3. **Ordered replay** — ``ArchGymEnv.step_batch_stream`` buffers
    chunks that arrive out of order and replays the serial bookkeeping
    in proposal order (byte-identical counters, rewards, and dataset
@@ -21,11 +20,6 @@ Four batteries:
 4. **Pipelined driver parity** — ``run_agent(pipeline=True)`` and a
    full ``--pipeline`` sweep over a slow+fast pool stay byte-identical
    to the serial loop; no design point is recorded twice.
-
-Batteries 1 and 2 are parametrized over both dispatch cores: worker
-threads (the default) and ``async_dispatch=True`` (coroutine tasks on
-one event loop) must be observationally identical — same chunks, same
-counters, same failure surfaces.
 """
 
 import threading
@@ -85,18 +79,14 @@ def slow_fast_services():
     fast.stop()
 
 
-@pytest.fixture(params=["threaded", "async"])
+@pytest.fixture(params=["threaded"])
 def dispatch_pool(request):
-    """Pool factory parametrized over both dispatch cores. Streaming
-    mechanics and straggler handling must be observationally identical
-    whether work units ride worker threads or coroutine tasks on the
-    pool's single event loop."""
+    """Pool factory that closes every pool it built at teardown. The
+    param names the dispatch core (worker threads) in the test ids."""
     pools = []
 
     def factory(urls, **kw):
-        pool = HostPool(
-            urls, async_dispatch=(request.param == "async"), **kw
-        )
+        pool = HostPool(urls, **kw)
         pools.append(pool)
         return pool
 

@@ -21,11 +21,7 @@ Drives the real CLI end to end, mirroring tools/check_resume.py:
    wall-clock with at least one steal and identical metrics, and
    :func:`auto_weights_microbench` requires a pool with
    ``auto_weights=True`` to observe the same speed gap via healthz
-   service rates and visibly shift scattered load off the slow host,
-   and :func:`fanout_microbench` requires ``async_dispatch=True`` to
-   drive a 32-host pool with >= 8x fewer OS threads than threaded
-   dispatch (one loop runner vs one thread per chunk/host) at no
-   wall-clock regression and identical metrics;
+   service rates and visibly shift scattered load off the slow host;
 4. runs the identical sweep in-process into a second export;
 5. diffs the two reports — trial order, metrics, hyperparameters, and
    cache counters must match exactly (timing fields and the
@@ -387,157 +383,6 @@ def auto_weights_microbench(
         )
 
 
-def fanout_microbench(
-    n_hosts: int = 32,
-    population: int = 64,
-    min_thread_ratio: float = 8.0,
-    delay_s: float = 0.03,
-    slack: float = 1.25,
-) -> None:
-    """One event loop vs one OS thread per chunk/host.
-
-    Leg 1 (thread economy): the same GA generation is scattered *and*
-    streamed over an ``n_hosts`` in-process pool twice — once with
-    threaded dispatch, once with ``async_dispatch=True``. Every OS
-    thread the pool starts carries a ``hostpool-`` name, so a
-    monkeypatched ``threading.Thread.start`` counts them: the threaded
-    core pays one thread per scatter chunk plus one per streaming
-    host, the async core pays a single loop-runner thread for the
-    whole pool. The threaded count must be >= ``min_thread_ratio``
-    times the async count, with point-identical metrics.
-
-    Leg 2 (no wall-clock regression): the same generation scattered
-    over 2 real, deliberately slow hosts (``delay_s`` per point),
-    best-of-3 per mode — the event loop must not be slower than
-    threads by more than ``slack``. Together the legs are the CI gate
-    for ``--async-dispatch``: the claimed resource win is real and it
-    costs no latency.
-    """
-    import functools
-    import threading
-
-    import repro
-    from repro.agents.ga import GAAgent
-    from repro.service import EvaluationService
-    from repro.sweeps.hostpool import HostPool
-
-    env = repro.make("DRAMGym-v0")
-    agent = GAAgent(env.action_space, seed=0, population_size=population)
-    generation = agent.propose_batch()
-    env.close()
-
-    # -- leg 1: thread economy over a wide in-process fleet -------------------
-    services = []
-    for _ in range(n_hosts):
-        svc = EvaluationService()
-        svc.register(
-            "DRAMGym-v0", functools.partial(repro.make, "DRAMGym-v0")
-        )
-        svc.start()
-        services.append(svc)
-    urls = [svc.url for svc in services]
-
-    def run_pool(async_dispatch: bool):
-        started: list = []
-        orig_start = threading.Thread.start
-
-        def counting_start(thread_self):
-            if str(thread_self.name).startswith("hostpool-"):
-                started.append(str(thread_self.name))
-            return orig_start(thread_self)
-
-        pool = HostPool(
-            urls, timeout_s=60.0, retries=0, async_dispatch=async_dispatch
-        )
-        threading.Thread.start = counting_start
-        try:
-            scattered, _ = pool.evaluate_batch_scatter(
-                "DRAMGym-v0", generation, memoize=False
-            )
-            streamed: list = [None] * len(generation)
-            for begin, metrics_list, _ in pool.evaluate_batch_stream(
-                "DRAMGym-v0", generation, memoize=False
-            ):
-                streamed[begin:begin + len(metrics_list)] = metrics_list
-        finally:
-            threading.Thread.start = orig_start
-            pool.close()
-        return scattered, streamed, started
-
-    try:
-        thr_scatter, thr_stream, thr_threads = run_pool(False)
-        aio_scatter, aio_stream, aio_threads = run_pool(True)
-    finally:
-        for svc in services:
-            svc.stop()
-
-    if aio_scatter != thr_scatter or aio_stream != thr_stream:
-        raise RuntimeError("async dispatch metrics differ from threaded")
-    ratio = len(thr_threads) / max(1, len(aio_threads))
-    print(
-        f"fanout microbench leg 1 ({n_hosts} hosts, population "
-        f"{population}): scatter+stream started {len(thr_threads)} pool "
-        f"threads threaded vs {len(aio_threads)} async "
-        f"({ratio:.0f}x fewer)"
-    )
-    if len(aio_threads) > 2:
-        raise RuntimeError(
-            f"async dispatch started {len(aio_threads)} pool threads "
-            "(the whole point is one loop runner)"
-        )
-    if ratio < min_thread_ratio:
-        raise RuntimeError(
-            f"async dispatch saved only {ratio:.1f}x threads "
-            f"(need >= {min_thread_ratio:.0f}x)"
-        )
-
-    # -- leg 2: no wall-clock regression on real (slow) hosts -----------------
-    slow_a = EvaluationService()
-    slow_a.register("DRAMGym-v0", functools.partial(_slow_dram_env, delay_s))
-    slow_b = EvaluationService()
-    slow_b.register("DRAMGym-v0", functools.partial(_slow_dram_env, delay_s))
-    slow_a.start()
-    slow_b.start()
-    try:
-        def best_of(async_dispatch: bool, reps: int = 3):
-            pool = HostPool(
-                [slow_a.url, slow_b.url], timeout_s=60.0, retries=0,
-                async_dispatch=async_dispatch,
-            )
-            best, results = float("inf"), None
-            try:
-                for _ in range(reps):
-                    start = time.perf_counter()
-                    results, _ = pool.evaluate_batch_scatter(
-                        "DRAMGym-v0", generation, memoize=False
-                    )
-                    best = min(best, time.perf_counter() - start)
-            finally:
-                pool.close()
-            return best, results
-
-        threaded_s, threaded_results = best_of(False)
-        async_s, async_results = best_of(True)
-    finally:
-        slow_a.stop()
-        slow_b.stop()
-
-    if async_results != threaded_results:
-        raise RuntimeError(
-            "async dispatch metrics differ from threaded on the slow pool"
-        )
-    print(
-        f"fanout microbench leg 2 (2 hosts, {delay_s * 1e3:.0f}ms/point, "
-        f"best of 3): {threaded_s:.3f}s threaded scatter vs "
-        f"{async_s:.3f}s async ({threaded_s / async_s:.2f}x)"
-    )
-    if async_s > threaded_s * slack:
-        raise RuntimeError(
-            f"async scatter ({async_s:.3f}s) regressed more than "
-            f"{slack:.2f}x past threaded ({threaded_s:.3f}s)"
-        )
-
-
 def main() -> int:
     workdir = Path(mkdtemp(prefix="archgym-service-check-"))
     service_export = workdir / "service.json"
@@ -573,10 +418,6 @@ def main() -> int:
 
     # 3c. observed-rate weights must shift load off a slow host
     auto_weights_microbench()
-
-    # 3d. one event loop must replace the per-chunk/per-host threads
-    # (>= 8x fewer) without regressing scatter wall-clock
-    fanout_microbench()
 
     # 4. in-process reference run
     subprocess.run(
