@@ -18,12 +18,13 @@ lower-is-better), tracks the incumbent, and resets episodes.
 The protocol is *generation-native*: population-based agents (GA, ACO)
 propose whole generations at once through :meth:`Agent.propose_batch`
 and absorb the scored generation through :meth:`Agent.observe_batch`,
-so the driver can evaluate an entire generation in one
+so the driver evaluates an entire generation in one
 :meth:`~repro.core.env.ArchGymEnv.step_batch` call — one round trip to
 a remote evaluation service instead of one per design point. The
 defaults are singleton wrappers over :meth:`Agent.propose` /
-:meth:`Agent.observe`, so every point-at-a-time agent participates
-unchanged, and a batched run is byte-identical to a serial one.
+:meth:`Agent.observe`, so every point-at-a-time agent runs the same
+loop unchanged, byte-identical to ``propose`` → ``env.step`` →
+``observe``.
 """
 
 from __future__ import annotations
@@ -141,10 +142,10 @@ class Agent:
         truncate generations), and the matching
         :meth:`observe_batch` call must carry that evaluated prefix in
         order. Under that contract a batched run is byte-identical to
-        a serial one.
+        one that interleaves :meth:`propose` and :meth:`observe`.
 
         Default: a singleton — one :meth:`propose` — so every
-        point-at-a-time agent works under a generation-aware driver
+        point-at-a-time agent works under :func:`run_agent`
         unchanged.
         """
         return [self.propose()]
@@ -158,7 +159,7 @@ class Agent:
         """Incorporate feedback for an evaluated generation prefix (Q2).
 
         Default: :meth:`observe` per point, in order — byte-identical
-        to the serial loop for any agent.
+        to a point-at-a-time loop for any agent.
         """
         if not (len(actions) == len(fitnesses) == len(metrics_list)):
             raise AgentError(
@@ -284,7 +285,6 @@ def run_agent(
     n_samples: int,
     seed: Optional[int] = None,
     source_tag: Optional[str] = None,
-    generation_dispatch: bool = False,
     pipeline: bool = False,
     proxy_screen: bool = False,
     proxy_oversample: int = 4,
@@ -299,34 +299,35 @@ def run_agent(
     dataset, its provenance tag is set to the agent's identity so that
     multi-agent datasets can later be sampled by source (§7.1).
 
-    With ``generation_dispatch=True`` the driver speaks the batched
-    protocol: :meth:`Agent.propose_batch` →
-    :meth:`ArchGymEnv.step_batch` → :meth:`Agent.observe_batch`, one
-    whole generation per round. Incumbent tracking, reward histories,
-    fitness conversion, and episode resets are applied per point in
-    proposal order, and a generation that overruns the remaining
-    sample budget is truncated to it — so the result (and any attached
-    dataset) is byte-identical to the serial loop, while a
+    The driver speaks the generation protocol:
+    :meth:`Agent.propose_batch` → :meth:`ArchGymEnv.step_batch` →
+    :meth:`Agent.observe_batch`, one whole generation per round (a
+    singleton for point-at-a-time agents). Incumbent tracking, reward
+    histories, fitness conversion, and episode resets are applied per
+    point in proposal order, and a generation that overruns the
+    remaining sample budget is truncated to it — so the result (and
+    any attached dataset) is byte-identical to a point-at-a-time
+    ``propose`` → :meth:`ArchGymEnv.step` → ``observe`` loop, while a
     population-based agent on a remote backend pays one HTTP round
     trip per generation instead of one per design point.
 
-    ``pipeline=True`` (which implies the batched protocol) swaps the
-    barrier call for :meth:`ArchGymEnv.step_batch_stream`: results are
-    absorbed point by point in proposal order as work units finish,
-    and — on a work-stealing host pool — the stream ends as soon as
-    every result is *known*, even while an abandoned straggler request
-    is still in flight. The driver then breeds the next cohort
+    ``pipeline=True`` swaps the barrier call for
+    :meth:`ArchGymEnv.step_batch_stream`: results are absorbed point by
+    point in proposal order as work units finish, and — on a
+    work-stealing host pool — the stream ends as soon as every result
+    is *known*, even while an abandoned straggler request is still in
+    flight. The driver then breeds the next cohort
     (:meth:`Agent.observe_batch` → :meth:`Agent.propose_batch`) and
     dispatches it to the already-idle hosts, overlapping breeding and
     next-generation dispatch with the straggler's stale work instead
     of waiting behind it. Bookkeeping order is unchanged, so the
-    result stays byte-identical to both other modes.
+    result stays byte-identical.
 
-    ``proxy_screen=True`` (which also implies the batched protocol)
-    inserts an **oversample-and-rank** stage in front of real
-    evaluation: an :class:`~repro.proxy.online.OnlineProxy` trained
-    from the shared cache's accumulated corpus scores every proposed
-    generation, and only the top ``proxy_topk`` points (default
+    ``proxy_screen=True`` inserts an **oversample-and-rank** stage in
+    front of real evaluation: an
+    :class:`~repro.proxy.online.OnlineProxy` trained from the shared
+    cache's accumulated corpus scores every proposed generation, and
+    only the top ``proxy_topk`` points (default
     ``ceil(generation / proxy_oversample)``) go to
     ``step_batch``/``step_batch_stream`` — so ``n_samples`` buys
     ``proxy_oversample×`` more *candidate* generations for the same
@@ -343,7 +344,6 @@ def run_agent(
     if n_samples < 1:
         raise AgentError("n_samples must be >= 1")
     if proxy_screen:
-        generation_dispatch = True  # screening ranks whole generations
         if proxy_oversample < 1:
             raise AgentError(
                 f"proxy_oversample must be >= 1, got {proxy_oversample}"
@@ -354,11 +354,10 @@ def run_agent(
             raise AgentError(
                 f"proxy_refresh must be in [0, 1], got {proxy_refresh}"
             )
-    if pipeline:
-        generation_dispatch = True  # the pipeline speaks the batched protocol
     higher = env.reward_spec.higher_is_better
     if env.dataset is not None:
         env.set_source(source_tag or agent.hyperparam_tag())
+    step_batch = env.step_batch_stream if pipeline else env.step_batch
 
     # Snapshot counters so a shared environment (e.g. the CLI's collect
     # command) attributes only this run's simulator cost to the result.
@@ -385,9 +384,9 @@ def run_agent(
 
     def absorb(action: Mapping[str, Any], reward: float,
                info: Mapping[str, Any]) -> float:
-        """The per-point bookkeeping both driver loops share — one
-        copy, so the serial and batched paths cannot drift apart and
-        break the byte-parity guarantee. Returns the fitness."""
+        """The per-point bookkeeping of plain and screened dispatch —
+        one copy, so the two paths cannot drift apart and break the
+        byte-parity guarantee. Returns the fitness."""
         nonlocal best_fitness, best_action, best_reward, best_metrics
         nonlocal target_met
         fitness = reward if higher else -reward
@@ -401,147 +400,129 @@ def run_agent(
         target_met = target_met or bool(info.get("target_met"))
         return fitness
 
-    if generation_dispatch:
-        proxy = None
-        refresh_rng: Optional[np.random.Generator] = None
-        if proxy_screen:
-            # Imported lazily: agents must stay importable (and the
-            # serial driver payable) without touching the proxy package.
-            from repro.proxy.online import OnlineProxy
+    proxy = None
+    refresh_rng: Optional[np.random.Generator] = None
+    if proxy_screen:
+        # Imported lazily, so importing agents or running unscreened
+        # never loads the proxy package.
+        from repro.proxy.online import OnlineProxy
 
-            proxy_seed = 0 if seed is None else int(seed)
-            proxy = OnlineProxy(
-                env.action_space,
-                env.observation_metrics,
-                min_corpus=proxy_min_corpus,
-                seed=proxy_seed,
-                # An intentionally unreachable min_corpus (pinning the
-                # run to the cold path) must not trip the ctor's
-                # max_fit_samples >= min_corpus invariant.
-                max_fit_samples=max(2048, proxy_min_corpus),
+        proxy_seed = 0 if seed is None else int(seed)
+        proxy = OnlineProxy(
+            env.action_space,
+            env.observation_metrics,
+            min_corpus=proxy_min_corpus,
+            seed=proxy_seed,
+            # An intentionally unreachable min_corpus (pinning the
+            # run to the cold path) must not trip the ctor's
+            # max_fit_samples >= min_corpus invariant.
+            max_fit_samples=max(2048, proxy_min_corpus),
+        )
+        refresh_rng = np.random.default_rng(proxy_seed + 1000003)
+
+    def predicted_fitness(metrics: Mapping[str, float]) -> float:
+        reward = env.reward_spec.compute(metrics)
+        return reward if higher else -reward
+
+    remaining = n_samples
+    while remaining > 0:
+        proposals = agent.propose_batch()
+        if not proposals:
+            raise AgentError(
+                f"{agent.name}.propose_batch() returned no proposals"
             )
-            refresh_rng = np.random.default_rng(proxy_seed + 1000003)
+        screen = False
+        if proxy is not None:
+            # Harvest whatever corpus the shared tier has accumulated
+            # (other trials' points included) and refit if warranted.
+            # Pure reads plus the proxy's own seeded RNG: while the
+            # cold-start gate stays shut the run remains byte-
+            # identical to an unscreened one.
+            if env.shared_cache is not None:
+                proxy.harvest(env.shared_cache)
+            proxy.maybe_refit()
+            screen = proxy.ready and len(proposals) > 1
 
-        def predicted_fitness(metrics: Mapping[str, float]) -> float:
-            reward = env.reward_spec.compute(metrics)
-            return reward if higher else -reward
-
-        remaining = n_samples
-        while remaining > 0:
-            proposals = agent.propose_batch()
-            if not proposals:
-                raise AgentError(
-                    f"{agent.name}.propose_batch() returned no proposals"
-                )
-            screen = False
-            if proxy is not None:
-                # Harvest whatever corpus the shared tier has accumulated
-                # (other trials' points included) and refit if warranted.
-                # Pure reads plus the proxy's own seeded RNG: while the
-                # cold-start gate stays shut the run remains byte-
-                # identical to an unscreened one.
-                if env.shared_cache is not None:
-                    proxy.harvest(env.shared_cache)
-                proxy.maybe_refit()
-                screen = proxy.ready and len(proposals) > 1
-
-            if not screen:
-                # Plain dispatch (no proxy, or cold start).
-                # A generation larger than the remaining budget is cut to
-                # it — the serial loop would have stopped mid-generation at
-                # exactly this point.
-                proposals = proposals[:remaining]
-                step_results = (
-                    env.step_batch_stream(proposals) if pipeline
-                    else env.step_batch(proposals)
-                )
-                fitnesses: List[float] = []
-                metrics_list: List[Dict[str, float]] = []
-                terminated = truncated = False
-                for action, step_result in zip(proposals, step_results):
-                    __, reward, terminated, truncated, info = step_result
-                    fitnesses.append(absorb(action, reward, info))
-                    metrics_list.append(info["metrics"])
-                    if proxy is not None:
-                        proxy.observe(action, info["metrics"])
-                agent.observe_batch(proposals, fitnesses, metrics_list)
-                remaining -= len(proposals)
-
-                # step_batch resets mid-batch episode ends itself; a batch
-                # whose *final* point closed an episode leaves the reset to
-                # the driver, exactly like the serial loop below.
-                if terminated or truncated:
-                    env.reset()
-                continue
-
-            # -- oversample-and-rank ----------------------------------
-            # The whole proposed generation is the candidate pool; only
-            # the proxy's top-k (plus the honesty-refresh slice) is
-            # really simulated, so each unit of sample budget screens
-            # ``oversample×`` candidates.
-            pool = proposals
-            k = (
-                proxy_topk if proxy_topk is not None
-                else max(1, math.ceil(len(pool) / proxy_oversample))
-            )
-            k = min(k, len(pool))
-            predictions = proxy.predict_batch(pool)
-            pred_fitness = [predicted_fitness(m) for m in predictions]
-            # Best-first by predicted fitness; ties break by proposal
-            # index so the ranking is deterministic.
-            order = sorted(
-                range(len(pool)), key=lambda i: (-pred_fitness[i], i)
-            )
-            accepted = set(order[:k])
-            rejected = [i for i in range(len(pool)) if i not in accepted]
-            refresh: set = set()
-            if rejected and proxy_refresh > 0.0:
-                n_refresh = min(len(rejected), math.ceil(proxy_refresh * k))
-                picks = refresh_rng.choice(
-                    len(rejected), size=n_refresh, replace=False
-                )
-                refresh = {rejected[int(j)] for j in picks}
-            eval_idx = sorted(accepted | refresh)[:remaining]
-            eval_actions = [pool[i] for i in eval_idx]
-            step_results = (
-                env.step_batch_stream(eval_actions) if pipeline
-                else env.step_batch(eval_actions)
-            )
-            real: Dict[int, Any] = {}
+        if not screen:
+            # Plain dispatch (no proxy, or cold start).
+            # A generation larger than the remaining budget is cut to
+            # it — a point-at-a-time loop would have stopped
+            # mid-generation at exactly this point.
+            proposals = proposals[:remaining]
+            fitnesses: List[float] = []
+            metrics_list: List[Dict[str, float]] = []
             terminated = truncated = False
-            for i, step_result in zip(eval_idx, step_results):
+            for action, step_result in zip(proposals, step_batch(proposals)):
                 __, reward, terminated, truncated, info = step_result
-                real[i] = (absorb(pool[i], reward, info), dict(info["metrics"]))
-                proxy.observe(pool[i], info["metrics"])
-            env.stats.proxy_screened += len(pool)
-            env.stats.proxy_accepted += len(eval_idx)
-            env.stats.proxy_refresh_evals += sum(
-                1 for i in eval_idx if i in refresh
-            )
-            env.stats.proxy_last_rmse = proxy.last_rmse
-            # The agent observes the full generation in proposal order:
-            # ground truth where simulated, the surrogate's prediction
-            # elsewhere. The incumbent/result bookkeeping (absorb) only
-            # ever saw real evaluations.
-            fitnesses = []
-            metrics_list = []
-            for i in range(len(pool)):
-                fitness, metrics = real.get(i, (pred_fitness[i], predictions[i]))
-                fitnesses.append(fitness)
-                metrics_list.append(metrics)
-            agent.observe_batch(pool, fitnesses, metrics_list)
-            remaining -= len(eval_idx)
-            if terminated or truncated:
-                env.reset()
-    else:
-        for _ in range(n_samples):
-            action = agent.propose()
-            __, reward, terminated, truncated, info = env.step(action)
-            agent.observe(action, absorb(action, reward, info),
-                          info["metrics"])
+                fitnesses.append(absorb(action, reward, info))
+                metrics_list.append(info["metrics"])
+                if proxy is not None:
+                    proxy.observe(action, info["metrics"])
+            agent.observe_batch(proposals, fitnesses, metrics_list)
+            remaining -= len(proposals)
 
+            # step_batch resets mid-batch episode ends itself; a batch
+            # whose *final* point closed an episode leaves the reset to
+            # the driver, exactly like step().
             if terminated or truncated:
                 env.reset()
+            continue
+
+        # -- oversample-and-rank ----------------------------------
+        # The whole proposed generation is the candidate pool; only
+        # the proxy's top-k (plus the honesty-refresh slice) is
+        # really simulated, so each unit of sample budget screens
+        # ``oversample×`` candidates.
+        pool = proposals
+        k = (
+            proxy_topk if proxy_topk is not None
+            else max(1, math.ceil(len(pool) / proxy_oversample))
+        )
+        k = min(k, len(pool))
+        predictions = proxy.predict_batch(pool)
+        pred_fitness = [predicted_fitness(m) for m in predictions]
+        # Best-first by predicted fitness; ties break by proposal
+        # index so the ranking is deterministic.
+        order = sorted(
+            range(len(pool)), key=lambda i: (-pred_fitness[i], i)
+        )
+        accepted = set(order[:k])
+        rejected = [i for i in range(len(pool)) if i not in accepted]
+        refresh: set = set()
+        if rejected and proxy_refresh > 0.0:
+            n_refresh = min(len(rejected), math.ceil(proxy_refresh * k))
+            picks = refresh_rng.choice(
+                len(rejected), size=n_refresh, replace=False
+            )
+            refresh = {rejected[int(j)] for j in picks}
+        eval_idx = sorted(accepted | refresh)[:remaining]
+        eval_actions = [pool[i] for i in eval_idx]
+        real: Dict[int, Any] = {}
+        terminated = truncated = False
+        for i, step_result in zip(eval_idx, step_batch(eval_actions)):
+            __, reward, terminated, truncated, info = step_result
+            real[i] = (absorb(pool[i], reward, info), dict(info["metrics"]))
+            proxy.observe(pool[i], info["metrics"])
+        env.stats.proxy_screened += len(pool)
+        env.stats.proxy_accepted += len(eval_idx)
+        env.stats.proxy_refresh_evals += sum(
+            1 for i in eval_idx if i in refresh
+        )
+        env.stats.proxy_last_rmse = proxy.last_rmse
+        # The agent observes the full generation in proposal order:
+        # ground truth where simulated, the surrogate's prediction
+        # elsewhere. The incumbent/result bookkeeping (absorb) only
+        # ever saw real evaluations.
+        fitnesses = []
+        metrics_list = []
+        for i in range(len(pool)):
+            fitness, metrics = real.get(i, (pred_fitness[i], predictions[i]))
+            fitnesses.append(fitness)
+            metrics_list.append(metrics)
+        agent.observe_batch(pool, fitnesses, metrics_list)
+        remaining -= len(eval_idx)
+        if terminated or truncated:
+            env.reset()
 
     return SearchResult(
         agent=agent.name,

@@ -38,15 +38,13 @@ from each host's observed service rate). With ``--shared-cache`` the
 on different machines reuse each other's evaluations — writes are
 replicated to ``--cache-replicas`` pool hosts (default 2), reads
 fail over to a replica if the cache host dies, and revived hosts are
-backfilled, so no entry is ever lost. ``--service-batch`` routes
-evaluations through the batched endpoint with server-side
-memoization, and ``--generation-dispatch`` lets population-based
-agents (GA/ACO) evaluate whole generations per round trip —
-scattered across the host pool by weight. ``--pipeline`` upgrades
-that scatter to streaming dispatch with work stealing: hosts pull
-work units as they finish, idle hosts steal a straggler's remainder,
-and the next generation starts while the straggler's abandoned
-request drains (results stay byte-identical).
+backfilled, so no entry is ever lost. Population-based agents
+(GA/ACO) evaluate whole generations per round trip, scattered across
+the host pool by weight. ``--pipeline`` upgrades that scatter to
+streaming dispatch with work stealing: hosts pull work units as they
+finish, idle hosts steal a straggler's remainder, and the next
+generation starts while the straggler's abandoned request drains
+(results stay byte-identical).
 """
 
 from __future__ import annotations
@@ -203,24 +201,11 @@ def _add_durability_args(parser: argparse.ArgumentParser) -> None:
                              "relative capacity: a weight-2 host takes "
                              "twice the load and twice the share of "
                              "every scattered generation")
-    parser.add_argument("--service-batch", action="store_true",
-                        help="route service evaluations through "
-                             "POST /evaluate_batch so the server "
-                             "memoizes design points into its /cache "
-                             "store (results stay bit-identical)")
-    parser.add_argument("--generation-dispatch", action="store_true",
-                        help="drive trials generation-natively: GA/ACO "
-                             "propose whole populations, cache hits are "
-                             "resolved per point, and the misses ride "
-                             "one batched backend call per generation — "
-                             "one HTTP round trip per host on a service "
-                             "pool (results stay byte-identical)")
     parser.add_argument("--pipeline", action="store_true",
                         help="stream generations instead of scattering "
-                             "behind a barrier (implies "
-                             "--generation-dispatch): hosts pull work "
-                             "units as they finish and idle hosts steal "
-                             "a straggler's remainder, so the next "
+                             "behind a barrier: hosts pull work units as "
+                             "they finish and idle hosts steal a "
+                             "straggler's remainder, so the next "
                              "generation starts without waiting on the "
                              "slowest host (results stay byte-identical)")
     parser.add_argument("--auto-weights", action="store_true",
@@ -233,7 +218,9 @@ def _add_durability_args(parser: argparse.ArgumentParser) -> None:
                              "byte-identical); requires --service-url")
     # Accepted and ignored for one release, so old command lines keep
     # working.
-    parser.add_argument("--async-dispatch", action="store_true",
+    parser.add_argument("--service-batch", action="store_true",
+                        help=argparse.SUPPRESS)
+    parser.add_argument("--generation-dispatch", action="store_true",
                         help=argparse.SUPPRESS)
     parser.add_argument("--cache-replicas", type=int, default=None,
                         metavar="N",
@@ -340,8 +327,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         shared_cache=args.shared_cache, service_url=args.service_url,
         service_timeout_s=args.service_timeout,
         service_retries=args.service_retries,
-        service_batch=args.service_batch,
-        generation_dispatch=args.generation_dispatch,
         pipeline=args.pipeline,
         auto_weights=args.auto_weights,
         cache_replicas=args.cache_replicas,
@@ -377,7 +362,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         args.service_url, args.shared_cache, args.out_dir,
         env_kwargs=factory.env_kwargs,
         timeout_s=args.service_timeout, retries=args.service_retries,
-        batch=args.service_batch,
         auto_weights=args.auto_weights,
         cache_replicas=args.cache_replicas,
         proxy_screen=args.proxy_screen,
@@ -391,7 +375,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
             shared_cache_dir=shared_cache_dir,
             backend=backend, server_cache_url=server_cache_url,
             cache_replicas=args.cache_replicas,
-            generation_dispatch=args.generation_dispatch,
             pipeline=args.pipeline,
             proxy_screen=args.proxy_screen,
             proxy_oversample=args.proxy_oversample,

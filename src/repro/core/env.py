@@ -630,9 +630,14 @@ class ArchGymEnv:
         """Decision pass of a batched step: classify every point as the
         serial loop would.
 
-        ``sim`` shadows the local LRU's key set (values irrelevant) so
-        in-batch duplicates — and duplicates evicted again by a batch
-        larger than the LRU — resolve exactly as they would serially.
+        The local LRU is overlaid, not copied, so the pass costs
+        O(batch) rather than O(LRU): ``touched`` holds the keys the
+        batch has hit or inserted (the LRU's tail, oldest first),
+        ``gone`` the pre-batch keys that have left the untouched head
+        by a touch or an eviction, and the head is read lazily, oldest
+        first, only when an insert overflows ``maxsize``. In-batch
+        duplicates — and duplicates evicted again by a batch larger
+        than the LRU — thus resolve exactly as they would serially.
         Returns ``(plan, miss_actions, shared_seen)``: per-point
         ``("local"|"shared"|"shared-dup"|"miss", ref)`` tags, the
         design points no cache tier could answer (in proposal order),
@@ -640,25 +645,43 @@ class ArchGymEnv:
         """
         plan: List[Tuple[str, Any]] = []
         miss_actions: List[Mapping[str, Any]] = []
-        sim: "Optional[OrderedDict[ActionKey, None]]" = (
-            OrderedDict((k, None) for k in self._eval_cache)
-            if self._eval_cache is not None
-            else None
-        )
+        lru = self._eval_cache
+        touched: "OrderedDict[ActionKey, None]" = OrderedDict()
+        gone: set = set()
+        head = len(lru) if lru is not None else 0
+        oldest: Optional[Iterator[ActionKey]] = None
         pending: Dict[ActionKey, int] = {}  # in-batch miss -> its index
         shared_seen: Dict[ActionKey, Dict[str, float]] = {}
 
+        def sim_contains(key: Optional[ActionKey]) -> bool:
+            return lru is not None and (
+                key in touched or (key not in gone and key in lru)
+            )
+
         def sim_remember(key: ActionKey) -> None:
-            if sim is None:
+            """Move ``key`` to the LRU's end, evicting oldest first."""
+            nonlocal head, oldest
+            if lru is None:
                 return
-            sim[key] = None
-            sim.move_to_end(key)
-            while len(sim) > self._eval_cache_maxsize:
-                sim.popitem(last=False)
+            if key in touched:
+                touched.move_to_end(key)
+                return
+            if key not in gone and key in lru:
+                gone.add(key)
+                head -= 1
+            touched[key] = None
+            while head + len(touched) > self._eval_cache_maxsize:
+                if not head:
+                    touched.popitem(last=False)
+                    continue
+                if oldest is None:
+                    oldest = iter(lru)
+                gone.add(next(k for k in oldest if k not in gone))
+                head -= 1
 
         for action, key in zip(actions, keys):
-            if sim is not None and key in sim:
-                sim.move_to_end(key)
+            if sim_contains(key):
+                sim_remember(key)
                 plan.append(("local", key))
                 continue
             if key is not None and key in pending and self._shared_cache is not None:

@@ -16,9 +16,6 @@ The transport underneath is pluggable: a URL builds a
 :class:`ServiceClient` (persistent keep-alive connection); a list of
 URLs builds a :class:`~repro.sweeps.hostpool.HostPool` (least-load
 scheduling with failover); an existing client or pool is used as-is.
-With ``batch=True`` every dispatch rides ``POST /evaluate_batch``
-instead of ``POST /evaluate``, which turns on the server-side
-memoization that feeds the service's ``/cache`` store.
 """
 
 from __future__ import annotations
@@ -46,10 +43,6 @@ class RemoteBackend:
         Environment construction arguments (workload, objective, …)
         forwarded with every request, so the server instantiates the
         same environment the client built locally.
-    batch:
-        Route dispatches through ``POST /evaluate_batch`` (server-side
-        memoization feeding the service ``/cache`` store) instead of
-        per-point ``POST /evaluate``.
     weights:
         Per-host capacity weights aligned with ``service`` when it is
         a sequence of URLs — forwarded to the
@@ -69,7 +62,6 @@ class RemoteBackend:
         self,
         service: Union[str, Sequence[str], ServiceClient, Any],
         env_kwargs: Optional[Dict[str, Any]] = None,
-        batch: bool = False,
         weights: Optional[Sequence[float]] = None,
         auto_weights: bool = False,
         **client_kwargs: Any,
@@ -92,7 +84,6 @@ class RemoteBackend:
         else:  # a ready-made ServiceClient or HostPool: policy is theirs
             self.client = service
         self.env_kwargs = dict(env_kwargs) if env_kwargs else None
-        self.batch = batch
         #: Per-point host provenance of the most recent
         #: :meth:`evaluate_batch` — what a scattering pool reports, and
         #: what :meth:`ArchGymEnv._dispatch_evaluate_batch` records.
@@ -109,8 +100,6 @@ class RemoteBackend:
 
     def evaluate(self, env_name: str, action: Dict[str, Any]) -> Dict[str, float]:
         """The backend hook :meth:`ArchGymEnv.step` dispatches through."""
-        if self.batch:
-            return self.evaluate_batch(env_name, [action])[0]
         return self.client.evaluate(env_name, action, env_kwargs=self.env_kwargs)
 
     def evaluate_batch(
@@ -122,23 +111,21 @@ class RemoteBackend:
         capacity weight (parallel chunks, results reassembled in
         request order); a single client sends one round trip. Either
         way ``last_hosts`` afterwards names, per point, the host that
-        answered it. Server-side memoization stays opt-in: it is
-        requested only when this backend was built with ``batch=True``
-        (the ``--service-batch`` contract), so generation dispatch
-        alone never grows a server's memo map.
+        answered it. Server-side memoization stays off, so a sweep
+        never grows a server's memo map; cross-trial reuse is the
+        shared cache tier's job.
         """
         actions = list(actions)
         scatter = getattr(self.client, "evaluate_batch_scatter", None)
         if scatter is not None:
             metrics, hosts = scatter(
                 env_name, actions, env_kwargs=self.env_kwargs,
-                memoize=self.batch,
+                memoize=False,
             )
             self.last_hosts = hosts
             return metrics
         metrics = self.client.evaluate_batch(
-            env_name, actions, env_kwargs=self.env_kwargs,
-            memoize=self.batch,
+            env_name, actions, env_kwargs=self.env_kwargs, memoize=False,
         )
         self.last_hosts = (
             [getattr(self.client, "base_url", None)] * len(actions)
@@ -157,23 +144,22 @@ class RemoteBackend:
         one blocking whole-batch round trip yielded as a single chunk.
         ``last_hosts`` is rebuilt per point as chunks land, matching
         the barrier path's provenance contract once the stream is
-        drained. Server-side memoization follows the same ``batch=True``
-        opt-in as :meth:`evaluate_batch`.
+        drained. Server-side memoization stays off, as in
+        :meth:`evaluate_batch`.
         """
         actions = list(actions)
         self.last_hosts = [None] * len(actions)
         stream = getattr(self.client, "evaluate_batch_stream", None)
         if stream is None:
             metrics = self.client.evaluate_batch(
-                env_name, actions, env_kwargs=self.env_kwargs,
-                memoize=self.batch,
+                env_name, actions, env_kwargs=self.env_kwargs, memoize=False,
             )
             host = getattr(self.client, "base_url", None)
             self.last_hosts = [host] * len(actions)
             yield 0, metrics, host
             return
         for start, metrics_list, host in stream(
-            env_name, actions, env_kwargs=self.env_kwargs, memoize=self.batch,
+            env_name, actions, env_kwargs=self.env_kwargs, memoize=False,
         ):
             for offset in range(len(metrics_list)):
                 self.last_hosts[start + offset] = host
@@ -193,7 +179,7 @@ class RemoteBackend:
         target = getattr(self.client, "base_url", None) or getattr(
             self.client, "urls", self.client
         )
-        return f"RemoteBackend(service={target!r}, batch={self.batch})"
+        return f"RemoteBackend(service={target!r})"
 
 
 def RemoteEnv(  # noqa: N802 - constructor-style helper, returns the env

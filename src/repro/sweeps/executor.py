@@ -90,10 +90,8 @@ class BackendSpec:
     :class:`~repro.sweeps.hostpool.HostPool` over all of them with
     automatic failover. ``env_kwargs`` are forwarded so the server
     constructs the same environment configuration (workload, objective,
-    …) the worker built locally, ``timeout_s``/``retries`` set the
-    client's retry/timeout policy, and ``batch=True`` routes
-    evaluations through ``POST /evaluate_batch`` (server-side
-    memoization feeding the service's ``/cache`` store).
+    …) the worker built locally, and ``timeout_s``/``retries`` set the
+    client's retry/timeout policy.
     """
 
     kind: str = "local"
@@ -104,8 +102,6 @@ class BackendSpec:
     #: All hosts of a multi-host pool (``service_url`` is then its
     #: first entry, kept for compatibility and as the cache host).
     service_urls: Optional[Tuple[str, ...]] = None
-    #: Dispatch through ``/evaluate_batch`` instead of ``/evaluate``.
-    batch: bool = False
     #: Per-host capacity weights aligned with ``service_urls``
     #: (``None`` = all hosts weigh 1).
     service_weights: Optional[Tuple[float, ...]] = None
@@ -156,7 +152,6 @@ class BackendSpec:
         return RemoteBackend(
             urls[0] if len(urls) == 1 else list(urls),
             env_kwargs=self.env_kwargs,
-            batch=self.batch,
             weights=(
                 list(self.service_weights) if self.service_weights else None
             ),
@@ -191,7 +186,6 @@ def _backend_cache_key(spec: BackendSpec) -> Tuple[Any, ...]:
         else None,
         spec.timeout_s,
         spec.retries,
-        spec.batch,
     )
 
 
@@ -249,7 +243,6 @@ def resolve_execution_backend(
     env_kwargs: Optional[Dict[str, Any]] = None,
     timeout_s: Optional[float] = None,
     retries: Optional[int] = None,
-    batch: bool = False,
     auto_weights: bool = False,
     cache_replicas: Optional[int] = None,
     proxy_screen: bool = False,
@@ -264,11 +257,10 @@ def resolve_execution_backend(
     each optionally carrying a capacity weight as ``URL=WEIGHT``
     (default 1; see :func:`parse_weighted_url`) — yields a remote
     :class:`BackendSpec` (with any ``timeout_s``/``retries``
-    overrides; ``None`` keeps the spec defaults, ``batch`` routes
-    through ``/evaluate_batch``, ``auto_weights`` lets a multi-host
-    pool self-tune its dispatch weights); ``shared_cache`` prefers the
-    service's ``/cache`` store (cross-machine; the *first* host's, so
-    every trial reads one map — with writes replicated to
+    overrides; ``None`` keeps the spec defaults, ``auto_weights`` lets
+    a multi-host pool self-tune its dispatch weights); ``shared_cache``
+    prefers the service's ``/cache`` store (cross-machine; the *first*
+    host's, so every trial reads one map — with writes replicated to
     ``cache_replicas`` pool hosts, see
     :class:`~repro.core.cache_store.ServerCacheStore`) over a file
     store under ``out_dir``.
@@ -320,12 +312,6 @@ def resolve_execution_backend(
             urls = tuple(by_url)
             if any(w != 1.0 for w in by_url.values()):
                 weights = tuple(by_url.values())
-    if batch and urls is None:
-        raise ExecutorError(
-            "batch evaluation (--service-batch / service_batch=True) "
-            "dispatches through POST /evaluate_batch and therefore "
-            "requires a service_url"
-        )
     overrides: Dict[str, Any] = {}
     if timeout_s is not None:
         overrides["timeout_s"] = timeout_s
@@ -340,7 +326,6 @@ def resolve_execution_backend(
             service_weights=weights,
             auto_weights=auto_weights,
             env_kwargs=env_kwargs,
-            batch=batch,
             **overrides,
         )
     server_cache_url = urls[0] if shared_cache and urls is not None else None
@@ -399,19 +384,11 @@ class TrialTask:
     #: min(2, pool size)). A durability knob — reuse is deterministic
     #: either way — so it stays out of the durable-sweep fingerprint.
     cache_replicas: Optional[int] = None
-    #: Drive the trial through the generation-native protocol
-    #: (``propose_batch``/``step_batch``/``observe_batch``): whole
-    #: GA/ACO generations per backend round trip instead of one design
-    #: point each. A wall-clock knob like ``workers`` — results are
-    #: byte-identical — so it does not participate in the durable-sweep
-    #: fingerprint.
-    generation_dispatch: bool = False
     #: Stream each generation through
     #: :meth:`~repro.core.env.ArchGymEnv.step_batch_stream` (work-unit
     #: dispatch with work stealing on a multi-host pool) instead of
-    #: the whole-batch barrier. Implies ``generation_dispatch``. Also a
-    #: pure wall-clock knob — byte-identical results — so it stays out
-    #: of the durable-sweep fingerprint.
+    #: the whole-batch barrier. A pure wall-clock knob — byte-identical
+    #: results — so it stays out of the durable-sweep fingerprint.
     pipeline: bool = False
     #: Online-proxy screening (oversample-and-rank in front of real
     #: evaluation). Unlike the dispatch knobs above these CHANGE the
@@ -517,7 +494,6 @@ def run_trial(task: TrialTask) -> TrialOutcome:
                 n_samples=task.n_samples,
                 seed=task.run_seed,
                 source_tag=task.source if task.collect else None,
-                generation_dispatch=task.generation_dispatch,
                 pipeline=task.pipeline,
                 proxy_screen=task.proxy_screen,
                 proxy_oversample=task.proxy_oversample,

@@ -320,7 +320,6 @@ def run_lottery_sweep(
     service_url: Optional[Union[str, Sequence[str]]] = None,
     service_timeout_s: Optional[float] = None,
     service_retries: Optional[int] = None,
-    service_batch: bool = False,
     generation_dispatch: bool = False,
     pipeline: bool = False,
     auto_weights: bool = False,
@@ -425,35 +424,24 @@ def run_lottery_sweep(
         ``service_timeout_s`` above your slowest single evaluation —
         a timeout shorter than the cost model reads as a dead server
         and fails the trial.
-    service_batch:
-        Route remote evaluations through ``POST /evaluate_batch``
-        instead of per-point ``POST /evaluate``. The server then
-        memoizes every design point into its ``/cache`` store, so
-        concurrent sweeps sharing a server stop re-simulating each
-        other's points even without ``shared_cache``. Results are
-        unchanged (deterministic cost models).
     generation_dispatch:
-        Drive every trial through the generation-native protocol:
-        population-based agents (GA, ACO) propose whole generations,
-        the environment resolves cache hits per point and sends only
-        the misses through the backend's batched hook in one call —
-        one HTTP round trip per generation on a single service, one
-        per host on a pool (which scatters the generation across its
-        hosts by capacity weight, in parallel). Point-at-a-time agents
-        run unchanged via the default singleton wrappers. A wall-clock
-        knob like ``workers``: reports, datasets, and shard artifacts
-        are byte-identical either way, and it does not participate in
-        the durable-sweep fingerprint.
+        Accepted and ignored: every trial runs the generation protocol
+        (see :func:`repro.agents.base.run_agent`). Population-based
+        agents (GA, ACO) propose whole generations, the environment
+        resolves cache hits per point and sends only the misses
+        through the backend's batched hook in one call — one HTTP
+        round trip per generation on a single service, one per host
+        on a pool (which scatters the generation across its hosts by
+        capacity weight, in parallel).
     pipeline:
         Stream each generation instead of scattering it behind a
-        barrier (implies ``generation_dispatch``): the batch is cut
-        into work units that hosts pull as they finish, results are
-        applied in proposal order as units land, and an idle host
-        work-steals a straggler's unit so the driver can breed and
-        dispatch the next generation while the straggler's abandoned
-        request drains. Another pure wall-clock knob — byte-identical
-        reports, datasets, and shards — outside the durable-sweep
-        fingerprint.
+        barrier: the batch is cut into work units that hosts pull as
+        they finish, results are applied in proposal order as units
+        land, and an idle host work-steals a straggler's unit so the
+        driver can breed and dispatch the next generation while the
+        straggler's abandoned request drains. A pure wall-clock knob —
+        byte-identical reports, datasets, and shards — outside the
+        durable-sweep fingerprint.
     auto_weights:
         Let a multi-host pool self-tune its dispatch weights from each
         host's observed service rate (``/healthz`` counters,
@@ -518,7 +506,6 @@ def run_lottery_sweep(
         env_kwargs=getattr(env_factory, "env_kwargs", None),
         timeout_s=service_timeout_s,
         retries=service_retries,
-        batch=service_batch,
         auto_weights=auto_weights,
         cache_replicas=cache_replicas,
         proxy_screen=proxy_screen,
@@ -545,7 +532,6 @@ def run_lottery_sweep(
                     backend=backend,
                     server_cache_url=server_cache_url,
                     cache_replicas=cache_replicas,
-                    generation_dispatch=generation_dispatch,
                     pipeline=pipeline,
                     proxy_screen=proxy_screen,
                     proxy_oversample=proxy_oversample,

@@ -81,15 +81,14 @@ FINGERPRINT_EXEMPT = {
     "shared_cache_dir": "location of the shared cache tier",
     "backend": "remote execution endpoint; byte-parity enforced by CI",
     "service_url": "CLI spelling of the remote backend",
-    "service_batch": "batched transport for the same evaluations",
     "service_timeout": "client transport policy",
     "service_retries": "client transport policy",
     "server_cache_url": "server-side memo tier; deterministic reuse only",
     "cache_replicas": "shared-cache write-through fan-out; deterministic reuse only",
     "auto_weights": "observed-rate host weighting; dispatch placement only",
-    "generation_dispatch": "batched generation transport, same results",
     "pipeline": "streaming dispatch with stealing, same results",
-    "async_dispatch": "accepted no-op, removed next round",
+    "service_batch": "accepted no-op, removed next round",
+    "generation_dispatch": "accepted no-op, removed next round",
     "out_dir": "names the shard directory itself",
     "resume": "re-runs only missing trials of the same fingerprint",
     # -- presentation-only flags --

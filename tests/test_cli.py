@@ -111,15 +111,16 @@ class TestCommands:
         assert code == 0
         assert out.read_text().startswith("env_id")
 
-    def test_async_dispatch_flag_is_an_accepted_no_op(self, tmp_path, capsys):
-        """``--async-dispatch`` still parses (old command lines keep
+    @pytest.mark.parametrize("flag", ["--generation-dispatch", "--service-batch"])
+    def test_retired_flag_is_an_accepted_no_op(self, flag, tmp_path, capsys):
+        """A retired dispatch flag still parses (old command lines keep
         working), is hidden from ``--help``, and changes nothing."""
         args = [
             "sweep", "--env", "MaestroGym-v0", "--agents", "rw,ga",
             "--trials", "2", "--samples", "8", "--seed", "5",
         ]
         exports = {}
-        for name, extra in (("plain", []), ("flagged", ["--async-dispatch"])):
+        for name, extra in (("plain", []), ("flagged", [flag])):
             exports[name] = tmp_path / f"{name}.json"
             assert main(args + extra + ["--export", str(exports[name])]) == 0
         payloads = [json.loads(p.read_text()) for p in exports.values()]
@@ -130,7 +131,14 @@ class TestCommands:
         capsys.readouterr()
         with pytest.raises(SystemExit):
             main(["sweep", "--help"])
-        assert "--async-dispatch" not in capsys.readouterr().out
+        assert flag not in capsys.readouterr().out
+
+    def test_removed_async_flag_exits_2(self, capsys):
+        """``--async-dispatch`` served its round as a no-op and is gone."""
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--env", "MaestroGym-v0", "--async-dispatch"])
+        assert exc.value.code == 2
+        assert "--async-dispatch" in capsys.readouterr().err
 
 
 class TestDurableCommands:

@@ -457,14 +457,6 @@ class TestBackendSpec:
         assert backend.env_kwargs == {"workload": "stream"}
         assert cache_url == "http://127.0.0.1:1" and cache_dir is None
 
-    def test_batch_without_service_url_rejected(self):
-        """--service-batch rides POST /evaluate_batch; silently dropping
-        it for an in-process sweep would hide a misconfiguration."""
-        from repro.sweeps import resolve_execution_backend
-
-        with pytest.raises(ExecutorError, match="service_url"):
-            resolve_execution_backend(None, False, None, batch=True)
-
     def test_resolve_execution_backend_policy_overrides(self):
         from repro.sweeps import resolve_execution_backend
 

@@ -9,17 +9,27 @@ Four batteries:
 2. **``ArchGymEnv.step_batch``** — byte-parity with the serial
    ``step`` loop across every cache configuration (local LRU, shared
    tier, disabled), including in-batch duplicates, episode resets, and
-   counter accounting.
-3. **Driver parity** — ``run_agent(generation_dispatch=True)`` is
-   byte-identical to the serial driver for every built-in agent.
+   counter accounting; a Hypothesis property holds ``step_batch`` and
+   ``step_batch_stream`` to it over random proposal sequences, LRU
+   sizes, shared-tier states, episode lengths and chunk arrival
+   orders, and the decision pass reads O(batch) of a full LRU.
+3. **Driver parity** — ``run_agent`` (the generation protocol) is
+   byte-identical to the point-at-a-time reference driver
+   (``tests/serial_reference.py``) for every built-in agent.
 4. **Weighted dispatch plumbing** — ``URL=WEIGHT`` parsing,
    ``weighted_split`` apportioning, the pool's weight-aware least-load
    and scatter, and ``ServerCacheStore`` failover to the next pool
    host.
 """
 
+import tempfile
+from collections import OrderedDict
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.agents import make_agent, run_agent
@@ -27,6 +37,8 @@ from repro.agents.aco import ACOAgent
 from repro.agents.base import Agent
 from repro.agents.ga import GAAgent
 from repro.core.cache_store import ServerCacheStore, SharedCacheStore
+from repro.core.dataset import ArchGymDataset
+from repro.core.env import canonical_action_key
 from repro.core.errors import (
     AgentError,
     EnvironmentError_,
@@ -45,6 +57,8 @@ from repro.sweeps import (
     weighted_split,
 )
 
+from serial_reference import run_agent_serial
+from test_pipeline import _ScriptedStreamBackend
 from test_service import SvcCountingEnv, _free_port
 
 
@@ -326,6 +340,129 @@ class TestStepBatchParity:
         assert batched.stats.cache_misses == 4
         assert batched.stats.cache_hits == 1
 
+    def test_decision_pass_reads_o_batch_of_a_full_lru(self):
+        """A singleton batch on a full 4,096-entry LRU reads at most one
+        key of its order (the one a miss evicts), not the whole LRU."""
+        env = _env()
+        env.enable_cache(maxsize=4096)
+        env._eval_cache = lru = _CountingLRU(
+            ((("m", "a"), ("x", 100 + i)), {"cost": 1.0}) for i in range(4096)
+        )
+        env.step_batch([ACTIONS[0]])  # a miss: one eviction
+        assert lru.reads <= 1
+        assert len(lru) == 4096
+        assert env.stats.cache_misses == 1
+        env.step_batch([ACTIONS[0]])  # a hit: no eviction
+        assert lru.reads <= 1
+        assert env.stats.cache_hits == 1
+
+
+class _CountingLRU(OrderedDict):
+    """An LRU that counts the keys read off its order."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = 0
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.reads += 1
+            yield key
+
+
+#: The property test's proposal pool: six distinct design points, so
+#: drawn sequences repeat points often.
+POINTS = [
+    {"x": x, "m": m}
+    for x, m in ((0, "a"), (1, "b"), (2, "a"), (5, "a"), (6, "b"), (7, "b"))
+]
+
+
+def _run_batches(env, batches, stream=False):
+    """Step ``env`` batch by batch the way run_agent does: reset after
+    a batch whose final point ended an episode."""
+    out = []
+    for batch in batches:
+        results = list(
+            env.step_batch_stream(batch) if stream else env.step_batch(batch)
+        )
+        out.extend(_batch_outcome(results))
+        if results[-1][2] or results[-1][3]:
+            env.reset()
+    return out
+
+
+def _decisions(env, evaluations):
+    """Everything the decision pass decides: cache counters, episode
+    accounting, simulator runs, dataset rows, and the LRU's key order."""
+    s = env.stats
+    lru = env._eval_cache
+    return (
+        s.total_steps, s.total_episodes, s.cache_hits, s.cache_misses,
+        s.shared_cache_hits, evaluations, list(env.dataset),
+        list(lru) if lru is not None else None,
+    )
+
+
+class TestDecisionPassProperty:
+    """``step_batch`` and ``step_batch_stream`` decide exactly as the
+    serial ``step`` loop for random proposal sequences, LRU sizes
+    (evictions inside a batch included), a shared tier on or off and
+    pre-populated by another process, episode lengths, and chunk
+    arrival orders."""
+
+    @given(
+        batches=st.lists(
+            st.lists(st.sampled_from(POINTS), min_size=1, max_size=8),
+            min_size=1, max_size=5,
+        ),
+        lru_size=st.integers(0, 5),
+        shared=st.booleans(),
+        preloaded=st.lists(st.sampled_from(POINTS), max_size=3),
+        episode_length=st.integers(1, 4),
+        chunk_size=st.integers(1, 3),
+        arrival=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_batched_steps_match_serial_step(
+        self, batches, lru_size, shared, preloaded, episode_length,
+        chunk_size, arrival,
+    ):
+        backend = _ScriptedStreamBackend(
+            chunk_size=chunk_size, shuffle=arrival.shuffle
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            envs = {}
+            for mode in ("serial", "batch", "stream"):
+                env = SvcCountingEnv()
+                env.episode_length = episode_length
+                env.enable_cache(maxsize=lru_size)  # 0 leaves it off
+                if shared:
+                    store = SharedCacheStore(Path(tmp) / mode)
+                    for action in preloaded:
+                        store.put(
+                            canonical_action_key(action),
+                            SvcCountingEnv().evaluate(action),
+                        )
+                    env.attach_shared_cache(store)
+                env.attach_dataset(ArchGymDataset(env.env_id), source="p")
+                env.reset(seed=0)
+                envs[mode] = env
+            envs["stream"].attach_backend(backend)
+
+            serial = envs["serial"]
+            reference = _serial_reference(
+                serial, [action for batch in batches for action in batch]
+            )
+            expected = _decisions(serial, serial.evaluations)
+            batched = envs["batch"]
+            assert _run_batches(batched, batches) == reference
+            assert _decisions(batched, batched.evaluations) == expected
+            streamed = envs["stream"]
+            assert _run_batches(streamed, batches, stream=True) == reference
+            assert _decisions(streamed, backend._env.evaluations) == expected
+            assert streamed.stats.remote_evals == serial.evaluations
+
 
 # -- 3. driver parity --------------------------------------------------------------
 
@@ -341,13 +478,10 @@ class TestRunAgentGenerationDispatch:
     @pytest.mark.parametrize("agent_name", ["rw", "ga", "aco", "bo", "rl"])
     def test_byte_identical_to_serial_driver(self, agent_name):
         records = []
-        for generation_dispatch in (False, True):
+        for driver in (run_agent_serial, run_agent):
             env = repro.make("DRAMGym-v0")
             agent = make_agent(agent_name, env.action_space, seed=3)
-            result = run_agent(
-                agent, env, n_samples=20, seed=5,
-                generation_dispatch=generation_dispatch,
-            )
+            result = driver(agent, env, n_samples=20, seed=5)
             records.append(
                 (_normalized_record(result), env.stats.total_episodes,
                  env.stats.total_steps)
@@ -360,8 +494,7 @@ class TestRunAgentGenerationDispatch:
         generation is cut to the remaining budget."""
         env = SvcCountingEnv()
         agent = GAAgent(env.action_space, seed=2, population_size=8)
-        result = run_agent(agent, env, n_samples=11, seed=1,
-                           generation_dispatch=True)
+        result = run_agent(agent, env, n_samples=11, seed=1)
         assert result.n_samples == 11
         assert len(result.reward_history) == 11
         assert env.stats.total_steps == 11
@@ -376,7 +509,7 @@ class TestRunAgentGenerationDispatch:
         env = SvcCountingEnv()
         agent = _Hollow(env.action_space)
         with pytest.raises(AgentError, match="no proposals"):
-            run_agent(agent, env, n_samples=4, generation_dispatch=True)
+            run_agent(agent, env, n_samples=4)
 
 
 # -- 4. weighted dispatch plumbing -------------------------------------------------

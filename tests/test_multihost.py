@@ -10,16 +10,16 @@ Five batteries:
    :class:`ServiceError` naming the trial; a host returning torn batch
    bodies is retried, then quarantined; a restarted host is revived.
 3. **Parity** — the acceptance battery: one fixed-seed DRAM sweep run
-   serial in-process, with ``workers=4``, against a single service,
-   and over a 2-host pool with batching enabled produces
-   byte-identical reports, datasets, and shard artifacts.
+   serial in-process (on the point-at-a-time reference driver in
+   ``tests/serial_reference.py``), with ``workers=4``, against a single
+   service, and over a 2-host pool produces byte-identical reports,
+   datasets, and shard artifacts.
 4. **Generation parity** — the generation-native battery: a GA+ACO
-   sweep run serial, with ``generation_dispatch`` in-process, with
-   ``generation_dispatch`` over a weighted 2-host pool, and in
-   ``pipeline`` mode (streaming dispatch with work stealing) both
-   in-process and over the pool produces byte-identical reports,
-   datasets, and shard artifacts, with the weight-2 host carrying the
-   larger share of the scattered generations.
+   sweep run serial (the reference driver again), over a weighted
+   2-host pool, and in ``pipeline`` mode (streaming dispatch with work
+   stealing) both in-process and over the pool produces byte-identical
+   reports, datasets, and shard artifacts, with the weight-2 host
+   carrying the larger share of the scattered generations.
 5. **Transport teardown** — the keep-alive leak regression: client,
    pool, and cached-backend teardown reclaim every persistent socket
    (including exited dispatch threads') and every scatter worker, and
@@ -38,6 +38,8 @@ from repro.cli import RegistryEnvFactory
 from repro.core.errors import ServiceError, ServiceTransportError
 from repro.service import EvaluationService, ServiceClient
 from repro.sweeps import HostPool, clear_backend_cache, run_lottery_sweep
+
+from serial_reference import serial_sweeps
 
 # Reuse the deterministic service env (module-level, so tasks pickle)
 # and the dead-port probe.
@@ -684,7 +686,7 @@ class TestTransportTeardown:
         a, b = two_services
         run_lottery_sweep(
             SvcCountingEnv, workers=1,
-            service_url=[a.url, b.url], service_batch=True,
+            service_url=[a.url, b.url],
             agents=("rw",), n_trials=1, n_samples=6, seed=3,
         )
         assert _BACKEND_CACHE  # the sweep memoized its backend
@@ -830,10 +832,12 @@ class TestFourModeParity:
         pool_a, pool_b = dram_service(), dram_service()
         pool_urls = (pool_a.url, pool_b.url)
         try:
-            reports = {
-                "serial": run_lottery_sweep(
+            with serial_sweeps():
+                serial = run_lottery_sweep(
                     factory, workers=1, out_dir=tmp_path / "serial", **self.KW
-                ),
+                )
+            reports = {
+                "serial": serial,
                 "workers4": run_lottery_sweep(
                     factory, workers=4, out_dir=tmp_path / "workers4", **self.KW
                 ),
@@ -843,7 +847,6 @@ class TestFourModeParity:
                 ),
                 "hostpool": run_lottery_sweep(
                     factory, service_url=list(pool_urls),
-                    service_batch=True,
                     out_dir=tmp_path / "hostpool", **self.KW
                 ),
             }
@@ -891,11 +894,11 @@ class TestFourModeParity:
 
 class TestGenerationParity:
     """The generation-native acceptance battery: one fixed-seed GA+ACO
-    DRAM sweep run serial, with ``generation_dispatch`` in-process
-    (``step_batch``), with ``generation_dispatch`` over a *weighted*
-    2-host pool, and pipelined (``step_batch_stream`` — streaming
-    dispatch with work stealing) both in-process and over a 2-host
-    pool — byte-identical reports, datasets, and shard artifacts."""
+    DRAM sweep run serial (the point-at-a-time reference driver), over
+    a *weighted* 2-host pool (``step_batch`` scattered by weight), and
+    pipelined (``step_batch_stream`` — streaming dispatch with work
+    stealing) both in-process and over a 2-host pool — byte-identical
+    reports, datasets, and shard artifacts."""
 
     KW = dict(
         agents=("ga", "aco"), n_trials=2, n_samples=20, seed=13,
@@ -922,18 +925,15 @@ class TestGenerationParity:
         pool_a, pool_b = dram_service(), dram_service()
         pool_urls = (pool_a.url, pool_b.url)
         try:
-            reports = {
-                "serial": run_lottery_sweep(
+            with serial_sweeps():
+                serial = run_lottery_sweep(
                     factory, workers=1, out_dir=tmp_path / "serial", **self.KW
-                ),
-                "generation": run_lottery_sweep(
-                    factory, generation_dispatch=True,
-                    out_dir=tmp_path / "generation", **self.KW
-                ),
+                )
+            reports = {
+                "serial": serial,
                 "weighted-pool": run_lottery_sweep(
                     factory,
                     service_url=[pool_a.url + "=2", pool_b.url],
-                    generation_dispatch=True, service_batch=True,
                     out_dir=tmp_path / "weighted-pool", **self.KW
                 ),
                 "pipeline": run_lottery_sweep(
@@ -955,9 +955,7 @@ class TestGenerationParity:
     def test_reports_bit_identical(self, modes):
         _, reports, _ = modes
         reference = _normalized(reports["serial"])
-        for mode in (
-            "generation", "weighted-pool", "pipeline", "pipeline-pool",
-        ):
+        for mode in ("weighted-pool", "pipeline", "pipeline-pool"):
             assert _normalized(reports[mode]) == reference, mode
 
     def test_datasets_byte_identical(self, modes):
@@ -977,9 +975,7 @@ class TestGenerationParity:
         assert shard_names
         for name in shard_names:
             reference = _normalized_shard_bytes(tmp_path / "serial" / name)
-            for mode in (
-                "generation", "weighted-pool", "pipeline", "pipeline-pool",
-            ):
+            for mode in ("weighted-pool", "pipeline", "pipeline-pool"):
                 assert (
                     _normalized_shard_bytes(tmp_path / mode / name) == reference
                 ), f"{mode}/{name}"

@@ -19,7 +19,7 @@ Four batteries:
    rows), while in-order chunks are consumed lazily.
 4. **Pipelined driver parity** — ``run_agent(pipeline=True)`` and a
    full ``--pipeline`` sweep over a slow+fast pool stay byte-identical
-   to the serial loop; no design point is recorded twice.
+   to a serial run; no design point is recorded twice.
 """
 
 import threading
@@ -31,6 +31,7 @@ from repro.core.errors import ServiceError, ServiceTransportError
 from repro.service import EvaluationService, RemoteBackend, ServiceClient
 from repro.sweeps import HostPool, clear_backend_cache, run_lottery_sweep
 
+from serial_reference import run_agent_serial, serial_sweeps
 from test_multihost import _normalized
 from test_service import SvcCountingEnv, _free_port
 
@@ -284,12 +285,14 @@ class TestStragglerFaultInjection:
 class _ScriptedStreamBackend:
     """In-process backend whose streaming hook yields fixed-size chunks
     in a scripted arrival order — the replay layer must buffer and
-    reorder them."""
+    reorder them. ``shuffle`` (e.g. ``random.Random.shuffle``) permutes
+    each stream's chunk list in place before it is yielded."""
 
-    def __init__(self, chunk_size=3, reverse=False):
+    def __init__(self, chunk_size=3, reverse=False, shuffle=None):
         self._env = SvcCountingEnv()
         self.chunk_size = chunk_size
         self.reverse = reverse
+        self.shuffle = shuffle
         self.chunks_yielded = 0
         self.last_hosts = None
 
@@ -306,6 +309,8 @@ class _ScriptedStreamBackend:
         ]
         if self.reverse:
             spans = spans[::-1]
+        if self.shuffle is not None:
+            self.shuffle(spans)
         for start, sub in spans:
             self.chunks_yielded += 1
             yield start, [self._env.evaluate(a) for a in sub], "scripted-host"
@@ -366,12 +371,12 @@ class TestPipelinedDriverParity:
         from repro.agents.base import run_agent
         from repro.agents.ga import GAAgent
 
-        def one_run(**mode):
+        def one_run(driver=run_agent, **mode):
             env = SvcCountingEnv()
             if mode.pop("_stream_backend", False):
                 env.attach_backend(_ScriptedStreamBackend(reverse=True))
             agent = GAAgent(env.action_space, seed=3, population_size=6)
-            result = run_agent(agent, env, n_samples=30, seed=5, **mode)
+            result = driver(agent, env, n_samples=30, seed=5, **mode)
             record = result.to_record()
             for field in (
                 "wall_time_s", "sim_time_s", "remote_evals", "remote_hosts"
@@ -379,8 +384,8 @@ class TestPipelinedDriverParity:
                 record[field] = 0
             return record
 
-        serial = one_run()
-        assert one_run(generation_dispatch=True) == serial
+        serial = one_run(run_agent_serial)
+        assert one_run() == serial
         assert one_run(pipeline=True) == serial
         assert one_run(pipeline=True, _stream_backend=True) == serial
 
@@ -395,7 +400,8 @@ class TestPipelinedDriverParity:
         SlowSvcCountingEnv.delay_s = 0.02  # keep the sweep quick
         try:
             kw = dict(agents=("ga", "aco"), n_trials=1, n_samples=16, seed=13)
-            baseline = run_lottery_sweep(SvcCountingEnv, **kw)
+            with serial_sweeps():
+                baseline = run_lottery_sweep(SvcCountingEnv, **kw)
             pipelined = run_lottery_sweep(
                 SvcCountingEnv,
                 service_url=[slow.url, fast.url],

@@ -359,13 +359,12 @@ class TestScreenedSweeps:
 
     def test_cold_start_matches_plain_dispatch(self, tmp_path):
         """With an unreachable corpus gate the screened run must be
-        byte-identical to plain generation dispatch — the fallback path
-        IS the plain path."""
+        byte-identical to an unscreened one — the fallback path IS the
+        plain path."""
         kw = dict(agents=("rw", "ga"), n_trials=2, n_samples=30, seed=3,
                   shared_cache=True)
         baseline = run_lottery_sweep(
-            RidgeEnv, out_dir=tmp_path / "plain",
-            generation_dispatch=True, **kw
+            RidgeEnv, out_dir=tmp_path / "plain", **kw
         )
         cold = run_lottery_sweep(
             RidgeEnv, out_dir=tmp_path / "cold",

@@ -656,20 +656,20 @@ class TestServiceSweepParity:
         assert fanned.remote_evals > 0
 
     def test_batched_dispatch_bit_identical(self):
-        """service_batch=True rides /evaluate_batch (server-side
-        memoization on — the server hosts one env, so it applies) and
-        must change nothing about the results."""
+        """A remote sweep of a point-at-a-time agent rides
+        /evaluate_batch in singleton batches with server-side
+        memoization off (the server hosts one env, so the memo would
+        apply if asked) and changes nothing about the results."""
         kw = dict(agents=("rw",), n_trials=2, n_samples=10, seed=4)
         serial = run_lottery_sweep(SvcCountingEnv, workers=1, **kw)
         with EvaluationService() as single_env_svc:
             single_env_svc.register("SvcCounting-v0", SvcCountingEnv)
             batched = run_lottery_sweep(
-                SvcCountingEnv, service_url=single_env_svc.url,
-                service_batch=True, **kw
+                SvcCountingEnv, service_url=single_env_svc.url, **kw
             )
             assert batched.remote_evals > 0
             assert single_env_svc.batch_requests > 0
-            assert single_env_svc.cache_size() > 0  # memoization fed /cache
+            assert single_env_svc.cache_size() == 0  # the memo stayed off
         assert _normalized_records(serial) == _normalized_records(batched)
 
     def test_remote_evals_attributed_to_host(self, service):

@@ -13,10 +13,12 @@ Two gates over ``README.md`` and every ``docs/*.md``, and one over code:
    business.
 2. **Quickstart commands are real.** Every ``--flag`` inside a fenced
    ``bash`` block's ``repro`` / ``python -m repro`` invocation must be
-   an option the live CLI parser actually defines
+   an option the live CLI parser actually defines and documents
    (``repro.cli.build_parser()``, subcommands included), so a renamed
    or removed flag breaks the docs job instead of the first reader
-   who copy-pastes the recipe.
+   who copy-pastes the recipe. A flag hidden from ``--help``
+   (``help=argparse.SUPPRESS``: a retired, accepted no-op) counts as
+   removed.
 3. **Code cites docs that exist.** Every ``*.md`` path cited in a
    ``.py`` file under ``src/``, ``tools/`` or ``benchmarks/`` (a
    docstring's "see docs/ARCHITECTURE.md") must name a file that
@@ -144,7 +146,10 @@ def bash_blocks(path: pathlib.Path):
 
 
 def cli_option_strings():
-    """Every ``--flag`` the live CLI defines, across all subcommands."""
+    """Every ``--flag`` the live CLI documents, across all subcommands
+    (hidden flags — ``help=argparse.SUPPRESS`` — are left out)."""
+    import argparse
+
     from repro.cli import build_parser
 
     flags = set()
@@ -152,9 +157,10 @@ def cli_option_strings():
     while stack:
         parser = stack.pop()
         for action in parser._actions:
-            flags.update(
-                s for s in action.option_strings if s.startswith("--")
-            )
+            if action.help != argparse.SUPPRESS:
+                flags.update(
+                    s for s in action.option_strings if s.startswith("--")
+                )
             choices = getattr(action, "choices", None)
             if isinstance(choices, dict):  # a subparsers action
                 stack.extend(

@@ -6,9 +6,9 @@ Drives the real CLI end to end:
 1. seeds a bootstrap corpus (200 random DRAMGym ground-truth points,
    the "cluster has already accumulated a dataset" starting state of
    the paper's proxy experiments) into each run's shared-cache tier;
-2. runs an unscreened GA baseline (4 lottery trials x 300 samples,
-   ``--generation-dispatch``) and the proxy-screened run of the same
-   lottery at an 8x oversample (4 trials x 60 real evaluations);
+2. runs an unscreened GA baseline (4 lottery trials x 300 samples)
+   and the proxy-screened run of the same lottery at an 8x oversample
+   (4 trials x 60 real evaluations);
 3. gates on the paper's claim: the screened run must reach a best
    cost within ``MAX_GAP`` of the baseline's while paying at least
    ``MIN_EVAL_RATIO`` x fewer real simulator evaluations;
@@ -124,7 +124,7 @@ def main() -> int:
 
     base_out = _warmed(boot, work / "base")
     scr_out = _warmed(boot, work / "scr")
-    _run(*COMMON, "--samples", "300", "--generation-dispatch",
+    _run(*COMMON, "--samples", "300",
          "--out-dir", str(base_out), "--export", str(work / "base.json"))
     stdout = _run(*COMMON, "--samples", "60", "--proxy-screen",
                   "--proxy-oversample", "8", "--proxy-refresh", "0.25",
