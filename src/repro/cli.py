@@ -216,12 +216,6 @@ def _add_durability_args(parser: argparse.ArgumentParser) -> None:
                              "heterogeneous fleets rebalance "
                              "automatically (results stay "
                              "byte-identical); requires --service-url")
-    # Accepted and ignored for one release, so old command lines keep
-    # working.
-    parser.add_argument("--service-batch", action="store_true",
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--generation-dispatch", action="store_true",
-                        help=argparse.SUPPRESS)
     parser.add_argument("--cache-replicas", type=int, default=None,
                         metavar="N",
                         help="with --shared-cache and --service-url: "

@@ -6,7 +6,8 @@ other's design points — the exact waste the paper's "evaluation is the
 bottleneck" argument targets. This module provides second cache tiers
 that outlive any single environment or process, all sharing one
 ``get``/``put``/``__len__`` contract keyed on
-:func:`~repro.core.env.canonical_action_key`:
+:func:`~repro.core.env.canonical_action_key`, plus its bulk form
+``get_many``/``put_many`` (one lookup and one write per generation):
 
 - :class:`SharedCacheStore` — a directory of append-only JSONL shard
   files, for trials sharing a filesystem.
@@ -146,27 +147,78 @@ class SharedCacheStore:
         """
         self.put_encoded(encode_key(key), metrics)
 
+    def get_many(
+        self, keys: Sequence[ActionKey]
+    ) -> Dict[ActionKey, Dict[str, float]]:
+        """Metrics for every stored key of ``keys``; misses are absent.
+        Answers exactly what one :meth:`get` per key would, but re-reads
+        each shard at most once for the whole call."""
+        encoded = {encode_key(key): key for key in keys}
+        found = self.get_many_encoded(list(encoded))
+        return {encoded[key_str]: metrics for key_str, metrics in found.items()}
+
+    def put_many(
+        self, entries: Sequence[Tuple[ActionKey, Dict[str, float]]]
+    ) -> None:
+        """Append many entries: the same lines, in the same order, as
+        one :meth:`put` per entry, but one ``os.write`` per shard (and,
+        when ``durable``, one ``fsync`` per shard)."""
+        self.put_many_encoded([(encode_key(k), m) for k, m in entries])
+
     def get_encoded(self, key_str: str) -> Optional[Dict[str, float]]:
         """:meth:`get` by pre-encoded key — the form wire protocols
         (and the evaluation service's ``/cache`` endpoints) carry."""
-        shard = self._shard_index(key_str)
-        found = self._entries[shard].get(key_str)
-        if found is None:
-            self._refresh(shard)
-            found = self._entries[shard].get(key_str)
-        return dict(found) if found is not None else None
+        return self.get_many_encoded([key_str]).get(key_str)
 
     def put_encoded(self, key_str: str, metrics: Dict[str, float]) -> None:
         """:meth:`put` by pre-encoded key."""
-        shard = self._shard_index(key_str)
-        clean = _finite_metrics(metrics)
-        if self._entries[shard].get(key_str) == clean:
-            return
-        line = (
-            json.dumps({"k": key_str, "m": clean}, separators=(",", ":")) + "\n"
-        ).encode("utf-8")
-        self._append(shard, line)
-        self._entries[shard][key_str] = clean
+        self.put_many_encoded([(key_str, metrics)])
+
+    def get_many_encoded(
+        self, key_strs: Sequence[str]
+    ) -> Dict[str, Dict[str, float]]:
+        """:meth:`get_many` by pre-encoded key."""
+        found: Dict[str, Dict[str, float]] = {}
+        missing: List[Tuple[str, int]] = []
+        for key_str in key_strs:
+            shard = self._shard_index(key_str)
+            entry = self._entries[shard].get(key_str)
+            if entry is None:
+                missing.append((key_str, shard))
+            else:
+                found[key_str] = dict(entry)
+        refreshed: set = set()
+        for key_str, shard in missing:
+            if shard not in refreshed:
+                self._refresh(shard)
+                refreshed.add(shard)
+            entry = self._entries[shard].get(key_str)
+            if entry is not None:
+                found[key_str] = dict(entry)
+        return found
+
+    def put_many_encoded(
+        self, entries: Sequence[Tuple[str, Dict[str, float]]]
+    ) -> None:
+        """:meth:`put_many` by pre-encoded key. Every metric is checked
+        before any byte is written."""
+        staged: Dict[str, Dict[str, float]] = {}
+        by_shard: Dict[int, List[Tuple[str, Dict[str, float]]]] = {}
+        for key_str, metrics in entries:
+            clean = _finite_metrics(metrics)
+            shard = self._shard_index(key_str)
+            if staged.get(key_str, self._entries[shard].get(key_str)) == clean:
+                continue
+            staged[key_str] = clean
+            by_shard.setdefault(shard, []).append((key_str, clean))
+        for shard, shard_entries in by_shard.items():
+            lines = "".join(
+                json.dumps({"k": key_str, "m": clean}, separators=(",", ":"))
+                + "\n"
+                for key_str, clean in shard_entries
+            )
+            self._append(shard, lines.encode("utf-8"))
+            self._entries[shard].update(shard_entries)
 
     def __len__(self) -> int:
         """Distinct keys currently visible (refreshes every shard)."""
@@ -195,12 +247,9 @@ class SharedCacheStore:
         corpus harvester (e.g. the online proxy) can walk either tier
         identically."""
         keys = self.keys_encoded()
-        page: List[Tuple[str, Dict[str, float]]] = []
-        for key_str in keys[offset:offset + limit]:
-            found = self.get_encoded(key_str)
-            if found is not None:
-                page.append((key_str, found))
-        return page, len(keys)
+        window = keys[offset:offset + limit]
+        found = self.get_many_encoded(window)
+        return [(k, found[k]) for k in window if k in found], len(keys)
 
     def __repr__(self) -> str:
         return (
@@ -210,10 +259,11 @@ class SharedCacheStore:
 
     # -- internals ----------------------------------------------------------------
 
-    def _append(self, shard: int, line: bytes) -> None:
-        """One atomic ``O_APPEND`` write; recreates a shard directory
-        deleted out from under the store (e.g. a cleanup racing a
-        long-lived server) instead of failing the sweep."""
+    def _append(self, shard: int, lines: bytes) -> None:
+        """One atomic ``O_APPEND`` write of one or more complete lines;
+        recreates a shard directory deleted out from under the store
+        (e.g. a cleanup racing a long-lived server) instead of failing
+        the sweep."""
         path = self._shard_path(shard)
         try:
             fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
@@ -222,7 +272,7 @@ class SharedCacheStore:
             self._check_meta()
             fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         try:
-            os.write(fd, line)  # single write on O_APPEND: atomic append
+            os.write(fd, lines)  # single write on O_APPEND: atomic append
             if self.durable:
                 os.fsync(fd)
         finally:
@@ -310,15 +360,18 @@ class _CacheHost:
 
 
 class ServerCacheStore:
-    """The same ``get``/``put``/``__len__`` contract as
-    :class:`SharedCacheStore`, backed by the ``/cache`` endpoints of
-    one or more evaluation services instead of a shared filesystem.
+    """The same ``get``/``put``/``__len__`` (and ``get_many``/
+    ``put_many``) contract as :class:`SharedCacheStore`, backed by the
+    ``/cache`` endpoints of one or more evaluation services instead of
+    a shared filesystem.
 
     Point any number of sweeps — on any number of machines — at one
     service URL and they reuse each other's design points. Entries this
     process has already seen are memoized locally (the cost model is
-    deterministic, so a cached copy can never go stale), which keeps
-    HTTP chatter to one round trip per *new* design point.
+    deterministic, so a cached copy can never go stale), and a batched
+    step asks for a whole generation at once, which keeps HTTP chatter
+    to one lookup (``POST /cache``) plus one write per replica
+    (``PUT /cache``) per generation.
 
     Parameters
     ----------
@@ -468,10 +521,11 @@ class ServerCacheStore:
             except ServiceTransportError as exc:
                 self._quarantine(host, exc)
 
-    def _try_put(self, key_str: str, clean: Dict[str, float]) -> int:
-        """Write-through to the first ``replicas`` living hosts;
-        returns how many copies landed (dead hosts are skipped and the
-        fan-out continues down the chain to keep the count)."""
+    def _fan_out(self, op: str, *args: Any) -> int:
+        """Write-through to the first ``replicas`` living hosts, one
+        after another; returns how many copies landed (dead hosts are
+        skipped and the fan-out continues down the chain to keep the
+        count)."""
         written = 0
         for host in self._hosts:
             if written >= self._replicas:
@@ -479,11 +533,24 @@ class ServerCacheStore:
             if not host.alive:
                 continue
             try:
-                host.client.cache_put(key_str, clean)
+                getattr(host.client, op)(*args)
                 written += 1
             except ServiceTransportError as exc:
                 self._quarantine(host, exc)
         return written
+
+    def _write(self, op: str, *args: Any) -> None:
+        """Run one write operation through :meth:`_fan_out`, with the
+        whole-chain revival as its one second chance; raises if no copy
+        landed."""
+        written = self._fan_out(op, *args)
+        if not written and self._revive_all():
+            written = self._fan_out(op, *args)
+        if not written:
+            raise ServiceTransportError(
+                f"shared-cache {op} failed on every replica host: "
+                f"{self._inventory()}"
+            )
 
     # -- public API ---------------------------------------------------------------
 
@@ -512,15 +579,54 @@ class ServerCacheStore:
         clean = self._clean(metrics)
         if self._local.get(key_str) == clean:
             return
-        written = self._try_put(key_str, clean)
-        if not written and self._revive_all():
-            written = self._try_put(key_str, clean)
-        if not written:
-            raise ServiceTransportError(
-                f"shared-cache put failed on every replica host: "
-                f"{self._inventory()}"
-            )
+        self._write("cache_put", key_str, clean)
         self._local[key_str] = clean
+
+    def get_many(
+        self, keys: Sequence[ActionKey]
+    ) -> Dict[ActionKey, Dict[str, float]]:
+        """Metrics for every stored key of ``keys``; misses are absent.
+        Memoized keys answer locally; the rest ride one bulk lookup
+        (``POST /cache``, paged if huge) that fails over along the chain
+        like :meth:`get`. No request goes out when every key is
+        memoized."""
+        found: Dict[ActionKey, Dict[str, float]] = {}
+        ask: Dict[str, ActionKey] = {}
+        for key in keys:
+            key_str = encode_key(key)
+            local = self._local.get(key_str)
+            if local is not None:
+                found[key] = dict(local)
+            else:
+                ask[key_str] = key
+        if ask:
+            answers = self._call("cache_get_many", list(ask))
+            for key_str, metrics in answers.items():
+                if key_str in ask:
+                    clean = self._clean(metrics)
+                    self._local[key_str] = clean
+                    found[ask[key_str]] = dict(clean)
+        return found
+
+    def put_many(
+        self, entries: Sequence[Tuple[ActionKey, Dict[str, float]]]
+    ) -> None:
+        """Store many entries with one bulk write (``PUT /cache``) per
+        replica, under the same idempotence, fan-out and failure rules
+        as :meth:`put`. Every metric is checked before anything is
+        sent, and entries go out in order, so the servers end up exactly
+        as one :meth:`put` per entry would leave them."""
+        send: List[Tuple[str, Dict[str, float]]] = []
+        staged: Dict[str, Dict[str, float]] = {}
+        for key, metrics in entries:
+            key_str, clean = encode_key(key), self._clean(metrics)
+            if staged.get(key_str, self._local.get(key_str)) == clean:
+                continue
+            staged[key_str] = clean
+            send.append((key_str, clean))
+        if send:
+            self._write("cache_put_many", send)
+            self._local.update(staged)
 
     def __len__(self) -> int:
         """Distinct keys held by the first living replica."""

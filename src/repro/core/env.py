@@ -487,7 +487,9 @@ class ArchGymEnv:
         no cache tier can answer are sent through the backend's
         ``evaluate_batch`` hook *together*: one HTTP round trip per
         generation on a remote service (and one scatter over a host
-        pool) instead of one per point.
+        pool) instead of one per point. The shared tier, likewise, is
+        asked once (``get_many``) and written once (``put_many``) per
+        batch.
 
         The batch is processed in proposal order in two passes. The
         *decision* pass classifies every point exactly as the serial
@@ -496,11 +498,12 @@ class ArchGymEnv:
         shared tier — and collects the misses. After one batched
         dispatch of the misses, the *replay* pass applies the serial
         per-point bookkeeping in order: counters, LRU insertion and
-        eviction, shared-cache population, reward computation, episode
-        accounting, and dataset logging. A mid-batch episode end is
-        auto-reset (what the serial driver does between steps); an
-        episode end on the final point leaves ``_needs_reset`` set for
-        the caller, exactly like :meth:`step`.
+        eviction, reward computation, episode accounting, and dataset
+        logging; the misses then go to the shared tier in replay
+        order, as the serial loop would have put them. A mid-batch
+        episode end is auto-reset (what the serial driver does between
+        steps); an episode end on the final point leaves
+        ``_needs_reset`` set for the caller, exactly like :meth:`step`.
         """
         actions, keys = self._validate_batch(actions, "step_batch")
         if not actions:
@@ -517,10 +520,16 @@ class ArchGymEnv:
                 self._check_metrics(metrics)
 
         # -- replay pass: the serial per-point bookkeeping, in order
-        return [
-            self._replay_point(action, key, tag, ref, miss_metrics, shared_seen)
-            for action, key, (tag, ref) in zip(actions, keys, plan)
-        ]
+        puts: List[Tuple[ActionKey, Dict[str, float]]] = []
+        try:
+            return [
+                self._replay_point(
+                    action, key, tag, ref, miss_metrics, shared_seen, puts
+                )
+                for action, key, (tag, ref) in zip(actions, keys, plan)
+            ]
+        finally:
+            self._flush_shared(puts)
 
     def step_batch_stream(
         self, actions: Sequence[Mapping[str, Any]]
@@ -541,7 +550,10 @@ class ArchGymEnv:
         eagerly at call time. The caller must drain the generator — a
         partially consumed stream leaves the episode bookkeeping
         mid-batch (the dispatcher itself stops handing out work when
-        the generator is closed). Backends without streaming support
+        the generator is closed). The shared tier gets the batch's
+        misses in one write just before the last result is handed
+        over, or — for a stream closed early — the misses replayed so
+        far when it is closed. Backends without streaming support
         (including in-process evaluation) fall back to one whole-batch
         chunk, so this is always safe to call.
         """
@@ -583,12 +595,25 @@ class ArchGymEnv:
                     self._check_metrics(metrics)
                     miss_metrics[chunk_start + offset] = metrics
 
-        for action, key, (tag, ref) in zip(actions, keys, plan):
-            if tag in ("miss", "shared-dup"):
-                fill(ref)
-            yield self._replay_point(
-                action, key, tag, ref, miss_metrics, shared_seen
-            )
+        puts: List[Tuple[ActionKey, Dict[str, float]]] = []
+        last = len(plan) - 1
+        try:
+            for i, (action, key, (tag, ref)) in enumerate(
+                zip(actions, keys, plan)
+            ):
+                if tag in ("miss", "shared-dup"):
+                    fill(ref)
+                result = self._replay_point(
+                    action, key, tag, ref, miss_metrics, shared_seen, puts
+                )
+                if i == last:
+                    # Before the last result, not after it: a caller
+                    # that stops pulling once it holds every result
+                    # must still leave the shared tier complete.
+                    self._flush_shared(puts)
+                yield result
+        finally:
+            self._flush_shared(puts)
 
     def _validate_batch(
         self, actions: Sequence[Mapping[str, Any]], caller: str
@@ -638,10 +663,17 @@ class ArchGymEnv:
         first, only when an insert overflows ``maxsize``. In-batch
         duplicates — and duplicates evicted again by a batch larger
         than the LRU — thus resolve exactly as they would serially.
+
+        Every point moves to the LRU's end whatever its tag, so the
+        overlay runs alone first, and the points it cannot answer are
+        known before the shared tier is asked anything: their distinct
+        keys go out in one ``get_many``. The serial loop asks the tier
+        about exactly these keys (a repeat is answered by the earlier
+        point's lookup or miss), so the classification is unchanged.
         Returns ``(plan, miss_actions, shared_seen)``: per-point
         ``("local"|"shared"|"shared-dup"|"miss", ref)`` tags, the
         design points no cache tier could answer (in proposal order),
-        and the shared-tier answers already fetched.
+        and the shared-tier answers fetched.
         """
         plan: List[Tuple[str, Any]] = []
         miss_actions: List[Mapping[str, Any]] = []
@@ -651,7 +683,6 @@ class ArchGymEnv:
         head = len(lru) if lru is not None else 0
         oldest: Optional[Iterator[ActionKey]] = None
         pending: Dict[ActionKey, int] = {}  # in-batch miss -> its index
-        shared_seen: Dict[ActionKey, Dict[str, float]] = {}
 
         def sim_contains(key: Optional[ActionKey]) -> bool:
             return lru is not None and (
@@ -679,34 +710,37 @@ class ArchGymEnv:
                 gone.add(next(k for k in oldest if k not in gone))
                 head -= 1
 
-        for action, key in zip(actions, keys):
-            if sim_contains(key):
+        in_lru: List[bool] = []
+        for key in keys:
+            in_lru.append(sim_contains(key))
+            if key is not None:
                 sim_remember(key)
+        shared = self._shared_cache
+        shared_seen: Dict[ActionKey, Dict[str, float]] = {}
+        if shared is not None:
+            wanted = list(dict.fromkeys(
+                key for key, hit in zip(keys, in_lru) if not hit
+            ))
+            if wanted:
+                shared_seen = shared.get_many(wanted)
+
+        for action, key, hit in zip(actions, keys, in_lru):
+            if hit:
                 plan.append(("local", key))
-                continue
-            if key is not None and key in pending and self._shared_cache is not None:
+            elif key in pending and shared is not None:
                 # An earlier in-batch miss already evaluated (and will
                 # shared-put) this point; with the local LRU disabled or
                 # having evicted it, the serial lookup finds it in the
                 # shared tier.
                 plan.append(("shared-dup", pending[key]))
-                sim_remember(key)
-                continue
-            if key is not None and self._shared_cache is not None:
-                found = shared_seen.get(key)
-                if found is None:
-                    found = self._shared_cache.get(key)
-                if found is not None:
-                    shared_seen[key] = found
-                    plan.append(("shared", key))
-                    sim_remember(key)
-                    continue
-            index = len(miss_actions)
-            miss_actions.append(action)
-            plan.append(("miss", index))
-            if key is not None:
-                pending[key] = index
-                sim_remember(key)
+            elif key in shared_seen:
+                plan.append(("shared", key))
+            else:
+                index = len(miss_actions)
+                miss_actions.append(action)
+                plan.append(("miss", index))
+                if key is not None:
+                    pending[key] = index
         return plan, miss_actions, shared_seen
 
     def _replay_point(
@@ -717,11 +751,13 @@ class ArchGymEnv:
         ref: Any,
         miss_metrics: Sequence[Optional[Dict[str, float]]],
         shared_seen: Dict[ActionKey, Dict[str, float]],
+        puts: List[Tuple[ActionKey, Dict[str, float]]],
     ) -> StepResult:
         """Replay pass for one classified point: the serial per-point
-        bookkeeping — counters, LRU insertion/eviction, shared-cache
-        population, reward, episode accounting, dataset logging — in
-        exactly the order :meth:`step` applies it."""
+        bookkeeping — counters, LRU insertion/eviction, reward, episode
+        accounting, dataset logging — in exactly the order :meth:`step`
+        applies it. A miss bound for the shared tier is appended to
+        ``puts``, which the caller writes in one :meth:`_flush_shared`."""
         if self._needs_reset:
             # A mid-batch episode end: the serial driver resets
             # between steps, so the batch path does too.
@@ -749,7 +785,7 @@ class ArchGymEnv:
                 clean = {k: float(v) for k, v in metrics.items()}
                 self._remember_local(key, clean)
                 if self._shared_cache is not None:
-                    self._shared_cache.put(key, clean)
+                    puts.append((key, clean))
 
         reward = self.reward_spec.compute(metrics)
         observation = np.array(
@@ -783,6 +819,16 @@ class ArchGymEnv:
             )
 
         return (observation, float(reward), terminated, truncated, info)
+
+    def _flush_shared(self, puts: List[Tuple[ActionKey, Dict[str, float]]]) -> None:
+        """Write a batch's replayed misses to the shared tier with one
+        ``put_many``, in replay order — the entries, and their order,
+        the serial loop's per-point ``put`` calls would have written.
+        Empties ``puts``, so a second call writes nothing."""
+        if puts:
+            entries = list(puts)
+            puts.clear()
+            self._shared_cache.put_many(entries)
 
     # -- convenience ------------------------------------------------------------------
 

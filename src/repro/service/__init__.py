@@ -3,8 +3,9 @@ agent — unmodified — evaluates design points over the network.
 
 Server side: :class:`EvaluationService` (stdlib ``ThreadingHTTPServer``)
 serves ``POST /evaluate``, ``POST /evaluate_batch`` (many design
-points per round trip, memoized server-side into the cache store),
-``GET /healthz``, and ``GET/PUT /cache/<key>``.
+points per round trip), ``GET /healthz``, ``GET/PUT /cache/<key>``,
+and the bulk ``POST /cache`` (look up many keys) and ``PUT /cache``
+(write many entries) a batched step sends once per generation.
 Client side: :class:`ServiceClient` (persistent keep-alive
 connections, retry/timeout policy), :class:`RemoteBackend` (adapts a
 client — or a :class:`repro.sweeps.HostPool` — to ``ArchGymEnv``'s

@@ -22,7 +22,7 @@ batching and reuse.
 
 Retry policy
 ------------
-The evaluation API is deterministic and idempotent (``evaluate`` memoizes
+The evaluation API is deterministic and idempotent (``evaluate`` runs
 a pure cost model; cache ``PUT`` is last-writer-wins), so *transport*
 failures — connection refused/reset, socket timeout, a body that does
 not parse — are retried up to ``retries`` times with exponential
@@ -47,10 +47,12 @@ from urllib.parse import urlsplit
 
 from repro.core.errors import ServiceError, ServiceTransportError
 from repro.service.wire import (
+    MAX_CACHE_PAGE,
     dump_body,
     jsonify,
     key_to_token,
     parse_batch_response,
+    parse_cache_entries,
     parse_cache_listing,
     parse_metrics_response,
 )
@@ -354,6 +356,32 @@ class ServiceClient:
         self._checked(
             "PUT", f"/cache/{key_to_token(key_str)}", {"metrics": jsonify(metrics)}
         )
+
+    def cache_get_many(
+        self, key_strs: Sequence[str]
+    ) -> Dict[str, Dict[str, float]]:
+        """Bulk server-cache lookup by encoded keys: ``{key_str:
+        metrics}`` for the keys the server holds (misses absent). One
+        ``POST /cache`` per :data:`MAX_CACHE_PAGE` keys; none for an
+        empty input."""
+        found: Dict[str, Dict[str, float]] = {}
+        for start in range(0, len(key_strs), MAX_CACHE_PAGE):
+            page = list(key_strs[start:start + MAX_CACHE_PAGE])
+            found.update(parse_cache_entries(
+                self._checked("POST", "/cache", {"keys": page})
+            ))
+        return found
+
+    def cache_put_many(
+        self, entries: Sequence[Tuple[str, Dict[str, float]]]
+    ) -> None:
+        """Store many ``(key_str, metrics)`` entries in order: one
+        ``PUT /cache`` per :data:`MAX_CACHE_PAGE` entries; none for an
+        empty input. Idempotent like :meth:`cache_put`, so the retry
+        policy applies unchanged."""
+        for start in range(0, len(entries), MAX_CACHE_PAGE):
+            page = list(entries[start:start + MAX_CACHE_PAGE])
+            self._checked("PUT", "/cache", {"entries": page})
 
     def cache_size(self) -> int:
         """Distinct keys currently held by the server cache."""

@@ -2,7 +2,7 @@
 
 The paper's wall-clock argument (§6, Fig. 8) is that *simulator* cost
 dominates search; :class:`EvaluationService` lets that cost live in a
-separate process — or on a separate machine — behind three endpoints:
+separate process — or on a separate machine — behind these endpoints:
 
 ``GET /healthz``
     Liveness + inventory: wire format, registered environment names,
@@ -43,6 +43,15 @@ separate process — or on a separate machine — behind three endpoints:
     replays into a revived replica. With ``cache_dir`` the map is
     durably file-backed (a ``SharedCacheStore`` the server owns);
     otherwise it is in-memory.
+``POST /cache`` and ``PUT /cache``
+    The bulk forms a batched step uses, one of each per generation.
+    ``POST /cache`` with ``{"keys": [key, ...]}`` answers
+    ``{"entries": [[key, metrics], ...]}`` for the keys the map holds
+    (misses are absent); ``PUT /cache`` with ``{"entries": [[key,
+    metrics], ...]}`` stores every entry in order (last writer wins)
+    and answers ``{"stored": n}``. Keys are encoded key strings, not
+    tokens; a body holds at most ``MAX_CACHE_PAGE`` keys or entries,
+    and each request takes the map's lock once.
 
 Everything is stdlib: ``http.server.ThreadingHTTPServer`` + ``json``.
 Server-side failures are reported as JSON ``{"error": ...}`` bodies
@@ -72,7 +81,9 @@ from repro.service.wire import (
     dump_body,
     load_body,
     parse_batch_request,
+    parse_cache_lookup,
     parse_cache_query,
+    parse_cache_write,
     token_to_key,
 )
 
@@ -304,19 +315,31 @@ class EvaluationService:
         return [r for r in results if r is not None], memo_hits
 
     def cache_get(self, key_str: str) -> Optional[Dict[str, float]]:
-        with self._cache_lock:
-            if self._cache_store is not None:
-                return self._cache_store.get_encoded(key_str)
-            found = self._mem_cache.get(key_str)
-            return dict(found) if found is not None else None
+        return self.cache_get_many([key_str]).get(key_str)
 
     def cache_put(self, key_str: str, metrics: Dict[str, float]) -> None:
-        clean = clean_metrics(metrics)
+        self.cache_put_many([(key_str, metrics)])
+
+    def cache_get_many(self, key_strs: List[str]) -> Dict[str, Dict[str, float]]:
+        """``{key_str: metrics}`` for every held key of ``key_strs``
+        (misses absent), under one lock hold."""
         with self._cache_lock:
             if self._cache_store is not None:
-                self._cache_store.put_encoded(key_str, clean)
+                return self._cache_store.get_many_encoded(key_strs)
+            return {
+                k: dict(self._mem_cache[k])
+                for k in key_strs if k in self._mem_cache
+            }
+
+    def cache_put_many(self, entries: List[Tuple[str, Dict[str, float]]]) -> None:
+        """Store every entry in order (last writer wins) under one lock
+        hold; every metric is checked before anything is stored."""
+        clean = [(key_str, clean_metrics(m)) for key_str, m in entries]
+        with self._cache_lock:
+            if self._cache_store is not None:
+                self._cache_store.put_many_encoded(clean)
             else:
-                self._mem_cache[key_str] = clean
+                self._mem_cache.update(clean)
 
     def cache_size(self) -> int:
         with self._cache_lock:
@@ -687,6 +710,12 @@ class _Handler(BaseHTTPRequestHandler):
                 self._handle_evaluate()
             elif self.path == "/evaluate_batch":
                 self._handle_evaluate_batch()
+            elif self.path == "/cache":
+                keys = parse_cache_lookup(self._read_json())
+                found = self.service.cache_get_many(keys)
+                self._reply(
+                    200, {"entries": [[k, m] for k, m in found.items()]}
+                )
             else:
                 self._reply(404, {"error": f"no route {self.path!r}"})
 
@@ -727,6 +756,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_PUT(self) -> None:
         def handle() -> None:
+            if self.path == "/cache":
+                entries = parse_cache_write(self._read_json())
+                self.service.cache_put_many(entries)
+                self._reply(200, {"stored": len(entries)})
+                return
             if not self.path.startswith("/cache/"):
                 self._reply(404, {"error": f"no route {self.path!r}"})
                 return

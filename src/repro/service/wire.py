@@ -16,7 +16,10 @@ bit-identical to an in-process one all live here:
 - **Cache keys** travel inside URL paths as padding-free urlsafe
   base64 of the :func:`repro.core.cache_store.encode_key` string, so
   arbitrary key content (quotes, brackets, unicode) never fights URL
-  quoting rules.
+  quoting rules. The bulk requests carry them as plain JSON strings
+  in the body, and every body that holds cache entries — listing
+  page, bulk lookup answer, bulk write — spells them
+  ``[[key, metrics], ...]``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 from urllib.parse import parse_qsl
 
 import numpy as np
@@ -42,8 +45,11 @@ __all__ = [
     "clean_metrics",
     "parse_batch_request",
     "parse_cache_query",
+    "parse_cache_lookup",
+    "parse_cache_write",
     "parse_metrics_response",
     "parse_batch_response",
+    "parse_cache_entries",
     "parse_cache_listing",
     "key_to_token",
     "token_to_key",
@@ -56,8 +62,9 @@ WIRE_FORMAT = "archgym-service-v1"
 
 #: Page size ``GET /cache?offset=N`` uses when no ``limit`` is given.
 DEFAULT_CACHE_PAGE = 500
-#: Hard ceiling on one listing page — a reply must stay a bounded
-#: allocation however greedy the requested ``limit`` is.
+#: Hard ceiling on one listing page, and on the keys or entries of one
+#: bulk ``/cache`` request — a body must stay a bounded allocation
+#: however greedy its sender is (the client pages larger inputs).
 MAX_CACHE_PAGE = 5000
 
 
@@ -202,6 +209,53 @@ def parse_cache_query(query: str) -> Tuple[int, int]:
     return offset, min(limit, MAX_CACHE_PAGE)
 
 
+def _check_page(n_items: int, what: str) -> None:
+    if n_items > MAX_CACHE_PAGE:
+        raise ServiceError(
+            f"{what} carries {n_items} items; at most {MAX_CACHE_PAGE} "
+            "fit one body"
+        )
+
+
+def _cache_pairs(raw_entries: Any, what: str) -> List[Tuple[str, Mapping]]:
+    """Shape-check a ``[[key, metrics], ...]`` list of at most
+    :data:`MAX_CACHE_PAGE` entries (``what`` names the body)."""
+    if not isinstance(raw_entries, list):
+        raise ServiceError(f"{what} has no 'entries' list")
+    _check_page(len(raw_entries), what)
+    pairs = []
+    for i, item in enumerate(raw_entries):
+        if (
+            not isinstance(item, (list, tuple))
+            or len(item) != 2
+            or not isinstance(item[0], str)
+            or not isinstance(item[1], Mapping)
+        ):
+            raise ServiceError(
+                f"{what} entry {i} is not a [key, metrics] pair: {item!r}"
+            )
+        pairs.append((item[0], item[1]))
+    return pairs
+
+
+def parse_cache_lookup(request: Any) -> List[str]:
+    """Validate one bulk ``POST /cache`` body, ``{"keys": [key, ...]}``
+    with at most :data:`MAX_CACHE_PAGE` encoded keys."""
+    keys = request.get("keys") if isinstance(request, dict) else None
+    if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
+        raise ServiceError("cache lookup body needs a 'keys' list of strings")
+    _check_page(len(keys), "cache lookup body")
+    return keys
+
+
+def parse_cache_write(request: Any) -> List[Tuple[str, Mapping]]:
+    """Validate one bulk ``PUT /cache`` body,
+    ``{"entries": [[key, metrics], ...]}`` with at most
+    :data:`MAX_CACHE_PAGE` entries."""
+    entries = request.get("entries") if isinstance(request, dict) else None
+    return _cache_pairs(entries, "cache write body")
+
+
 def parse_metrics_response(parsed: Dict[str, Any], what: str) -> Dict[str, float]:
     """Validate one ``{"metrics": {...}}`` response body (``what``
     names the call for the error)."""
@@ -232,28 +286,26 @@ def parse_batch_response(
     return out
 
 
+def parse_cache_entries(parsed: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
+    """Validate one bulk ``POST /cache`` answer: ``{key_str: metrics}``
+    for the keys the server holds."""
+    return {
+        key_str: {str(k): float(v) for k, v in metrics.items()}
+        for key_str, metrics in _cache_pairs(
+            parsed.get("entries"), "cache lookup response"
+        )
+    }
+
+
 def parse_cache_listing(parsed: Dict[str, Any]) -> Tuple[list, int]:
     """Validate one ``GET /cache?offset=...`` listing page: returns
     ``(entries, total)`` with entries as ``(key_str, metrics)`` pairs."""
-    raw_entries = parsed.get("entries")
-    if not isinstance(raw_entries, list):
-        raise ServiceError(
-            f"cache listing response has no entries list: {parsed!r}"
+    entries = [
+        (key_str, {str(k): float(v) for k, v in metrics.items()})
+        for key_str, metrics in _cache_pairs(
+            parsed.get("entries"), "cache listing response"
         )
-    entries = []
-    for i, item in enumerate(raw_entries):
-        if (
-            not isinstance(item, (list, tuple))
-            or len(item) != 2
-            or not isinstance(item[1], dict)
-        ):
-            raise ServiceError(
-                f"cache listing entry {i} is not a [key, metrics] "
-                f"pair: {item!r}"
-            )
-        entries.append(
-            (str(item[0]), {str(k): float(v) for k, v in item[1].items()})
-        )
+    ]
     return entries, int(parsed.get("size", 0))
 
 

@@ -436,9 +436,10 @@ class HostPool:
         its replicas still hold every entry the shared cache tier
         wrote through. Before the revived host takes traffic again,
         copy one live donor's ``GET /cache`` listing into it page by
-        page, so none of its lost entries ever forces a re-simulation.
-        Best-effort: if the donor (or the revived host) dies mid-copy
-        the partial progress is kept and the next donor — or the next
+        page — one bulk ``PUT /cache`` per page — so none of its lost
+        entries ever forces a re-simulation. Best-effort: if the donor
+        (or the revived host) dies mid-copy the pages already written
+        are kept (and counted) and the next donor — or the next
         revival — continues; reads fall back to replicas meanwhile.
         """
         with self._lock:
@@ -451,9 +452,8 @@ class HostPool:
                     entries, total = donor.probe_client.cache_list(
                         offset=offset, limit=_BACKFILL_PAGE
                     )
-                    for key_str, metrics in entries:
-                        revived.probe_client.cache_put(key_str, metrics)
-                        copied += 1
+                    revived.probe_client.cache_put_many(entries)
+                    copied += len(entries)
                     offset += len(entries)
                     if not entries or offset >= total:
                         break

@@ -87,8 +87,6 @@ FINGERPRINT_EXEMPT = {
     "cache_replicas": "shared-cache write-through fan-out; deterministic reuse only",
     "auto_weights": "observed-rate host weighting; dispatch placement only",
     "pipeline": "streaming dispatch with stealing, same results",
-    "service_batch": "accepted no-op, removed next round",
-    "generation_dispatch": "accepted no-op, removed next round",
     "out_dir": "names the shard directory itself",
     "resume": "re-runs only missing trials of the same fingerprint",
     # -- presentation-only flags --

@@ -1,12 +1,14 @@
 """Tests for the cross-process shared evaluation cache stores.
 
 ``CacheStoreContract`` is the shared behavioral suite: any object with
-the ``get``/``put``/``__len__`` store interface must pass it. It runs
-against both shipped implementations — the file-backed
-:class:`SharedCacheStore` and the service-backed
-:class:`ServerCacheStore` — so a future store variant inherits the
-battery by subclassing and providing a ``make_store`` fixture that
-returns fresh *handles onto one shared backing*.
+the ``get``/``put``/``__len__`` store interface and its bulk form
+``get_many``/``put_many`` must pass it. It runs against both shipped
+implementations — the file-backed :class:`SharedCacheStore` and the
+service-backed :class:`ServerCacheStore` — so a future store variant
+inherits the battery by subclassing and providing a ``make_store``
+fixture that returns fresh *handles onto one shared backing*, plus an
+``io_calls`` fixture counting the file accesses or requests a handle
+has made.
 """
 
 import threading
@@ -16,7 +18,12 @@ import pytest
 
 from repro.core.cache_store import ServerCacheStore, SharedCacheStore, encode_key
 from repro.core.env import ArchGymEnv, canonical_action_key
-from repro.core.errors import ArchGymError, CacheStoreError, ServiceError
+from repro.core.errors import (
+    ArchGymError,
+    CacheStoreError,
+    ServiceError,
+    ServiceTransportError,
+)
 from repro.core.rewards import TargetReward
 from repro.core.spaces import Categorical, CompositeSpace, Discrete
 from repro.service import EvaluationService
@@ -31,6 +38,32 @@ def _put_from_subprocess(directory):
     store = SharedCacheStore(directory)
     store.put(_key(99), {"cost": 3.25})
     return True
+
+
+def _dead_urls(n):
+    """``n`` URLs nothing listens on (bind, read the port back, close)."""
+    import socket
+
+    urls = []
+    for _ in range(n):
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            urls.append(f"http://127.0.0.1:{s.getsockname()[1]}")
+    return urls
+
+
+class _CountingSharedStore(SharedCacheStore):
+    """A file store that counts its shard reads and appends."""
+
+    io_calls = 0
+
+    def _append(self, shard, lines):
+        self.io_calls += 1
+        super()._append(shard, lines)
+
+    def _refresh(self, shard):
+        self.io_calls += 1
+        super()._refresh(shard)
 
 
 # -- the shared store contract --------------------------------------------------
@@ -175,11 +208,87 @@ class CacheStoreContract:
         assert fresh.get(_key(0)) in candidates
         assert len(fresh) == 1
 
+    # -- the bulk form ------------------------------------------------------------
+
+    def test_bulk_roundtrip(self, make_store):
+        entries = [(_key(i), {"cost": i / 3, "power": 0.1 * i}) for i in range(6)]
+        make_store().put_many(entries)
+        assert make_store().get_many([k for k, _ in entries]) == dict(entries)
+        assert len(make_store()) == 6
+
+    def test_bulk_misses_are_absent(self, make_store):
+        store = make_store()
+        store.put(_key(1), {"cost": 1.0})
+        assert store.get_many([_key(1), _key(2)]) == {_key(1): {"cost": 1.0}}
+        assert make_store().get_many([_key(3), _key(4)]) == {}
+
+    def test_bulk_matches_per_point_calls(self, make_store):
+        make_store().put_many([(_key(1), {"cost": 1.0})])
+        make_store().put(_key(2), {"cost": 2.0})
+        fresh = make_store()
+        assert fresh.get_many([_key(1), _key(2)]) == {
+            _key(1): fresh.get(_key(1)), _key(2): fresh.get(_key(2)),
+        }
+
+    def test_bulk_duplicate_keys_in_one_call(self, make_store):
+        """Repeats in one call behave like repeated single calls: an
+        equal value is stored once, a different one wins as the later
+        write, and a repeated lookup key is answered once."""
+        store = make_store()
+        store.put_many([
+            (_key(1), {"cost": 1.0}), (_key(2), {"cost": 2.0}),
+            (_key(1), {"cost": 1.0}),
+            (_key(3), {"cost": 0.0}), (_key(3), {"cost": 3.0}),
+        ])
+        assert store.get_many([_key(3)]) == {_key(3): {"cost": 3.0}}
+        fresh = make_store()
+        assert fresh.get_many([_key(1), _key(3), _key(1)]) == {
+            _key(1): {"cost": 1.0}, _key(3): {"cost": 3.0},
+        }
+        assert len(fresh) == 3
+
+    def test_bulk_empty_input_is_a_no_op(self, make_store, io_calls):
+        store = make_store()
+        before = io_calls(store)
+        assert store.get_many([]) == {}
+        store.put_many([])
+        assert io_calls(store) == before
+        assert len(make_store()) == 0
+
+    def test_bulk_same_value_re_put_is_idempotent(self, make_store, io_calls):
+        store = make_store()
+        entries = [(_key(i), {"cost": float(i)}) for i in range(3)]
+        store.put_many(entries)
+        before = io_calls(store)
+        store.put_many(entries)
+        store.put_many([(_key(0), {"cost": 0}), (_key(1), {"cost": 1.0})])
+        # every key is held by this handle: answered without any I/O
+        assert store.get_many([k for k, _ in entries]) == dict(entries)
+        assert io_calls(store) == before
+        assert len(make_store()) == 3
+
+    def test_bulk_non_finite_metric_rejected_before_any_write(
+        self, make_store, io_calls
+    ):
+        store = make_store()
+        before = io_calls(store)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(CacheStoreError, match="non-finite"):
+                store.put_many([
+                    (_key(1), {"cost": 1.0}), (_key(2), {"cost": bad}),
+                ])
+        assert io_calls(store) == before
+        assert len(make_store()) == 0
+
 
 class TestSharedCacheStoreContract(CacheStoreContract):
     @pytest.fixture()
     def make_store(self, tmp_path):
-        return lambda: SharedCacheStore(tmp_path / "cache")
+        return lambda: _CountingSharedStore(tmp_path / "cache")
+
+    @pytest.fixture()
+    def io_calls(self):
+        return lambda store: store.io_calls
 
 
 class TestServerCacheStoreContract(CacheStoreContract):
@@ -189,6 +298,10 @@ class TestServerCacheStoreContract(CacheStoreContract):
             yield lambda: ServerCacheStore(
                 svc.url, timeout_s=10.0, retries=1, backoff_s=0.01
             )
+
+    @pytest.fixture()
+    def io_calls(self):
+        return lambda store: sum(h.client.requests_sent for h in store._hosts)
 
 
 # -- SharedCacheStore specifics --------------------------------------------------
@@ -240,6 +353,58 @@ class TestSharedStoreBasics:
         durable = SharedCacheStore(tmp_path / "durable", durable=True)
         durable.put(_key(1), {"cost": 1.0})
         assert len(synced) == 1
+
+
+class TestSharedStoreBulk:
+    """The file tier's bulk form touches each shard once per call and
+    writes the same bytes as one ``put`` per entry."""
+
+    def _shard_bytes(self, directory):
+        return {
+            p.name: p.read_bytes()
+            for p in sorted(directory.glob("shard-*.jsonl"))
+        }
+
+    def test_put_many_writes_the_bytes_of_per_point_puts(self, tmp_path):
+        entries = [(_key(i), {"cost": float(i), "power": i / 7}) for i in range(40)]
+        entries.append((_key(3), {"cost": -3.0}))  # a later, different value
+        serial = SharedCacheStore(tmp_path / "serial", n_shards=4)
+        for key, metrics in entries:
+            serial.put(key, metrics)
+        bulk = SharedCacheStore(tmp_path / "bulk", n_shards=4)
+        bulk.put_many(entries)
+        assert self._shard_bytes(tmp_path / "bulk") == self._shard_bytes(
+            tmp_path / "serial"
+        )
+
+    def test_one_write_and_one_fsync_per_shard(self, tmp_path, monkeypatch):
+        import os as os_module
+
+        writes, synced = [], []
+        real_write, real_fsync = os_module.write, os_module.fsync
+        monkeypatch.setattr(
+            "repro.core.cache_store.os.write",
+            lambda fd, data: (writes.append(fd), real_write(fd, data))[1],
+        )
+        monkeypatch.setattr(
+            "repro.core.cache_store.os.fsync",
+            lambda fd: (synced.append(fd), real_fsync(fd)),
+        )
+        store = SharedCacheStore(tmp_path / "cache", n_shards=4, durable=True)
+        store.put_many([(_key(i), {"cost": float(i)}) for i in range(64)])
+        shards = len(list((tmp_path / "cache").glob("shard-*.jsonl")))
+        assert len(writes) == len(synced) == shards == 4
+
+    def test_get_many_refreshes_each_shard_at_most_once(self, tmp_path):
+        SharedCacheStore(tmp_path / "cache", n_shards=4).put_many(
+            [(_key(i), {"cost": float(i)}) for i in range(32)]
+        )
+        reader = _CountingSharedStore(tmp_path / "cache", n_shards=4)
+        found = reader.get_many([_key(i) for i in range(64)])
+        assert found == {_key(i): {"cost": float(i)} for i in range(32)}
+        assert reader.io_calls == 4
+        reader.get_many([_key(i) for i in range(32)])  # all held: no reads
+        assert reader.io_calls == 4
 
 
 class TestSharding:
@@ -438,6 +603,52 @@ class TestServerStoreReplication:
             store.get(_key(1))
         with pytest.raises(ServiceError):
             store.put(_key(1), {"cost": 1.0})
+
+    def test_put_many_fans_out_to_replicas(self):
+        """One bulk write per replica, to the first ``replicas`` hosts
+        of the chain; the host past the factor gets nothing."""
+        with EvaluationService() as a, EvaluationService() as b, \
+                EvaluationService() as c:
+            store = ServerCacheStore(
+                a.url, fallbacks=(b.url, c.url), replicas=2,
+                timeout_s=10.0, retries=0,
+            )
+            store.put_many([(_key(i), {"cost": float(i)}) for i in range(5)])
+            assert [a.cache_size(), b.cache_size(), c.cache_size()] == [5, 5, 0]
+            assert [h.client.requests_sent for h in store._hosts] == [1, 1, 0]
+
+    def test_get_many_fails_over_after_primary_death(self):
+        a = EvaluationService()
+        a.start()
+        try:
+            with EvaluationService() as b:
+                writer = ServerCacheStore(
+                    a.url, fallbacks=(b.url,),
+                    timeout_s=2.0, retries=0, backoff_s=0.01,
+                )
+                entries = [(_key(i), {"cost": float(i)}) for i in range(4)]
+                writer.put_many(entries)
+                reader = ServerCacheStore(
+                    a.url, fallbacks=(b.url,),
+                    timeout_s=2.0, retries=0, backoff_s=0.01,
+                )
+                a.stop()
+                keys = [k for k, _ in entries] + [_key(9)]
+                assert reader.get_many(keys) == dict(entries)
+                assert not reader._hosts[0].alive
+        finally:
+            a.stop()
+
+    def test_put_many_without_a_landed_copy_raises(self):
+        primary, fallback = _dead_urls(2)
+        store = ServerCacheStore(
+            primary, fallbacks=(fallback,),
+            timeout_s=1.0, retries=0, backoff_s=0.01,
+        )
+        with pytest.raises(ServiceTransportError, match="every replica"):
+            store.put_many([(_key(1), {"cost": 1.0})])
+        # nothing landed, so nothing is memoized: the retry is re-sent
+        assert store._local == {}
 
     def test_get_and_put_memoize_through_one_cleaner(self):
         """Regression: ``get`` used to memoize the server's dict

@@ -111,34 +111,16 @@ class TestCommands:
         assert code == 0
         assert out.read_text().startswith("env_id")
 
-    @pytest.mark.parametrize("flag", ["--generation-dispatch", "--service-batch"])
-    def test_retired_flag_is_an_accepted_no_op(self, flag, tmp_path, capsys):
-        """A retired dispatch flag still parses (old command lines keep
-        working), is hidden from ``--help``, and changes nothing."""
-        args = [
-            "sweep", "--env", "MaestroGym-v0", "--agents", "rw,ga",
-            "--trials", "2", "--samples", "8", "--seed", "5",
-        ]
-        exports = {}
-        for name, extra in (("plain", []), ("flagged", [flag])):
-            exports[name] = tmp_path / f"{name}.json"
-            assert main(args + extra + ["--export", str(exports[name])]) == 0
-        payloads = [json.loads(p.read_text()) for p in exports.values()]
-        for payload in payloads:
-            for row in payload["rows"]:
-                row["wall_time_s"] = row["sim_time_s"] = 0.0
-        assert payloads[0] == payloads[1]
-        capsys.readouterr()
-        with pytest.raises(SystemExit):
-            main(["sweep", "--help"])
-        assert flag not in capsys.readouterr().out
-
-    def test_removed_async_flag_exits_2(self, capsys):
-        """``--async-dispatch`` served its round as a no-op and is gone."""
+    @pytest.mark.parametrize(
+        "flag", ["--async-dispatch", "--generation-dispatch", "--service-batch"]
+    )
+    def test_removed_async_flag_exits_2(self, flag, capsys):
+        """The retired dispatch flags served their round as hidden
+        no-ops and are gone: argparse rejects each one by name."""
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--env", "MaestroGym-v0", "--async-dispatch"])
+            main(["sweep", "--env", "MaestroGym-v0", flag])
         assert exc.value.code == 2
-        assert "--async-dispatch" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
 
 class TestDurableCommands:

@@ -12,7 +12,8 @@ Four batteries:
    counter accounting; a Hypothesis property holds ``step_batch`` and
    ``step_batch_stream`` to it over random proposal sequences, LRU
    sizes, shared-tier states, episode lengths and chunk arrival
-   orders, and the decision pass reads O(batch) of a full LRU.
+   orders (shared-tier bytes and bulk-call counts included), and the
+   decision pass reads O(batch) of a full LRU.
 3. **Driver parity** — ``run_agent`` (the generation protocol) is
    byte-identical to the point-at-a-time reference driver
    (``tests/serial_reference.py``) for every built-in agent.
@@ -23,7 +24,7 @@ Four batteries:
 """
 
 import tempfile
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,28 @@ class TestStepBatchParity:
         assert batched.stats.shared_cache_hits == serial.stats.shared_cache_hits
         assert batched.stats.shared_cache_hits >= 2  # prepopulated + dups
 
+    def test_stream_writes_the_shared_tier_before_its_last_result(
+        self, tmp_path
+    ):
+        """A caller holding the stream open after taking every result
+        (``zip`` over the proposals does) must find the batch's misses
+        in the shared tier already; a stream closed early writes the
+        misses it replayed."""
+        env = _env()
+        env.attach_shared_cache(SharedCacheStore(tmp_path / "whole"))
+        stream = env.step_batch_stream(ACTIONS)
+        results = [next(stream) for _ in ACTIONS]
+        assert len(results) == len(ACTIONS)
+        assert len(SharedCacheStore(tmp_path / "whole")) == 4  # distinct misses
+
+        env = _env()
+        env.attach_shared_cache(SharedCacheStore(tmp_path / "closed"))
+        stream = env.step_batch_stream(ACTIONS)
+        next(stream), next(stream)  # two misses replayed
+        assert len(SharedCacheStore(tmp_path / "closed")) == 0
+        stream.close()
+        assert len(SharedCacheStore(tmp_path / "closed")) == 2
+
     def test_episode_resets_mid_batch(self):
         serial, batched = _env(), _env()
         for env in (serial, batched):
@@ -378,10 +401,29 @@ POINTS = [
 ]
 
 
+class _BulkCountingStore(SharedCacheStore):
+    """A file store that counts its bulk calls. Two shards, so a batch's
+    misses share shard files and their order within a file shows."""
+
+    def __init__(self, directory):
+        super().__init__(directory, n_shards=2)
+        self.bulk_calls = Counter()
+
+    def get_many(self, keys):
+        self.bulk_calls["get_many"] += 1
+        return super().get_many(keys)
+
+    def put_many(self, entries):
+        self.bulk_calls["put_many"] += 1
+        super().put_many(entries)
+
+
 def _run_batches(env, batches, stream=False):
     """Step ``env`` batch by batch the way run_agent does: reset after
-    a batch whose final point ended an episode."""
+    a batch whose final point ended an episode. A counting shared tier
+    must see at most one ``get_many`` and one ``put_many`` per batch."""
     out = []
+    store = env.shared_cache
     for batch in batches:
         results = list(
             env.step_batch_stream(batch) if stream else env.step_batch(batch)
@@ -389,7 +431,18 @@ def _run_batches(env, batches, stream=False):
         out.extend(_batch_outcome(results))
         if results[-1][2] or results[-1][3]:
             env.reset()
+        if store is not None:
+            assert max(store.bulk_calls.values(), default=0) <= 1
+            store.bulk_calls.clear()
     return out
+
+
+def _shared_contents(store, directory):
+    """The shared tier's keys and its shard files' bytes."""
+    return store.keys_encoded(), {
+        path.name: path.read_bytes()
+        for path in sorted(directory.glob("shard-*.jsonl"))
+    }
 
 
 def _decisions(env, evaluations):
@@ -409,7 +462,9 @@ class TestDecisionPassProperty:
     serial ``step`` loop for random proposal sequences, LRU sizes
     (evictions inside a batch included), a shared tier on or off and
     pre-populated by another process, episode lengths, and chunk
-    arrival orders."""
+    arrival orders — and leave the shared tier byte for byte as the
+    serial loop does, with one bulk lookup and one bulk write per
+    batch at most."""
 
     @given(
         batches=st.lists(
@@ -438,7 +493,7 @@ class TestDecisionPassProperty:
                 env.episode_length = episode_length
                 env.enable_cache(maxsize=lru_size)  # 0 leaves it off
                 if shared:
-                    store = SharedCacheStore(Path(tmp) / mode)
+                    store = _BulkCountingStore(Path(tmp) / mode)
                     for action in preloaded:
                         store.put(
                             canonical_action_key(action),
@@ -462,6 +517,13 @@ class TestDecisionPassProperty:
             assert _run_batches(streamed, batches, stream=True) == reference
             assert _decisions(streamed, backend._env.evaluations) == expected
             assert streamed.stats.remote_evals == serial.evaluations
+            if shared:
+                contents = {
+                    mode: _shared_contents(env.shared_cache, Path(tmp) / mode)
+                    for mode, env in envs.items()
+                }
+                assert contents["batch"] == contents["serial"]
+                assert contents["stream"] == contents["serial"]
 
 
 # -- 3. driver parity --------------------------------------------------------------

@@ -24,8 +24,13 @@ Five batteries:
    pool, and cached-backend teardown reclaim every persistent socket
    (including exited dispatch threads') and every scatter worker, and
    repeated scatters reuse one socket per host.
+
+The replicated shared-cache tier rides along: a generation costs it
+one bulk lookup plus one bulk write per replica, and the anti-entropy
+backfill writes each listed page with one bulk request.
 """
 
+import functools
 import json
 import sys
 import threading
@@ -34,9 +39,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import repro
+from repro.agents.ga import GAAgent
 from repro.cli import RegistryEnvFactory
+from repro.core.cache_store import ServerCacheStore
 from repro.core.errors import ServiceError, ServiceTransportError
-from repro.service import EvaluationService, ServiceClient
+from repro.service import EvaluationService, RemoteBackend, ServiceClient
 from repro.sweeps import HostPool, clear_backend_cache, run_lottery_sweep
 
 from serial_reference import serial_sweeps
@@ -443,6 +451,65 @@ class TestCachePrimaryFailover:
         assert dying.remote_evals == clean.remote_evals
 
 
+class TestBulkCacheTraffic:
+    """A generation's shared-tier traffic over a 2-host pool: one bulk
+    lookup, then one bulk write per replica — not a lookup per point
+    and a write per replica per miss."""
+
+    ENV = "MaestroGym-v0"
+
+    @pytest.fixture()
+    def hosts(self):
+        hosts = []
+        for _ in range(2):
+            svc = EvaluationService()
+            svc.register(self.ENV, functools.partial(repro.make, self.ENV))
+            svc.start()
+            hosts.append(svc)
+        yield hosts
+        for svc in hosts:
+            svc.stop()
+
+    def _step_generation(self, urls):
+        """One 64-point GA generation through ``step_batch`` from a
+        fresh env and store handle: (outcome, env, /cache requests)."""
+        env = repro.make(self.ENV)
+        env.enable_cache()
+        env.attach_backend(RemoteBackend(urls, timeout_s=10.0, retries=0))
+        store = ServerCacheStore(
+            urls[0], fallbacks=urls[1:], replicas=2, timeout_s=10.0, retries=0
+        )
+        env.attach_shared_cache(store)
+        env.reset(seed=0)
+        generation = GAAgent(
+            env.action_space, seed=0, population_size=64
+        ).propose_batch()
+        try:
+            results = env.step_batch(generation)
+        finally:
+            env.detach_backend().close()
+        outcome = [(r[1], r[4]["metrics"]) for r in results]
+        return outcome, env, sum(h.client.requests_sent for h in store._hosts)
+
+    def test_generation_costs_one_lookup_and_one_write_per_replica(
+        self, hosts
+    ):
+        urls = [svc.url for svc in hosts]
+        cold, cold_env, cold_requests = self._step_generation(urls)
+        assert cold_env.stats.cache_misses == 64
+        assert cold_requests == 3  # 1 lookup + 2 replica writes
+        assert [svc.cache_size() for svc in hosts] == [64, 64]
+        evaluations = sum(svc.evaluations for svc in hosts)
+        assert evaluations == 64
+
+        warm, warm_env, warm_requests = self._step_generation(urls)
+        assert warm_requests == 1  # the lookup answers every point
+        assert sum(svc.evaluations for svc in hosts) == evaluations
+        assert warm_env.stats.shared_cache_hits == 64
+        assert warm_env.stats.cache_misses == 0
+        assert warm == cold
+
+
 # -- anti-entropy backfill --------------------------------------------------------
 
 
@@ -453,15 +520,16 @@ class TestCacheBackfill:
 
     def _seed(self, url, n):
         client = ServiceClient(url, timeout_s=5.0, retries=0)
-        entries = {f"pt-{i:02d}": {"cost": float(i)} for i in range(n)}
-        for key_str, metrics in entries.items():
-            client.cache_put(key_str, metrics)
+        entries = {f"pt-{i:03d}": {"cost": float(i)} for i in range(n)}
+        client.cache_put_many(list(entries.items()))
         return client, entries
 
     def test_check_health_backfills_revived_host(self, two_services):
+        """450 donor entries are three listing pages: the revived host
+        receives exactly one bulk write per page, and every entry."""
         a, b = two_services
         url_b, port_b = b.url, b.port
-        client_a, seeded = self._seed(a.url, 5)
+        client_a, seeded = self._seed(a.url, 450)
         pool = HostPool(
             [a.url, url_b], timeout_s=1.0, retries=0, backoff_s=0.01
         )
@@ -471,11 +539,17 @@ class TestCacheBackfill:
         assert pool.quarantined_urls == [url_b]
         donor_size = client_a.cache_size()
         restarted = _service(port=port_b)  # fresh process, empty cache
+        writes = []
+        real_put_many = restarted.cache_put_many
+        restarted.cache_put_many = lambda entries: (
+            writes.append(len(entries)), real_put_many(entries)
+        )
         try:
             report = pool.check_health()
             assert report[url_b]["status"] == "ok"
             assert pool.quarantined_urls == []
             assert pool.cache_backfills == donor_size
+            assert writes == [200, 200, 50]
             entries, total = ServiceClient(
                 url_b, timeout_s=5.0, retries=0
             ).cache_list(limit=1000)

@@ -29,7 +29,7 @@ from repro.core.errors import ServiceError, ServiceTransportError
 from repro.core.rewards import TargetReward
 from repro.core.spaces import Categorical, CompositeSpace, Discrete
 from repro.service import EvaluationService, RemoteBackend, RemoteEnv, ServiceClient
-from repro.service.wire import key_to_token, token_to_key
+from repro.service.wire import MAX_CACHE_PAGE, key_to_token, token_to_key
 from repro.sweeps import run_lottery_sweep
 
 
@@ -292,6 +292,86 @@ class TestCacheListing:
     def test_plain_cache_route_still_reports_size(self, client):
         self._fill(client, 2)
         assert client.cache_size() == 2
+
+
+class TestBulkCacheEndpoints:
+    """``POST /cache`` (bulk lookup) and ``PUT /cache`` (bulk write):
+    one round trip for a generation's worth of keys or entries."""
+
+    def test_bulk_roundtrip_is_one_request_each(self, client):
+        entries = [(f"key-{i}", {"cost": 0.1 * i, "power": i / 3}) for i in range(8)]
+        sent = client.requests_sent
+        client.cache_put_many(entries)
+        found = client.cache_get_many([k for k, _ in entries] + ["absent"])
+        assert client.requests_sent - sent == 2
+        assert found == dict(entries)  # the miss is absent
+        assert client.cache_get("key-3") == entries[3][1]  # one map
+
+    def test_bulk_write_is_in_order_last_writer_wins(self, client):
+        client.cache_put_many([("k", {"cost": 1.0}), ("k", {"cost": 2.0})])
+        assert client.cache_get_many(["k", "k"]) == {"k": {"cost": 2.0}}
+        assert client.cache_size() == 1
+
+    def test_empty_inputs_send_nothing(self, client):
+        assert client.cache_get_many([]) == {}
+        client.cache_put_many([])
+        assert client.requests_sent == 0
+
+    def test_file_backed_server_serves_the_bulk_forms(self, tmp_path):
+        svc = EvaluationService(cache_dir=tmp_path / "srv-cache")
+        svc.start()
+        try:
+            client = ServiceClient(svc.url, timeout_s=10.0, retries=0)
+            entries = [(f"key-{i}", {"cost": float(i)}) for i in range(6)]
+            client.cache_put_many(entries)
+            assert client.cache_get_many([k for k, _ in entries]) == dict(entries)
+        finally:
+            svc.stop()
+        restarted = EvaluationService(cache_dir=tmp_path / "srv-cache")
+        assert restarted.cache_get_many(["key-0", "key-9"]) == {
+            "key-0": {"cost": 0.0}
+        }
+
+    def test_malformed_bulk_bodies_are_400_and_keep_the_socket(self, client):
+        bad = [
+            ("POST", {"keys": "not-a-list"}),
+            ("POST", {"keys": [1, 2]}),
+            ("POST", {"nothing": []}),
+            ("PUT", {"entries": [["only-a-key"]]}),
+            ("PUT", {"entries": [[7, {"cost": 1.0}]]}),
+            ("PUT", {"entries": [["k", {"cost": "NaN"}]]}),
+            ("PUT", {"entries": {"k": {"cost": 1.0}}}),
+        ]
+        for method, body in bad:
+            status, parsed = client._request(method, "/cache", body)
+            assert status == 400, (method, body, parsed)
+        assert client.cache_size() == 0  # no partial write
+        client.cache_put_many([("k", {"cost": 1.0})])
+        assert client.cache_get_many(["k"]) == {"k": {"cost": 1.0}}
+        assert client.connections_opened == 1
+
+    def test_body_over_the_page_limit_is_400(self, client):
+        too_many = MAX_CACHE_PAGE + 1
+        status, parsed = client._request(
+            "POST", "/cache", {"keys": ["k"] * too_many}
+        )
+        assert status == 400 and str(MAX_CACHE_PAGE) in parsed["error"]
+        status, parsed = client._request(
+            "PUT", "/cache", {"entries": [["k", {"cost": 1.0}]] * too_many}
+        )
+        assert status == 400 and str(MAX_CACHE_PAGE) in parsed["error"]
+        assert client.cache_size() == 0
+
+    def test_client_pages_larger_inputs(self, client):
+        entries = [(f"key-{i:05d}", {"cost": float(i)}) for i in range(MAX_CACHE_PAGE + 1)]
+        sent = client.requests_sent
+        client.cache_put_many(entries)
+        assert client.requests_sent - sent == 2
+        sent = client.requests_sent
+        found = client.cache_get_many([k for k, _ in entries])
+        assert client.requests_sent - sent == 2
+        assert found == dict(entries)
+        assert client.cache_size() == len(entries)
 
 
 class TestBatchEndpoint:

@@ -10,7 +10,14 @@ over a two-host pool with a mid-sweep kill:
    microbenchmark (``check_service.generation_microbench``): one real
    population-64 GA generation scattered over the 2-host pool must
    issue ≥ 32× fewer HTTP round trips than per-point dispatch (64 vs
-   one ``POST /evaluate_batch`` per host) and be faster;
+   one ``POST /evaluate_batch`` per host) and be faster; stepped
+   through ``env.step_batch`` with the replicated shared-cache tier,
+   a generation must issue ≥ 32× fewer ``/cache`` round trips than
+   per-point steps (3 vs 192), and a warm re-run must cost no host
+   evaluations. That cache leg runs on MaestroGym-v0, which both hosts
+   also serve: its design points share no parameter name with
+   DRAMGym's, so the entries it leaves behind can never answer the
+   sweep below;
 3. starts a seeded sweep spread over both hosts (two ``--service-url``
    flags — least-load scheduling with failover) with the replicated
    shared-cache tier on (``--shared-cache --cache-replicas 2`` — host
@@ -82,16 +89,19 @@ def main() -> int:
     replay_export = workdir / "replay.json"
 
     # 1. two independent evaluation hosts
-    server_a = spawn_server("DRAMGym-v0")
-    server_b = spawn_server("DRAMGym-v0")
+    server_a = spawn_server("DRAMGym-v0", "MaestroGym-v0")
+    server_b = spawn_server("DRAMGym-v0", "MaestroGym-v0")
     sweep = None
     try:
         url_a, url_b = wait_for_url(server_a), wait_for_url(server_b)
         print(f"hosts healthy at {url_a} and {url_b}")
 
         # 2. generation-native dispatch must stay a transport win:
-        # population 64 over 2 hosts = 2 round trips vs 64 per-point
-        generation_microbench([url_a, url_b], population=64)
+        # population 64 over 2 hosts = 2 round trips vs 64 per-point,
+        # and 3 /cache round trips vs 192 per-point
+        generation_microbench(
+            [url_a, url_b], population=64, cache_env="MaestroGym-v0"
+        )
         # the bench drove evaluations through both hosts; the kill
         # watch below must only count the *sweep's* evaluations
         baseline_a = healthz(url_a)["evaluations"]

@@ -13,8 +13,10 @@ Drives the real CLI end to end, mirroring tools/check_resume.py:
    ≥ 3× fewer round trips (it uses 64× fewer) and less wall-clock;
    (:func:`generation_microbench` is the multi-host sibling — a real
    GA generation of 64 scattered over a 2-host pool must use ≥ 32×
-   fewer round trips than per-point dispatch — run by
-   ``tools/check_multihost.py`` in the ``multihost`` CI job), then
+   fewer round trips than per-point dispatch, and stepped through
+   ``env.step_batch`` with the replicated shared-cache tier it must
+   use ≥ 32× fewer ``/cache`` round trips than per-point steps — run
+   by ``tools/check_multihost.py`` in the ``multihost`` CI job), then
    :func:`straggler_microbench` injects a deliberately slow host into
    a 2-host pool and requires streaming dispatch with work stealing
    (``--pipeline``'s transport) to beat the barrier scatter on
@@ -127,7 +129,8 @@ def _microbench(url: str, n_points: int = 64) -> None:
 
 
 def generation_microbench(
-    urls, population: int = 64, min_rt_ratio: float = 32.0
+    urls, population: int = 64, min_rt_ratio: float = 32.0,
+    cache_env: str = "MaestroGym-v0",
 ) -> None:
     """GA-generation dispatch over a host pool vs per-point dispatch.
 
@@ -139,8 +142,10 @@ def generation_microbench(
     ``POST /evaluate_batch`` per host, in parallel). The scattered leg
     must use ≥ ``min_rt_ratio``× fewer HTTP round trips (population 64
     over 2 hosts: 64 vs 2 = 32×) and less wall-clock, and the metrics
-    must match point for point. Raises on any violation — this is the
-    CI gate for generation-native search staying a transport win.
+    must match point for point. The hosts must also serve ``cache_env``
+    for :func:`generation_cache_microbench`, which runs last. Raises on
+    any violation — this is the CI gate for generation-native search
+    staying a transport win.
     """
     import repro
     from repro.agents.ga import GAAgent
@@ -207,6 +212,94 @@ def generation_microbench(
             f"scattered generation ({scatter_s:.3f}s) was not faster than "
             f"per-point dispatch ({per_point_s:.3f}s)"
         )
+    generation_cache_microbench(urls, cache_env, population, min_rt_ratio)
+
+
+def generation_cache_microbench(
+    urls, env_id: str, population: int = 64, min_rt_ratio: float = 32.0
+) -> None:
+    """A GA generation's ``/cache`` traffic: per-point steps vs one
+    ``env.step_batch`` over the pool, with the replicated shared-cache
+    tier (``ServerCacheStore``, 2 replicas) on the same hosts.
+
+    Per point, ``env.step`` looks each design point up (one ``GET``)
+    and writes each miss to both replicas (two ``PUT`` requests); the
+    batched step asks once (``POST /cache``) and writes once per
+    replica (``PUT /cache``). Each leg steps its own generation (GA seeds 1 and
+    0) from a fresh env and store handle, so both start cold on fresh
+    hosts. The batched leg must use ≥ ``min_rt_ratio``× fewer ``/cache``
+    round trips (64 points: 192 vs 3), and a warm re-run of its
+    generation from a fresh env and store must cost no host
+    evaluations and reproduce every reward. ``env_id`` must be an
+    environment whose parameter names no other caller of these hosts
+    uses, so the entries written here can never answer another run's
+    lookup. Raises on any violation.
+    """
+    import repro
+    from repro.agents.ga import GAAgent
+    from repro.core.cache_store import ServerCacheStore
+    from repro.service import RemoteBackend
+
+    urls = list(urls)
+
+    def step_generation(seed: int, batched: bool):
+        env = repro.make(env_id)
+        env.enable_cache()
+        backend = RemoteBackend(urls, timeout_s=30.0, retries=0)
+        env.attach_backend(backend)
+        store = ServerCacheStore(
+            urls[0], fallbacks=urls[1:], replicas=2, timeout_s=30.0, retries=0
+        )
+        env.attach_shared_cache(store)
+        env.reset(seed=0)
+        generation = GAAgent(
+            env.action_space, seed=seed, population_size=population
+        ).propose_batch()
+        try:
+            if batched:
+                results = env.step_batch(generation)
+            else:
+                results = []
+                for action in generation:
+                    results.append(env.step(action))
+                    if results[-1][2] or results[-1][3]:
+                        env.reset()
+        finally:
+            backend.close()
+            env.close()
+        rewards = [result[1] for result in results]
+        requests = sum(h.client.requests_sent for h in store._hosts)
+        return rewards, env.stats, requests
+
+    def host_evaluations() -> int:
+        return sum(healthz(url)["evaluations"] for url in urls)
+
+    _, per_point, per_point_rt = step_generation(seed=1, batched=False)
+    cold_rewards, cold, cold_rt = step_generation(seed=0, batched=True)
+    before = host_evaluations()
+    warm_rewards, warm, warm_rt = step_generation(seed=0, batched=True)
+    warm_evals = host_evaluations() - before
+    rt_ratio = per_point_rt / max(cold_rt, 1)
+    print(
+        f"generation cache microbench ({env_id}, population {population}, "
+        f"2 replicas): {per_point_rt} /cache round trips per-point "
+        f"({per_point.cache_misses} misses) vs {cold_rt} batched "
+        f"({cold.cache_misses} misses; {rt_ratio:.0f}x fewer); warm re-run "
+        f"{warm_rt} round trip(s), {warm_evals} host evaluation(s), "
+        f"{warm.shared_cache_hits} shared hits"
+    )
+    if rt_ratio < min_rt_ratio:
+        raise RuntimeError(
+            f"batched steps saved only {rt_ratio:.1f}x /cache round trips "
+            f"(need >= {min_rt_ratio:.0f}x)"
+        )
+    if warm_evals or warm.cache_misses:
+        raise RuntimeError(
+            f"warm re-run evaluated {warm_evals} point(s) on the hosts "
+            f"({warm.cache_misses} misses); the shared tier should answer all"
+        )
+    if warm_rewards != cold_rewards:
+        raise RuntimeError("warm re-run rewards differ from the cold run")
 
 
 def _slow_dram_env(delay_s: float):
