@@ -13,13 +13,13 @@ magnitudes vary wildly across environments).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.agents.base import Agent
 from repro.core.errors import AgentError
-from repro.core.spaces import CompositeSpace
+from repro.core.spaces import CompositeSpace, choice_cdf, choice_index
 
 __all__ = ["ACOAgent"]
 
@@ -64,19 +64,40 @@ class ACOAgent(Agent):
             np.ones(p.cardinality, dtype=np.float64) for p in space
         ]
         self._cohort: List[Tuple[np.ndarray, float]] = []
+        self._reset_picks()
+
+    def _reset_picks(self) -> None:
+        # Trails move only in _update_trails, so each dimension's greedy
+        # pick and sampling CDF hold until then. A CDF is built at its
+        # dimension's first non-greedy draw, so a degenerate one raises
+        # at the draw where rng.choice would have.
+        self._argmax = [int(np.argmax(trail)) for trail in self._trails]
+        self._cdfs: List[Optional[List[float]]] = [None] * len(self._trails)
 
     # -- solution construction ----------------------------------------------------
 
     def propose(self) -> Dict[str, Any]:
-        indices = np.empty(len(self._trails), dtype=np.int64)
-        for i, trail in enumerate(self._trails):
-            if self.rng.random() < self.greediness:
-                indices[i] = int(np.argmax(trail))
+        rng = self.rng
+        indices = []
+        for i, cdf in enumerate(self._cdfs):
+            if rng.random() < self.greediness:
+                indices.append(self._argmax[i])
             else:
-                weights = trail ** self.alpha
-                weights = weights / weights.sum()
-                indices[i] = int(self.rng.choice(len(trail), p=weights))
+                if cdf is None:
+                    cdf = self._cdf(i)
+                indices.append(choice_index(cdf, rng))
         return self.space.decode(indices)
+
+    def _cdf(self, i: int) -> List[float]:
+        weights = self._trails[i] ** self.alpha
+        weights = weights / weights.sum()
+        try:
+            cdf = self._cdfs[i] = choice_cdf(weights)
+        except ValueError as exc:
+            raise AgentError(
+                f"{self.name}: cannot sample parameter {self.space.names[i]!r}: {exc}"
+            ) from None
+        return cdf
 
     def propose_batch(self) -> List[Dict[str, Any]]:
         """The remainder of the current cohort, one design per ant.
@@ -113,6 +134,7 @@ class ACOAgent(Agent):
             amount = self.deposit * (0.5 ** rank)
             for dim, value_index in enumerate(indices):
                 self._trails[dim][value_index] += amount
+        self._reset_picks()
 
     # -- introspection ------------------------------------------------------------------
 

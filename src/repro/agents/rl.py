@@ -18,13 +18,13 @@ policy only improves after whole batches of simulator queries.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.agents.base import Agent
 from repro.core.errors import AgentError
-from repro.core.spaces import CompositeSpace
+from repro.core.spaces import CompositeSpace, choice_cdf, choice_index
 
 __all__ = ["RLAgent"]
 
@@ -104,6 +104,8 @@ class RLAgent(Agent):
             raise AgentError("algo must be 'reinforce' or 'ppo'")
         if lr <= 0 or batch_size < 1 or hidden_size < 1:
             raise AgentError("lr, batch_size and hidden_size must be positive")
+        if ppo_epochs < 1:
+            raise AgentError("ppo_epochs must be >= 1")
         if not 0.0 < clip_eps < 1.0:
             raise AgentError("clip_eps must be in (0, 1)")
         super().__init__(
@@ -124,6 +126,12 @@ class RLAgent(Agent):
         self.opt = _Adam(self.net.params, lr)
         self._batch: List[Tuple[np.ndarray, float]] = []  # (indices, fitness)
         self.updates = 0
+        # The policy moves only in _update, so the per-dimension
+        # probabilities and sampling CDFs hold until then. Each CDF is
+        # built at its dimension's first draw, so a degenerate one raises
+        # at the draw where rng.choice would have.
+        self._probs: Optional[List[np.ndarray]] = None
+        self._cdfs: List[Optional[List[float]]] = []
 
     # -- distribution helpers --------------------------------------------------------
 
@@ -142,12 +150,25 @@ class RLAgent(Agent):
     # -- Agent interface ----------------------------------------------------------------
 
     def propose(self) -> Dict[str, Any]:
-        logits, __ = self.net.forward()
-        probs = self._dim_probs(logits)
-        indices = np.array(
-            [self.rng.choice(len(p), p=p) for p in probs], dtype=np.int64
-        )
+        if self._probs is None:
+            logits, __ = self.net.forward()
+            self._probs = self._dim_probs(logits)
+            self._cdfs = [None] * len(self._probs)
+        indices = []
+        for i, cdf in enumerate(self._cdfs):
+            if cdf is None:
+                cdf = self._cdf(i)
+            indices.append(choice_index(cdf, self.rng))
         return self.space.decode(indices)
+
+    def _cdf(self, i: int) -> List[float]:
+        try:
+            cdf = self._cdfs[i] = choice_cdf(self._probs[i])
+        except ValueError as exc:
+            raise AgentError(
+                f"{self.name}: cannot sample parameter {self.space.names[i]!r}: {exc}"
+            ) from None
+        return cdf
 
     def observe(self, action: Mapping[str, Any], fitness: float,
                 metrics: Mapping[str, float]) -> None:
@@ -186,12 +207,19 @@ class RLAgent(Agent):
             for __ in range(self.ppo_epochs):
                 self._update_once(adv, old_log_probs=old_lp)
         self.updates += 1
+        self._probs = None
 
     def _update_once(self, adv: np.ndarray, old_log_probs) -> None:
         logits, h = self.net.forward()
         probs = self._dim_probs(logits)
         n = len(self._batch)
         g_logits = np.zeros_like(logits)
+        # One full-length d(log pi)/d(logits) per sample: -p, plus 1.0 at
+        # the sample's index in each dimension. Adding whole vectors in
+        # sample order keeps each element's float ops and their order,
+        # which the parity tests hold to the per-dimension original.
+        neg_p = -np.concatenate(probs)
+        starts = self._offsets[:-1]
 
         for s, (indices, __) in enumerate(self._batch):
             if old_log_probs is None:
@@ -203,11 +231,9 @@ class RLAgent(Agent):
                 weight = 0.0 if clipped else adv[s] * ratio
             if weight == 0.0:
                 continue
-            for i, p in enumerate(probs):
-                lo, hi = self._offsets[i], self._offsets[i + 1]
-                g = -p.copy()
-                g[indices[i]] += 1.0
-                g_logits[lo:hi] += weight * g
+            g = neg_p.copy()
+            g[starts + indices] += 1.0
+            g_logits += weight * g
 
         g_logits /= n
         g_logits += self.entropy_coef * self._entropy_grad(probs)

@@ -19,6 +19,7 @@ explicit choice list.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
 
@@ -32,6 +33,8 @@ __all__ = [
     "Discrete",
     "Continuous",
     "CompositeSpace",
+    "choice_cdf",
+    "choice_index",
 ]
 
 
@@ -90,6 +93,46 @@ class Parameter:
         """Iterate over all admissible values in index order."""
         for i in range(self.cardinality):
             yield self.from_index(i)
+
+
+#: ``Generator.choice``'s tolerance on ``sum(p) - 1`` for float64 ``p``.
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def choice_cdf(p: np.ndarray) -> List[float]:
+    """The CDF ``Generator.choice(len(p), p=p)`` draws from, as a list.
+
+    ``p`` (float64) is checked as ``choice`` checks it — a Kahan sum
+    that is not NaN, no negative entry, the sum within √eps of 1 — and a
+    ``p`` that ``choice`` rejects raises the same ``ValueError``. Build
+    it once per distribution and draw from it with
+    :func:`choice_index`, as often as the distribution holds.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    values = p.tolist()
+    total, carry = values[0], 0.0
+    for x in values[1:]:
+        y = x - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    if math.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _CHOICE_ATOL:
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def choice_index(cdf: List[float], rng: np.random.Generator) -> int:
+    """Draw what ``rng.choice(len(p), p=p)`` draws, given
+    ``cdf = choice_cdf(p)``: ``choice`` maps one ``rng.random()``
+    through ``cdf.searchsorted(u, side="right")``, so this returns the
+    same index and advances ``rng`` the same way."""
+    return bisect_right(cdf, rng.random())
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from repro.core.errors import SimulationError
+from repro.core.spaces import choice_cdf, choice_index
 
 __all__ = ["MemoryRequest", "Trace", "generate_trace", "TRACE_NAMES"]
 
@@ -99,6 +100,8 @@ def _cloud(n: int, rng: np.random.Generator, write_frac: float, hot_frac: float)
     ranks = np.arange(1, len(hot) + 1, dtype=np.float64)
     popularity = 1.0 / ranks
     popularity /= popularity.sum()
+    # the draws of rng.choice(hot, p=popularity), from its CDF built once
+    hot_lines, hot_cdf = hot.tolist(), choice_cdf(popularity)
     t = 0.0
     scan_line = int(rng.integers(0, 1 << 20))
     rows = []
@@ -107,7 +110,7 @@ def _cloud(n: int, rng: np.random.Generator, write_frac: float, hot_frac: float)
         gap = float(rng.exponential(4.0)) if rng.random() > 0.05 else float(rng.exponential(120.0))
         t += gap
         if rng.random() < hot_frac:
-            line = int(rng.choice(hot, p=popularity))
+            line = hot_lines[choice_index(hot_cdf, rng)]
         else:
             scan_line += 1
             line = scan_line

@@ -195,6 +195,8 @@ class TestAgentValidation:
             RLAgent(small_space(), algo="dqn")
         with pytest.raises(AgentError):
             RLAgent(small_space(), clip_eps=2.0)
+        with pytest.raises(AgentError, match="ppo_epochs"):
+            RLAgent(small_space(), algo="ppo", ppo_epochs=0)
 
     def test_empty_space_rejected(self):
         with pytest.raises(AgentError):
