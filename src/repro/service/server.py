@@ -277,8 +277,9 @@ class EvaluationService:
         pending: List[Tuple[int, Dict[str, Any], str]] = []
         memo_hits = 0
         for i, action in enumerate(actions):
-            key_str = encode_key(canonical_action_key(action))
+            key_str = ""  # only the memo reads the key
             if memoize:
+                key_str = encode_key(canonical_action_key(action))
                 found = self.cache_get(key_str)
                 if found is not None:
                     results[i] = found

@@ -123,11 +123,13 @@ def clean_metrics(metrics: Mapping[str, Any]) -> Dict[str, float]:
     Non-finite values are rejected: ``json.dumps`` would emit them as
     the non-standard ``NaN``/``Infinity`` tokens, which strict parsers
     refuse — a body that cannot round-trip is a schema violation here,
-    not a transport surprise on the other side.
+    not a transport surprise on the other side. ``json.loads`` accepts
+    those tokens, so every parser of a response body that carries
+    metrics checks them here too.
     """
     try:
         clean = {str(k): float(v) for k, v in metrics.items()}
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ServiceError(
             f"metrics are not a name->float mapping: {metrics!r}"
         ) from exc
@@ -262,7 +264,7 @@ def parse_metrics_response(parsed: Dict[str, Any], what: str) -> Dict[str, float
     metrics = parsed.get("metrics")
     if not isinstance(metrics, dict):
         raise ServiceError(f"{what} has no metrics object: {parsed!r}")
-    return {str(k): float(v) for k, v in metrics.items()}
+    return clean_metrics(metrics)
 
 
 def parse_batch_response(
@@ -282,7 +284,7 @@ def parse_batch_response(
             raise ServiceError(
                 f"evaluate_batch entry {i} is not a metrics object: {metrics!r}"
             )
-        out.append({str(k): float(v) for k, v in metrics.items()})
+        out.append(clean_metrics(metrics))
     return out
 
 
@@ -290,7 +292,7 @@ def parse_cache_entries(parsed: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
     """Validate one bulk ``POST /cache`` answer: ``{key_str: metrics}``
     for the keys the server holds."""
     return {
-        key_str: {str(k): float(v) for k, v in metrics.items()}
+        key_str: clean_metrics(metrics)
         for key_str, metrics in _cache_pairs(
             parsed.get("entries"), "cache lookup response"
         )
@@ -301,7 +303,7 @@ def parse_cache_listing(parsed: Dict[str, Any]) -> Tuple[list, int]:
     """Validate one ``GET /cache?offset=...`` listing page: returns
     ``(entries, total)`` with entries as ``(key_str, metrics)`` pairs."""
     entries = [
-        (key_str, {str(k): float(v) for k, v in metrics.items()})
+        (key_str, clean_metrics(metrics))
         for key_str, metrics in _cache_pairs(
             parsed.get("entries"), "cache listing response"
         )

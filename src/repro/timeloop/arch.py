@@ -9,6 +9,7 @@ global buffer << DRAM).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping
 
@@ -57,8 +58,10 @@ class AcceleratorConfig:
         ):
             if getattr(self, attr) < 1:
                 raise SimulationError(f"{attr} must be >= 1")
-        if self.clock_ghz <= 0:
-            raise SimulationError("clock_ghz must be positive")
+        if not (math.isfinite(self.clock_ghz) and self.clock_ghz > 0):
+            raise SimulationError(
+                f"clock_ghz must be positive and finite, got {self.clock_ghz!r}"
+            )
         if self.word_bytes not in (1, 2, 4):
             raise SimulationError("word_bytes must be 1, 2 or 4")
 

@@ -27,7 +27,10 @@ Five batteries:
 
 The replicated shared-cache tier rides along: a generation costs it
 one bulk lookup plus one bulk write per replica, and the anti-entropy
-backfill writes each listed page with one bulk request.
+backfill writes each listed page with one bulk request. So does the
+``timeloop-pool`` benchmark's setting: a GA+ACO TimeloopGym sweep over
+two hosts with the server-backed shared cache, cold and warm, matches
+the serial reference once shared hits are folded into misses.
 """
 
 import functools
@@ -1064,3 +1067,67 @@ class TestGenerationParity:
         assert by_host.get(url_b, 0) > 0
         assert sum(by_host.values()) == reports["weighted-pool"].remote_evals
         assert by_host[url_a] > by_host[url_b]
+
+
+class TestTimeloopPoolParity:
+    """The ``timeloop-pool`` benchmark's setting at a small sample count:
+    a GA+ACO TimeloopGym sweep over two in-process hosts with the
+    server-backed shared cache, run cold and then again on the same
+    hosts, against the serial in-process reference driver. Whether a
+    point is a shared hit or a miss depends on what earlier sweeps
+    stored on the hosts, so the two counts are folded into one, as
+    ``perfbench/workloads.trial_records`` folds them; every other field
+    must match."""
+
+    KW = dict(agents=("ga", "aco"), n_trials=2, n_samples=40, seed=5)
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        factory = RegistryEnvFactory("TimeloopGym-v0")
+        hosts = []
+        for _ in range(2):
+            svc = EvaluationService()
+            svc.register(
+                "TimeloopGym-v0", functools.partial(repro.make, "TimeloopGym-v0")
+            )
+            svc.start()
+            hosts.append(svc)
+        try:
+            with serial_sweeps():
+                serial = run_lottery_sweep(factory, workers=1, **self.KW)
+            pool = {}
+            for run in ("cold", "warm"):
+                before = [svc.evaluations for svc in hosts]
+                report = run_lottery_sweep(
+                    factory, service_url=[svc.url for svc in hosts],
+                    shared_cache=True, **self.KW
+                )
+                deltas = [svc.evaluations - n for svc, n in zip(hosts, before)]
+                pool[run] = (report, deltas)
+        finally:
+            for svc in hosts:
+                svc.stop()
+        return serial, pool
+
+    @staticmethod
+    def _folded(report):
+        rows = _normalized(report)
+        for rec in rows:
+            rec["cache_misses"] += rec["shared_cache_hits"]
+            rec["shared_cache_hits"] = 0
+        return rows
+
+    def test_reports_match_serial_reference(self, runs):
+        serial, pool = runs
+        assert serial.shared_cache_hits == 0
+        for run, (report, _) in pool.items():
+            assert self._folded(report) == self._folded(serial), run
+        # the warm run answers from the hosts' cache, so the fold matters
+        assert pool["warm"][0].shared_cache_hits > 0
+
+    def test_hosts_ran_every_miss(self, runs):
+        _, pool = runs
+        for run, (report, deltas) in pool.items():
+            misses = sum(r.cache_misses for rs in report.results.values() for r in rs)
+            assert sum(deltas) == misses == report.remote_evals, run
+        assert all(n > 0 for n in pool["cold"][1])

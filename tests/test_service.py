@@ -16,6 +16,7 @@ Three load-bearing guarantees:
    the failing trial; never a hang, never a silently wrong metric.
 """
 
+import math
 import socket
 import threading
 import time
@@ -23,13 +24,25 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.env import ArchGymEnv, canonical_action_key
 from repro.core.errors import ServiceError, ServiceTransportError
 from repro.core.rewards import TargetReward
 from repro.core.spaces import Categorical, CompositeSpace, Discrete
 from repro.service import EvaluationService, RemoteBackend, RemoteEnv, ServiceClient
-from repro.service.wire import MAX_CACHE_PAGE, key_to_token, token_to_key
+from repro.service.wire import (
+    MAX_CACHE_PAGE,
+    dump_body,
+    key_to_token,
+    load_body,
+    parse_batch_response,
+    parse_cache_entries,
+    parse_cache_listing,
+    parse_metrics_response,
+    token_to_key,
+)
 from repro.sweeps import run_lottery_sweep
 
 
@@ -113,6 +126,62 @@ class TestWireFormat:
     def test_bad_token_raises_service_error(self):
         with pytest.raises(ServiceError, match="token"):
             token_to_key("!!not base64!!")
+
+
+# -- wire properties --------------------------------------------------------------
+
+metric_maps = st.dictionaries(
+    st.text(max_size=8),
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+        st.integers(-(2**64), 2**64),
+    ),
+    max_size=6,
+)
+
+
+def _parsers(metrics):
+    """One callable per response parser, each parsing ``metrics`` out of
+    its body after a ``dump_body`` -> ``load_body`` round trip."""
+
+    def wire(body):
+        return load_body(dump_body(body))
+
+    return [
+        lambda: parse_metrics_response(wire({"metrics": metrics}), "test response"),
+        lambda: parse_batch_response(wire({"metrics": [{}, metrics]}), "E", 2)[1],
+        lambda: parse_cache_entries(wire({"entries": [["k", metrics]]}))["k"],
+        lambda: parse_cache_listing(
+            wire({"entries": [["k", metrics]], "size": 1})
+        )[0][0][1],
+    ]
+
+
+@given(metrics=metric_maps)
+@settings(max_examples=200, deadline=None)
+def test_prop_finite_metrics_survive_every_parser_exactly(metrics):
+    """Bit for bit (``float.hex`` keeps -0.0 apart from 0.0), keys in order."""
+    expected = [(str(k), float(v).hex()) for k, v in metrics.items()]
+    for parse in _parsers(metrics):
+        assert [(k, v.hex()) for k, v in parse().items()] == expected
+
+
+@given(
+    metrics=metric_maps,
+    bad=st.sampled_from((math.nan, math.inf, -math.inf, "abc", None, [], {}, 10**400)),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_prop_non_finite_or_non_numeric_metrics_raise_service_error(metrics, bad, data):
+    """``json.loads`` parses ``NaN`` and ``Infinity``; no parser may
+    pass them on, nor fail on any value with a bare ``ValueError``,
+    ``TypeError`` or ``OverflowError``."""
+    items = [(k, v) for k, v in metrics.items() if k != "bad"]
+    items.insert(data.draw(st.integers(0, len(items))), ("bad", bad))
+    for parse in _parsers(dict(items)):
+        with pytest.raises(ServiceError, match="metric"):
+            parse()
 
 
 class TestServerEndpoints:
@@ -473,6 +542,28 @@ class TestBatchEndpoint:
         )
         assert memo_client.cache_size() == 0
         assert memo_client.healthz()["evaluations"] == 3
+
+    def test_memo_key_built_only_when_memoizing(self, memo_service, monkeypatch):
+        """The memo key costs ~10 µs a point, and only the memo reads it:
+        an unmemoized batch builds none, a memoized one one per point."""
+        import repro.service.server as server_module
+
+        calls = []
+        real = server_module.encode_key
+        monkeypatch.setattr(
+            server_module, "encode_key", lambda key: calls.append(key) or real(key)
+        )
+        actions = self._actions(5)
+        unmemoized, hits = memo_service.evaluate_batch(
+            "SvcCounting-v0", actions, memoize=False
+        )
+        assert (calls, hits) == ([], 0)
+        memoized, hits = memo_service.evaluate_batch("SvcCounting-v0", actions)
+        assert len(calls) == len(actions)
+        assert hits == 0 and memoized == unmemoized
+        __, hits = memo_service.evaluate_batch("SvcCounting-v0", actions)
+        assert hits == len(actions)
+        assert memo_service.memo_hits == len(actions)
 
     def test_numpy_action_values_hit_the_same_memo_line(self, memo_client):
         plain = memo_client.evaluate_batch("SvcCounting-v0", [{"x": 4, "m": "a"}])

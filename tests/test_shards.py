@@ -10,6 +10,8 @@ fitness.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ArchGymError, ShardError
 from repro.sweeps import (
@@ -83,6 +85,35 @@ class TestFingerprint:
     def test_sensitive_to_every_field(self, override):
         base = dict(env_id="X", agents=["rw"], seed=0, n_samples=8)
         assert sweep_fingerprint(**base) != sweep_fingerprint(**{**base, **override})
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _reversed_dicts(value):
+    """``value`` with every nested dict's keys in reverse order."""
+    if isinstance(value, dict):
+        return {k: _reversed_dicts(value[k]) for k in reversed(list(value))}
+    if isinstance(value, list):
+        return [_reversed_dicts(v) for v in value]
+    return value
+
+
+@given(
+    fields=st.dictionaries(st.text(min_size=1, max_size=8), json_values, max_size=6),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_prop_fingerprint_ignores_keyword_and_nested_dict_order(fields, data):
+    shuffled = data.draw(st.permutations(list(fields.items())))
+    reordered = {k: _reversed_dicts(v) for k, v in shuffled}
+    assert sweep_fingerprint(**reordered) == sweep_fingerprint(**fields)
 
 
 class TestShardIO:

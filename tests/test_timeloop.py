@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import SimulationError
 from repro.dnn import WORKLOAD_NAMES, ConvLayer, get_workload
+from repro.envs.timeloop_env import TimeloopGymEnv
 from repro.timeloop import (
     EYERISS_LIKE,
     INFEASIBLE_PENALTY,
@@ -65,8 +66,13 @@ class TestArch:
     def test_validation(self):
         with pytest.raises(SimulationError):
             AcceleratorConfig(pe_rows=0)
-        with pytest.raises(SimulationError):
-            AcceleratorConfig(clock_ghz=0.0)
+        for clock in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(SimulationError, match="clock_ghz"):
+                AcceleratorConfig(clock_ghz=clock)
+        env = TimeloopGymEnv()
+        for clock in (float("nan"), float("inf")):
+            with pytest.raises(SimulationError, match="clock_ghz"):
+                env.evaluate({**EYERISS_LIKE.to_action(), "ClockGHz": clock})
         with pytest.raises(SimulationError):
             AcceleratorConfig(word_bytes=3)
 
