@@ -16,8 +16,9 @@ Commands
     dataset (JSONL) — the §3.4 pipeline.
 ``serve``
     Host registered environments as an HTTP evaluation service
-    (``POST /evaluate`` + ``GET /healthz`` + ``GET/PUT /cache/<key>``)
-    that remote sweeps point ``--service-url`` at.
+    (``POST /evaluate_batch`` + ``GET /healthz`` + the ``/cache``
+    lookup, write and listing) that remote sweeps point
+    ``--service-url`` at.
 
 ``sweep`` and ``collect`` accept ``--workers N`` to fan trials out over
 a process pool (results are bit-identical for any worker count) and

@@ -432,8 +432,10 @@ class ServerCacheStore:
                     f"the policy on the client instead ({sorted(client_kwargs)})"
                 )
             primary = service
+            self._owned: List[Any] = []
         else:
             primary = ServiceClient(str(service), **client_kwargs)
+            self._owned = [primary]
         # The replica chain: primary first, then the deduplicated
         # fallbacks. Clients are built eagerly — construction opens no
         # sockets and gives every URL its canonical base_url identity.
@@ -451,6 +453,7 @@ class ServerCacheStore:
                 continue
             seen.add(client.base_url)
             self._hosts.append(_CacheHost(client))
+            self._owned.append(client)
         if replicas is None:
             replicas = min(2, len(self._hosts))
         if not isinstance(replicas, int) or isinstance(replicas, bool) or replicas < 1:
@@ -476,10 +479,11 @@ class ServerCacheStore:
 
     @staticmethod
     def _clean(metrics: Dict[str, Any]) -> Dict[str, float]:
-        """The one metrics normalizer both :meth:`get` and :meth:`put`
-        memoize through, so a ``put`` of an equal-but-int-valued dict
-        short-circuits against a previously fetched entry. Non-finite
-        values are rejected before they reach a wire body."""
+        """The one metrics normalizer both :meth:`get_many` and
+        :meth:`put_many` memoize through, so a write of an
+        equal-but-int-valued dict short-circuits against a previously
+        fetched entry. Non-finite values are rejected before they reach
+        a wire body."""
         return _finite_metrics(metrics)
 
     def _quarantine(self, host: _CacheHost, exc: BaseException) -> None:
@@ -555,41 +559,25 @@ class ServerCacheStore:
     # -- public API ---------------------------------------------------------------
 
     def get(self, key: ActionKey) -> Optional[Dict[str, float]]:
-        """Metrics for ``key``, or ``None`` (asks the chain on a local
-        miss, so entries written by other machines become visible). A
-        replica whose transport dies mid-read is skipped and the next
-        one answers — its entries were replicated, not abandoned."""
-        key_str = encode_key(key)
-        found = self._local.get(key_str)
-        if found is None:
-            found = self._call("cache_get", key_str)
-            if found is not None:
-                found = self._clean(found)
-                self._local[key_str] = found
-        return dict(found) if found is not None else None
+        """Metrics for ``key``, or ``None``: a one-key :meth:`get_many`
+        (asks the chain on a local miss, so entries written by other
+        machines become visible)."""
+        return self.get_many([key]).get(key)
 
     def put(self, key: ActionKey, metrics: Dict[str, float]) -> None:
-        """Store one entry on ``replicas`` hosts (idempotent: a key
-        this process already holds *with the same metrics* is not
-        re-sent; a changed value is — the server maps are
-        last-writer-wins). Succeeds as long as at least one copy
-        lands; fewer than ``replicas`` survivors degrade durability,
-        not correctness."""
-        key_str = encode_key(key)
-        clean = self._clean(metrics)
-        if self._local.get(key_str) == clean:
-            return
-        self._write("cache_put", key_str, clean)
-        self._local[key_str] = clean
+        """Store one entry on ``replicas`` hosts: a one-entry
+        :meth:`put_many`."""
+        self.put_many([(key, metrics)])
 
     def get_many(
         self, keys: Sequence[ActionKey]
     ) -> Dict[ActionKey, Dict[str, float]]:
         """Metrics for every stored key of ``keys``; misses are absent.
         Memoized keys answer locally; the rest ride one bulk lookup
-        (``POST /cache``, paged if huge) that fails over along the chain
-        like :meth:`get`. No request goes out when every key is
-        memoized."""
+        (``POST /cache``, paged if huge). A replica whose transport dies
+        mid-read is skipped and the next one answers — its entries were
+        replicated, not abandoned. No request goes out when every key
+        is memoized."""
         found: Dict[ActionKey, Dict[str, float]] = {}
         ask: Dict[str, ActionKey] = {}
         for key in keys:
@@ -612,10 +600,12 @@ class ServerCacheStore:
         self, entries: Sequence[Tuple[ActionKey, Dict[str, float]]]
     ) -> None:
         """Store many entries with one bulk write (``PUT /cache``) per
-        replica, under the same idempotence, fan-out and failure rules
-        as :meth:`put`. Every metric is checked before anything is
-        sent, and entries go out in order, so the servers end up exactly
-        as one :meth:`put` per entry would leave them."""
+        replica. Idempotent: a key this process already holds *with the
+        same metrics* is not re-sent; a changed value is — the server
+        maps are last-writer-wins. Every metric is checked before
+        anything is sent, and entries go out in order. Succeeds as long
+        as at least one copy lands; fewer than ``replicas`` survivors
+        degrade durability, not correctness."""
         send: List[Tuple[str, Dict[str, float]]] = []
         staged: Dict[str, Dict[str, float]] = {}
         for key, metrics in entries:
@@ -636,18 +626,16 @@ class ServerCacheStore:
         self, offset: int = 0, limit: int = 500
     ) -> Tuple[List[Tuple[str, Dict[str, float]]], int]:
         """One page of the first living replica's ``GET /cache``
-        listing: ``([(key_str, metrics), ...], total)``. Entries a
-        pre-guard server may still hold with non-finite values are
-        skipped rather than raised — a listing is a harvest, not a
-        lookup."""
-        entries, total = self._call("cache_list", offset, limit)
-        page: List[Tuple[str, Dict[str, float]]] = []
-        for key_str, metrics in entries:
-            try:
-                page.append((key_str, self._clean(metrics)))
-            except (CacheStoreError, TypeError, ValueError):
-                continue
-        return page, int(total)
+        listing: ``([(key_str, metrics), ...], total)``."""
+        return self._call("cache_list", offset, limit)
+
+    def close(self) -> None:
+        """Close the keep-alive sockets of the clients this store built
+        (for a URL primary and for its fallbacks), never those of a
+        client it was handed — that one belongs to its caller. The
+        store stays usable; connections reopen on the next request."""
+        for client in self._owned:
+            client.close()
 
     def __repr__(self) -> str:
         return (

@@ -200,14 +200,18 @@ class ArchGymEnv:
     def attach_backend(self, backend: Any) -> None:
         """Dispatch every cost-model call through ``backend``.
 
-        ``backend`` is duck-typed: it needs one method,
-        ``evaluate(env_id, action) -> Dict[str, float]`` — e.g.
-        :class:`repro.service.RemoteBackend`, which forwards the design
-        point to an evaluation service over HTTP. Everything above the
-        cost model (reward, caching tiers, episode accounting, dataset
-        logging) stays local, so an unmodified agent transparently
-        evaluates over the network; remote calls are counted in
-        ``stats.remote_evals``.
+        ``backend`` is duck-typed. Its main hook is
+        ``evaluate_batch(env_id, actions) -> List[Dict[str, float]]``,
+        which every step uses, a single ``step`` as a one-point batch
+        — e.g. :class:`repro.service.RemoteBackend`, which forwards the
+        design points to an evaluation service over HTTP. A backend
+        without it needs ``evaluate(env_id, action) -> Dict[str,
+        float]``, called once per point; an optional
+        ``evaluate_batch_stream`` hook serves :meth:`step_batch_stream`.
+        Everything above the cost model (reward, caching tiers, episode
+        accounting, dataset logging) stays local, so an unmodified
+        agent transparently evaluates over the network; remote calls
+        are counted in ``stats.remote_evals``.
         """
         self._backend = backend
 
@@ -216,44 +220,34 @@ class ArchGymEnv:
         backend, self._backend = self._backend, None
         return backend
 
-    def _dispatch_evaluate(self, action: Mapping[str, Any]) -> Dict[str, float]:
-        """One cost-model run, wherever the backend says it happens."""
-        if self._backend is None:
-            return self.evaluate(action)
-        metrics = self._backend.evaluate(self.env_id, action)
-        self.stats.remote_evals += 1
-        # A backend that knows which host answered (a multi-host pool,
-        # or a single client reporting its base URL) gets the
-        # evaluation attributed to that host.
-        host = getattr(self._backend, "last_host", None)
-        if host is not None:
-            by_host = self.stats.remote_evals_by_host
-            by_host[host] = by_host.get(host, 0) + 1
-        return metrics
-
     def _dispatch_evaluate_batch(
         self, actions: Sequence[Mapping[str, Any]]
     ) -> List[Dict[str, float]]:
-        """Many cost-model runs, batched through the backend when it
-        supports batching (``evaluate_batch(env_id, actions)``).
+        """Many cost-model runs, batched through the backend's
+        ``evaluate_batch(env_id, actions)`` hook, or one
+        ``evaluate(env_id, action)`` call per point for a backend
+        without it.
 
-        Counter parity with the serial path: ``remote_evals`` counts
-        one per design point either way, and per-host attribution uses
-        the backend's per-point ``last_hosts`` when it reports one (a
-        pool that scattered the batch over several hosts), falling
-        back to charging the whole batch to ``last_host``.
+        ``remote_evals`` counts one per design point either way, and
+        per-host attribution uses the backend's per-point
+        ``last_hosts`` when it reports one (a pool that scattered the
+        batch over several hosts), falling back to charging each call's
+        points to ``last_host``.
         """
         if self._backend is None:
             return [self.evaluate(action) for action in actions]
         batch_fn = getattr(self._backend, "evaluate_batch", None)
         if batch_fn is None:
-            return [self._dispatch_evaluate(action) for action in actions]
-        metrics_list = batch_fn(self.env_id, list(actions))
+            metrics_list, hosts = [], []
+            for action in actions:
+                metrics_list.append(self._backend.evaluate(self.env_id, action))
+                hosts.append(getattr(self._backend, "last_host", None))
+        else:
+            metrics_list = batch_fn(self.env_id, list(actions))
+            hosts = getattr(self._backend, "last_hosts", None)
+            if hosts is None:
+                hosts = [getattr(self._backend, "last_host", None)] * len(actions)
         self.stats.remote_evals += len(actions)
-        hosts = getattr(self._backend, "last_hosts", None)
-        if hosts is None:
-            host = getattr(self._backend, "last_host", None)
-            hosts = [host] * len(actions)
         by_host = self.stats.remote_evals_by_host
         for host in hosts:
             if host is not None:
@@ -400,81 +394,15 @@ class ArchGymEnv:
         return observation, {"env_id": self.env_id}
 
     def step(self, action: Mapping[str, Any]) -> StepResult:
-        """Evaluate one design point and return the gym 5-tuple."""
-        if self._needs_reset:
-            raise EnvironmentError_("call reset() before step()")
-        try:
-            self.action_space.validate(action)
-        except Exception as exc:
-            raise InvalidActionError(str(exc)) from exc
+        """Evaluate one design point and return the gym 5-tuple.
 
-        key = (
-            canonical_action_key(action)
-            if self._eval_cache is not None or self._shared_cache is not None
-            else None
-        )
-        metrics: Optional[Dict[str, float]] = None
-        if self._eval_cache is not None and key is not None:
-            cached = self._eval_cache.get(key)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                self._eval_cache.move_to_end(key)
-                metrics = dict(cached)
-        if metrics is None and self._shared_cache is not None and key is not None:
-            shared = self._shared_cache.get(key)
-            if shared is not None:
-                self.stats.shared_cache_hits += 1
-                metrics = dict(shared)
-                self._remember_local(key, shared)
-        if metrics is None:
-            start = time.perf_counter()
-            metrics = self._dispatch_evaluate(action)
-            self.stats.total_sim_time += time.perf_counter() - start
-
-            missing = [m for m in self.observation_metrics if m not in metrics]
-            if missing:
-                raise EnvironmentError_(
-                    f"cost model did not report metrics {missing}; got {sorted(metrics)}"
-                )
-            if key is not None:
-                self.stats.cache_misses += 1
-                clean = {k: float(v) for k, v in metrics.items()}
-                self._remember_local(key, clean)
-                if self._shared_cache is not None:
-                    self._shared_cache.put(key, clean)
-
-        reward = self.reward_spec.compute(metrics)
-        observation = np.array(
-            [metrics[m] for m in self.observation_metrics], dtype=np.float64
-        )
-
-        self._steps_in_episode += 1
-        self.stats.total_steps += 1
-
-        target_met = self.reward_spec.meets_target(metrics)
-        terminated = bool(self.terminate_on_target and target_met)
-        truncated = self._steps_in_episode >= self.episode_length
-        if terminated or truncated:
-            self._needs_reset = True
-
-        info: Dict[str, Any] = {
-            "metrics": dict(metrics),
-            "target_met": target_met,
-            "step": self._steps_in_episode,
-        }
-
-        if self.dataset is not None:
-            self.dataset.append(
-                Transition(
-                    action=dict(action),
-                    metrics={k: float(v) for k, v in metrics.items()},
-                    reward=float(reward),
-                    source=self._source_tag,
-                    step=self.stats.total_steps,
-                )
-            )
-
-        return observation, float(reward), terminated, truncated, info
+        A one-point :meth:`step_batch`: the same decision pass and
+        replay, so a miss goes out through the backend's
+        ``evaluate_batch`` hook and the shared tier is asked with
+        ``get_many`` and written with ``put_many``, one key each.
+        """
+        (result,) = self._steps([action], "step", stream=False)
+        return result
 
     def step_batch(
         self, actions: Sequence[Mapping[str, Any]]
@@ -496,40 +424,17 @@ class ArchGymEnv:
         loop would — consulting the local LRU (simulated forward so
         in-batch duplicates and evictions resolve identically) and the
         shared tier — and collects the misses. After one batched
-        dispatch of the misses, the *replay* pass applies the serial
-        per-point bookkeeping in order: counters, LRU insertion and
-        eviction, reward computation, episode accounting, and dataset
-        logging; the misses then go to the shared tier in replay
-        order, as the serial loop would have put them. A mid-batch
-        episode end is auto-reset (what the serial driver does between
-        steps); an episode end on the final point leaves
-        ``_needs_reset`` set for the caller, exactly like :meth:`step`.
+        dispatch of the misses, whose metrics are all checked before
+        any bookkeeping, the *replay* pass applies the serial per-point
+        bookkeeping in order: counters, LRU insertion and eviction,
+        reward computation, episode accounting, and dataset logging;
+        the misses then go to the shared tier in replay order, as the
+        serial loop would have put them. A mid-batch episode end is
+        auto-reset (what the serial driver does between steps); an
+        episode end on the final point leaves ``_needs_reset`` set for
+        the caller, exactly like :meth:`step`.
         """
-        actions, keys = self._validate_batch(actions, "step_batch")
-        if not actions:
-            return []
-        plan, miss_actions, shared_seen = self._plan_batch(actions, keys)
-
-        # -- one batched dispatch for every miss
-        miss_metrics: List[Dict[str, float]] = []
-        if miss_actions:
-            start = time.perf_counter()
-            miss_metrics = self._dispatch_evaluate_batch(miss_actions)
-            self.stats.total_sim_time += time.perf_counter() - start
-            for metrics in miss_metrics:
-                self._check_metrics(metrics)
-
-        # -- replay pass: the serial per-point bookkeeping, in order
-        puts: List[Tuple[ActionKey, Dict[str, float]]] = []
-        try:
-            return [
-                self._replay_point(
-                    action, key, tag, ref, miss_metrics, shared_seen, puts
-                )
-                for action, key, (tag, ref) in zip(actions, keys, plan)
-            ]
-        finally:
-            self._flush_shared(puts)
+        return list(self._steps(actions, "step_batch", stream=False))
 
     def step_batch_stream(
         self, actions: Sequence[Mapping[str, Any]]
@@ -557,28 +462,61 @@ class ArchGymEnv:
         (including in-process evaluation) fall back to one whole-batch
         chunk, so this is always safe to call.
         """
-        actions, keys = self._validate_batch(actions, "step_batch_stream")
-        if not actions:
-            return iter(())
-        plan, miss_actions, shared_seen = self._plan_batch(actions, keys)
-        return self._replay_stream(actions, keys, plan, miss_actions, shared_seen)
+        return self._steps(actions, "step_batch_stream", stream=True)
 
-    def _replay_stream(
+    def _steps(
+        self, actions: Sequence[Mapping[str, Any]], caller: str, stream: bool
+    ) -> Iterator[StepResult]:
+        """The one step path behind :meth:`step`, :meth:`step_batch`
+        and :meth:`step_batch_stream`.
+
+        Runs now: the reset check, per-point validation, canonical keys
+        (when any cache tier is on) and the decision pass — and, unless
+        ``stream``, the one whole-batch dispatch of the misses with
+        every metric checked. Returns the replay generator; a streamed
+        batch's chunks are pulled as the replay needs them.
+        """
+        if self._needs_reset:
+            raise EnvironmentError_(f"call reset() before {caller}()")
+        actions = list(actions)
+        for action in actions:
+            try:
+                self.action_space.validate(action)
+            except Exception as exc:
+                raise InvalidActionError(str(exc)) from exc
+        caching = self._eval_cache is not None or self._shared_cache is not None
+        keys: List[Optional[ActionKey]] = [
+            canonical_action_key(action) if caching else None
+            for action in actions
+        ]
+        plan, miss_actions, shared_seen = self._plan_batch(actions, keys)
+        miss_metrics: List[Optional[Dict[str, float]]] = [None] * len(miss_actions)
+        chunks: Iterator[Tuple[int, List[Dict[str, float]]]] = iter(())
+        if stream and miss_actions:
+            chunks = self._dispatch_evaluate_batch_stream(miss_actions)
+        elif miss_actions:
+            start = time.perf_counter()
+            miss_metrics = list(self._dispatch_evaluate_batch(miss_actions))
+            self.stats.total_sim_time += time.perf_counter() - start
+            for metrics in miss_metrics:
+                self._check_metrics(metrics)
+        return self._replay(
+            actions, keys, plan, miss_metrics, chunks, shared_seen
+        )
+
+    def _replay(
         self,
         actions: List[Mapping[str, Any]],
         keys: List[Optional[ActionKey]],
         plan: List[Tuple[str, Any]],
-        miss_actions: List[Mapping[str, Any]],
+        miss_metrics: List[Optional[Dict[str, float]]],
+        chunks: Iterator[Tuple[int, List[Dict[str, float]]]],
         shared_seen: Dict[ActionKey, Dict[str, float]],
     ) -> Iterator[StepResult]:
-        """Replay the batch in proposal order against a chunk stream,
-        buffering out-of-order arrivals until the next needed miss
-        index is filled."""
-        miss_metrics: List[Optional[Dict[str, float]]] = [None] * len(miss_actions)
-        chunks = (
-            self._dispatch_evaluate_batch_stream(miss_actions)
-            if miss_actions else iter(())
-        )
+        """Replay pass: every point in proposal order. A miss whose
+        metrics are not in hand yet pulls chunks off ``chunks`` — in
+        arrival order, each checked as it lands, out-of-order ones
+        buffered — until its index is filled."""
 
         def fill(index: int) -> None:
             while miss_metrics[index] is None:
@@ -588,7 +526,7 @@ class ArchGymEnv:
                 except StopIteration:
                     raise EnvironmentError_(
                         f"evaluation stream ended with design point "
-                        f"{index} of {len(miss_actions)} unanswered"
+                        f"{index} of {len(miss_metrics)} unanswered"
                     ) from None
                 self.stats.total_sim_time += time.perf_counter() - start
                 for offset, metrics in enumerate(metrics_list):
@@ -615,26 +553,6 @@ class ArchGymEnv:
         finally:
             self._flush_shared(puts)
 
-    def _validate_batch(
-        self, actions: Sequence[Mapping[str, Any]], caller: str
-    ) -> Tuple[List[Mapping[str, Any]], List[Optional[ActionKey]]]:
-        """Shared batched-step entry checks: reset state, per-point
-        validation, and (when any cache tier is on) canonical keys."""
-        if self._needs_reset:
-            raise EnvironmentError_(f"call reset() before {caller}()")
-        actions = list(actions)
-        for action in actions:
-            try:
-                self.action_space.validate(action)
-            except Exception as exc:
-                raise InvalidActionError(str(exc)) from exc
-        caching = self._eval_cache is not None or self._shared_cache is not None
-        keys: List[Optional[ActionKey]] = [
-            canonical_action_key(action) if caching else None
-            for action in actions
-        ]
-        return actions, keys
-
     def _check_metrics(self, metrics: Mapping[str, float]) -> None:
         missing = [m for m in self.observation_metrics if m not in metrics]
         if missing:
@@ -652,7 +570,7 @@ class ArchGymEnv:
         List[Mapping[str, Any]],
         Dict[ActionKey, Dict[str, float]],
     ]:
-        """Decision pass of a batched step: classify every point as the
+        """Decision pass of every step: classify each point as the
         serial loop would.
 
         The local LRU is overlaid, not copied, so the pass costs
@@ -755,9 +673,10 @@ class ArchGymEnv:
     ) -> StepResult:
         """Replay pass for one classified point: the serial per-point
         bookkeeping — counters, LRU insertion/eviction, reward, episode
-        accounting, dataset logging — in exactly the order :meth:`step`
-        applies it. A miss bound for the shared tier is appended to
-        ``puts``, which the caller writes in one :meth:`_flush_shared`."""
+        accounting, dataset logging — in the order a point-at-a-time
+        loop applies it. A miss bound for the shared tier is appended
+        to ``puts``, which the caller writes in one
+        :meth:`_flush_shared`."""
         if self._needs_reset:
             # A mid-batch episode end: the serial driver resets
             # between steps, so the batch path does too.

@@ -3,9 +3,10 @@ agent — unmodified — evaluates design points over the network.
 
 Server side: :class:`EvaluationService` (stdlib ``ThreadingHTTPServer``)
 serves ``POST /evaluate``, ``POST /evaluate_batch`` (many design
-points per round trip), ``GET /healthz``, ``GET/PUT /cache/<key>``,
-and the bulk ``POST /cache`` (look up many keys) and ``PUT /cache``
-(write many entries) a batched step sends once per generation.
+points per round trip), ``GET /healthz``, ``GET /cache`` (size and
+paged listing), and ``POST /cache`` (look up keys) and ``PUT /cache``
+(write entries), which a step sends once per generation — a single
+``env.step`` with one key.
 Client side: :class:`ServiceClient` (persistent keep-alive
 connections, retry/timeout policy), :class:`RemoteBackend` (adapts a
 client — or a :class:`repro.sweeps.HostPool` — to ``ArchGymEnv``'s

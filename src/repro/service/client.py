@@ -50,7 +50,6 @@ from repro.service.wire import (
     MAX_CACHE_PAGE,
     dump_body,
     jsonify,
-    key_to_token,
     parse_batch_response,
     parse_cache_entries,
     parse_cache_listing,
@@ -341,21 +340,14 @@ class ServiceClient:
         return parse_batch_response(parsed, env, len(actions))
 
     def cache_get(self, key_str: str) -> Optional[Dict[str, float]]:
-        """Server-cache lookup by encoded key; ``None`` on a miss."""
-        status, parsed = self._request("GET", f"/cache/{key_to_token(key_str)}")
-        if status == 404:
-            return None
-        if status >= 400:
-            raise ServiceError(
-                f"cache GET -> HTTP {status}: {parsed.get('error', parsed)}"
-            )
-        return parse_metrics_response(parsed, "cache response")
+        """Server-cache lookup by encoded key; ``None`` on a miss. A
+        one-key :meth:`cache_get_many`."""
+        return self.cache_get_many([key_str]).get(key_str)
 
     def cache_put(self, key_str: str, metrics: Dict[str, float]) -> None:
-        """Store one entry in the server cache."""
-        self._checked(
-            "PUT", f"/cache/{key_to_token(key_str)}", {"metrics": jsonify(metrics)}
-        )
+        """Store one entry in the server cache: a one-entry
+        :meth:`cache_put_many`."""
+        self.cache_put_many([(key_str, metrics)])
 
     def cache_get_many(
         self, key_strs: Sequence[str]
@@ -377,8 +369,8 @@ class ServiceClient:
     ) -> None:
         """Store many ``(key_str, metrics)`` entries in order: one
         ``PUT /cache`` per :data:`MAX_CACHE_PAGE` entries; none for an
-        empty input. Idempotent like :meth:`cache_put`, so the retry
-        policy applies unchanged."""
+        empty input. Idempotent (the server map is last-writer-wins),
+        so the retry policy applies unchanged."""
         for start in range(0, len(entries), MAX_CACHE_PAGE):
             page = list(entries[start:start + MAX_CACHE_PAGE])
             self._checked("PUT", "/cache", {"entries": page})

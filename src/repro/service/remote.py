@@ -99,7 +99,9 @@ class RemoteBackend:
         return getattr(self.client, "base_url", None)
 
     def evaluate(self, env_name: str, action: Dict[str, Any]) -> Dict[str, float]:
-        """The backend hook :meth:`ArchGymEnv.step` dispatches through."""
+        """Evaluate one design point over ``POST /evaluate``. The env
+        steps through :meth:`evaluate_batch`, a single ``step`` with a
+        one-point batch."""
         return self.client.evaluate(env_name, action, env_kwargs=self.env_kwargs)
 
     def evaluate_batch(

@@ -23,35 +23,34 @@ separate process — or on a separate machine — behind these endpoints:
     batch runs under **one** acquisition of the instance lock, so N
     design points pay one round trip and one lock handoff instead of
     N. With ``memoize`` (the default) every fresh evaluation is also
-    written into the ``/cache`` store — under exactly the key an
-    explicit ``PUT /cache/<token>`` of that design point would use —
-    and repeat points are answered from it without touching the cost
-    model (counted in ``memo_hits`` and on ``/healthz``). Because the
-    ``/cache`` map is keyed on the design point alone, memoization is
-    auto-disabled on servers hosting more than one environment.
-``GET/PUT /cache/<token>`` and ``GET /cache``
+    written into the ``/cache`` store — under exactly the key a
+    ``PUT /cache`` of that design point would use — and repeat points
+    are answered from it without touching the cost model (counted in
+    ``memo_hits`` and on ``/healthz``). Because the ``/cache`` map is
+    keyed on the design point alone, memoization is auto-disabled on
+    servers hosting more than one environment.
+``GET /cache``
     A ``canonical_action_key -> metrics`` map shared by every client —
     the server-backed twin of the file-backed
     :class:`~repro.core.cache_store.SharedCacheStore` (and the backing
-    for its drop-in variant ``ServerCacheStore``). ``<token>`` is the
-    urlsafe-base64 form of the encoded key (see
-    :mod:`repro.service.wire`); ``GET /cache`` reports the entry
-    count, and ``GET /cache?offset=N&limit=M`` pages through the whole
-    map in sorted-key order (``{"size": total, "entries": [[key,
-    metrics], ...]}``) — the listing the
+    for its drop-in variant ``ServerCacheStore``). ``GET /cache``
+    reports the entry count, and ``GET /cache?offset=N&limit=M`` pages
+    through the whole map in sorted-key order (``{"size": total,
+    "entries": [[key, metrics], ...]}``) — the listing the
     :class:`~repro.sweeps.hostpool.HostPool` anti-entropy backfill
     replays into a revived replica. With ``cache_dir`` the map is
     durably file-backed (a ``SharedCacheStore`` the server owns);
     otherwise it is in-memory.
 ``POST /cache`` and ``PUT /cache``
-    The bulk forms a batched step uses, one of each per generation.
+    The map's lookup and write, one of each per step or generation.
     ``POST /cache`` with ``{"keys": [key, ...]}`` answers
     ``{"entries": [[key, metrics], ...]}`` for the keys the map holds
     (misses are absent); ``PUT /cache`` with ``{"entries": [[key,
     metrics], ...]}`` stores every entry in order (last writer wins)
-    and answers ``{"stored": n}``. Keys are encoded key strings, not
-    tokens; a body holds at most ``MAX_CACHE_PAGE`` keys or entries,
-    and each request takes the map's lock once.
+    and answers ``{"stored": n}``. Keys are encoded key strings (see
+    :mod:`repro.service.wire`); a body holds at most
+    ``MAX_CACHE_PAGE`` keys or entries, and each request takes the
+    map's lock once.
 
 Everything is stdlib: ``http.server.ThreadingHTTPServer`` + ``json``.
 Server-side failures are reported as JSON ``{"error": ...}`` bodies
@@ -84,7 +83,6 @@ from repro.service.wire import (
     parse_cache_lookup,
     parse_cache_query,
     parse_cache_write,
-    token_to_key,
 )
 
 __all__ = ["EvaluationService"]
@@ -249,9 +247,9 @@ class EvaluationService:
 
         Returns ``(metrics_list, memo_hits)`` with one entry per action
         in request order. With ``memoize`` every fresh evaluation also
-        lands in the ``/cache`` store — keyed exactly as an explicit
-        ``PUT /cache`` of the same design point (the urlsafe token of
-        ``encode_key(canonical_action_key(action))``), so batch traffic
+        lands in the ``/cache`` store — keyed exactly as a ``PUT
+        /cache`` of the same design point
+        (``encode_key(canonical_action_key(action))``), so batch traffic
         and explicit cache writes are indistinguishable to readers —
         and repeat design points are answered from that store without
         touching the cost model.
@@ -362,18 +360,13 @@ class EvaluationService:
         """
         with self._cache_lock:
             if self._cache_store is not None:
-                keys = self._cache_store.keys_encoded()
-                page = [
-                    (k, self._cache_store.get_encoded(k))
-                    for k in keys[offset:offset + limit]
-                ]
-            else:
-                keys = sorted(self._mem_cache)
-                page = [
-                    (k, dict(self._mem_cache[k]))
-                    for k in keys[offset:offset + limit]
-                ]
-        return len(keys), [(k, m) for k, m in page if m is not None]
+                page, total = self._cache_store.list_encoded(offset, limit)
+                return total, page
+            keys = sorted(self._mem_cache)
+            return len(keys), [
+                (k, dict(self._mem_cache[k]))
+                for k in keys[offset:offset + limit]
+            ]
 
     def health(self) -> Dict[str, Any]:
         # env_names and cache_size() take their own (non-reentrant)
@@ -626,9 +619,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _drain_request_body(self) -> None:
         """Consume any unread request body before replying.
 
-        Keep-alive discipline: an early error reply (unknown route,
-        malformed token) that leaves body bytes in the socket would
-        desync the connection — the leftovers would parse as the next
+        Keep-alive discipline: an error reply sent before the body was
+        read (an unknown route) that leaves body bytes in the socket
+        would desync the connection — the leftovers would parse as the next
         request line and poison every later request on it. A body too
         large to drain cheaply (an abusive Content-Length) is not read
         at all; the connection is closed after the reply instead, which
@@ -693,13 +686,6 @@ class _Handler(BaseHTTPRequestHandler):
                     )
                 else:
                     self._reply(200, {"size": self.service.cache_size()})
-            elif split.path.startswith("/cache/"):
-                key_str = token_to_key(split.path[len("/cache/"):])
-                found = self.service.cache_get(key_str)
-                if found is None:
-                    self._reply(404, {"error": "cache miss"})
-                else:
-                    self._reply(200, {"metrics": found})
             else:
                 self._reply(404, {"error": f"no route {self.path!r}"})
 
@@ -761,17 +747,7 @@ class _Handler(BaseHTTPRequestHandler):
                 entries = parse_cache_write(self._read_json())
                 self.service.cache_put_many(entries)
                 self._reply(200, {"stored": len(entries)})
-                return
-            if not self.path.startswith("/cache/"):
+            else:
                 self._reply(404, {"error": f"no route {self.path!r}"})
-                return
-            key_str = token_to_key(self.path[len("/cache/"):])
-            request = self._read_json()
-            if not isinstance(request, dict) or not isinstance(
-                request.get("metrics"), dict
-            ):
-                raise ServiceError(f"cache PUT body needs a 'metrics' object: {request!r}")
-            self.service.cache_put(key_str, request["metrics"])
-            self._reply(200, {"stored": True})
 
         self._dispatch(handle)

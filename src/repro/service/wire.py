@@ -13,18 +13,16 @@ bit-identical to an in-process one all live here:
   JSON round-trip exactly (``json`` emits ``repr``-faithful doubles),
   so the metrics an agent observes through the service are the same
   bits an in-process ``evaluate()`` would have produced.
-- **Cache keys** travel inside URL paths as padding-free urlsafe
-  base64 of the :func:`repro.core.cache_store.encode_key` string, so
-  arbitrary key content (quotes, brackets, unicode) never fights URL
-  quoting rules. The bulk requests carry them as plain JSON strings
-  in the body, and every body that holds cache entries — listing
-  page, bulk lookup answer, bulk write — spells them
-  ``[[key, metrics], ...]``.
+- **Cache keys** are :func:`repro.core.cache_store.encode_key`
+  strings carried as plain JSON strings in request and response
+  bodies, never in a URL path, so arbitrary key content (quotes,
+  brackets, unicode) never fights URL quoting rules. Every body that
+  holds cache entries — listing page, bulk lookup answer, bulk
+  write — spells them ``[[key, metrics], ...]``.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 from typing import Any, Dict, List, Mapping, Tuple
@@ -51,14 +49,13 @@ __all__ = [
     "parse_batch_response",
     "parse_cache_entries",
     "parse_cache_listing",
-    "key_to_token",
-    "token_to_key",
 ]
 
 #: Protocol identifier served by ``GET /healthz``; clients may check it.
-#: Still v1: ``/evaluate_batch`` and keep-alive are strict additions —
-#: every v1 request body remains valid and answered identically.
-WIRE_FORMAT = "archgym-service-v1"
+#: v2: the per-key ``GET/PUT /cache/<token>`` routes of v1 are gone (a
+#: single cache key rides the bulk ``POST/PUT /cache`` bodies); every
+#: other v1 request body remains valid and answered identically.
+WIRE_FORMAT = "archgym-service-v2"
 
 #: Page size ``GET /cache?offset=N`` uses when no ``limit`` is given.
 DEFAULT_CACHE_PAGE = 500
@@ -310,17 +307,3 @@ def parse_cache_listing(parsed: Dict[str, Any]) -> Tuple[list, int]:
     ]
     return entries, int(parsed.get("size", 0))
 
-
-def key_to_token(key_str: str) -> str:
-    """URL-path-safe token for an encoded cache key (no padding)."""
-    return base64.urlsafe_b64encode(key_str.encode("utf-8")).decode("ascii").rstrip("=")
-
-
-def token_to_key(token: str) -> str:
-    """Invert :func:`key_to_token`; raises :class:`ServiceError` on a
-    token that is not valid base64 text."""
-    try:
-        padded = token + "=" * (-len(token) % 4)
-        return base64.urlsafe_b64decode(padded.encode("ascii")).decode("utf-8")
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ServiceError(f"malformed cache-key token {token!r}") from exc

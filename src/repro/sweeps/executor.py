@@ -431,6 +431,7 @@ def run_trial(task: TrialTask) -> TrialOutcome:
     sample budget. Module-level so it pickles by reference.
     """
     env = task.env_factory()
+    server_store = None
     try:
         if task.cache is True:
             if not env.cache_enabled:  # keep a larger pre-configured cache
@@ -463,23 +464,24 @@ def run_trial(task: TrialTask) -> TrialOutcome:
                 remote is not None
                 and getattr(remote.client, "base_url", None) == cache_url
             ):
-                env.attach_shared_cache(ServerCacheStore(
+                server_store = ServerCacheStore(
                     remote.client,
                     fallbacks=fallbacks,
                     replicas=task.cache_replicas,
-                ))
+                )
             elif task.backend is not None:
-                env.attach_shared_cache(ServerCacheStore(
+                server_store = ServerCacheStore(
                     cache_url,
                     fallbacks=fallbacks,
                     replicas=task.cache_replicas,
                     timeout_s=task.backend.timeout_s,
                     retries=task.backend.retries,
-                ))
-            else:
-                env.attach_shared_cache(
-                    ServerCacheStore(cache_url, replicas=task.cache_replicas)
                 )
+            else:
+                server_store = ServerCacheStore(
+                    cache_url, replicas=task.cache_replicas
+                )
+            env.attach_shared_cache(server_store)
         dataset: Optional[ArchGymDataset] = None
         if task.collect:
             dataset = ArchGymDataset(env.env_id)
@@ -517,6 +519,10 @@ def run_trial(task: TrialTask) -> TrialOutcome:
         )
     finally:
         env.close()
+        if server_store is not None:
+            # The trial's own cache clients; a reused backend client is
+            # closed with the cached backends instead.
+            server_store.close()
 
 
 def _check_picklable(tasks: Sequence[TrialTask]) -> None:

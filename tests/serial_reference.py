@@ -1,28 +1,129 @@
-"""The point-at-a-time search driver, kept as the parity reference.
+"""The point-at-a-time step and search driver, kept as the parity
+reference.
+
+``ArchGymEnv.step``, ``step_batch`` and ``step_batch_stream`` share one
+path: a decision pass over the whole batch, one dispatch of its misses,
+and a replay pass (``step`` is a one-point batch). ``reference_step``
+is the independent serial step that path replaced: it looks each point
+up in the local LRU, then in the shared tier (``get``), evaluates a
+miss through the backend's one-point ``evaluate`` hook, and writes it
+to the shared tier (``put``), all before the next point. The batteries
+hold every step mode to it.
 
 ``repro.agents.base.run_agent`` drives every agent through the
 generation protocol: ``propose_batch`` → ``step_batch`` →
 ``observe_batch``, with singleton batches for point-at-a-time agents.
-This module holds the loop it replaced — one ``propose`` →
-``env.step`` → ``observe`` per sample, with the same incumbent and
-history bookkeeping — so the parity batteries can hold every dispatch
-mode to a genuinely serial run. ``run_agent_serial`` takes
-``run_agent``'s arguments, so :func:`serial_sweeps` can stand it in
-where ``repro.sweeps.executor`` looks ``run_agent`` up.
+``run_agent_serial`` is the loop it replaced — one ``propose`` →
+``reference_step`` → ``observe`` per sample, with the same incumbent
+and history bookkeeping — so the parity batteries can hold every
+dispatch mode to a genuinely serial run. It takes ``run_agent``'s
+arguments, so :func:`serial_sweeps` can stand it in where
+``repro.sweeps.executor`` looks ``run_agent`` up.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 from unittest import mock
 
 import numpy as np
 
 import repro.sweeps.executor as executor
 from repro.agents.base import Agent, SearchResult
-from repro.core.env import ArchGymEnv
-from repro.core.errors import AgentError
+from repro.core.dataset import Transition
+from repro.core.env import ArchGymEnv, StepResult, canonical_action_key
+from repro.core.errors import AgentError, EnvironmentError_, InvalidActionError
+
+
+def reference_step(env: ArchGymEnv, action: Mapping[str, Any]) -> StepResult:
+    """Evaluate one design point on ``env`` and return the gym 5-tuple,
+    one cache tier and one backend call at a time."""
+    if env._needs_reset:
+        raise EnvironmentError_("call reset() before step()")
+    try:
+        env.action_space.validate(action)
+    except Exception as exc:
+        raise InvalidActionError(str(exc)) from exc
+
+    key = (
+        canonical_action_key(action)
+        if env._eval_cache is not None or env._shared_cache is not None
+        else None
+    )
+    metrics: Optional[Dict[str, float]] = None
+    if env._eval_cache is not None and key is not None:
+        cached = env._eval_cache.get(key)
+        if cached is not None:
+            env.stats.cache_hits += 1
+            env._eval_cache.move_to_end(key)
+            metrics = dict(cached)
+    if metrics is None and env._shared_cache is not None and key is not None:
+        shared = env._shared_cache.get(key)
+        if shared is not None:
+            env.stats.shared_cache_hits += 1
+            metrics = dict(shared)
+            env._remember_local(key, shared)
+    if metrics is None:
+        start = time.perf_counter()
+        if env._backend is None:
+            metrics = env.evaluate(action)
+        else:
+            metrics = env._backend.evaluate(env.env_id, action)
+            env.stats.remote_evals += 1
+            # A backend that knows which host answered (a multi-host
+            # pool, or a single client reporting its base URL) gets the
+            # evaluation attributed to that host.
+            host = getattr(env._backend, "last_host", None)
+            if host is not None:
+                by_host = env.stats.remote_evals_by_host
+                by_host[host] = by_host.get(host, 0) + 1
+        env.stats.total_sim_time += time.perf_counter() - start
+
+        missing = [m for m in env.observation_metrics if m not in metrics]
+        if missing:
+            raise EnvironmentError_(
+                f"cost model did not report metrics {missing}; got {sorted(metrics)}"
+            )
+        if key is not None:
+            env.stats.cache_misses += 1
+            clean = {k: float(v) for k, v in metrics.items()}
+            env._remember_local(key, clean)
+            if env._shared_cache is not None:
+                env._shared_cache.put(key, clean)
+
+    reward = env.reward_spec.compute(metrics)
+    observation = np.array(
+        [metrics[m] for m in env.observation_metrics], dtype=np.float64
+    )
+
+    env._steps_in_episode += 1
+    env.stats.total_steps += 1
+
+    target_met = env.reward_spec.meets_target(metrics)
+    terminated = bool(env.terminate_on_target and target_met)
+    truncated = env._steps_in_episode >= env.episode_length
+    if terminated or truncated:
+        env._needs_reset = True
+
+    info: Dict[str, Any] = {
+        "metrics": dict(metrics),
+        "target_met": target_met,
+        "step": env._steps_in_episode,
+    }
+
+    if env.dataset is not None:
+        env.dataset.append(
+            Transition(
+                action=dict(action),
+                metrics={k: float(v) for k, v in metrics.items()},
+                reward=float(reward),
+                source=env._source_tag,
+                step=env.stats.total_steps,
+            )
+        )
+
+    return observation, float(reward), terminated, truncated, info
 
 
 def run_agent_serial(
@@ -68,7 +169,7 @@ def run_agent_serial(
     best_history: List[float] = []
     for _ in range(n_samples):
         action = agent.propose()
-        __, reward, terminated, truncated, info = env.step(action)
+        __, reward, terminated, truncated, info = reference_step(env, action)
         fitness = reward if higher else -reward
         reward_history.append(reward)
         if fitness > best_fitness:

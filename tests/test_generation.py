@@ -7,13 +7,14 @@ Four batteries:
    overrides, and RNG-stream parity between the serial and batched
    interfaces.
 2. **``ArchGymEnv.step_batch``** — byte-parity with the serial
-   ``step`` loop across every cache configuration (local LRU, shared
-   tier, disabled), including in-batch duplicates, episode resets, and
-   counter accounting; a Hypothesis property holds ``step_batch`` and
-   ``step_batch_stream`` to it over random proposal sequences, LRU
-   sizes, shared-tier states, episode lengths and chunk arrival
-   orders (shared-tier bytes and bulk-call counts included), and the
-   decision pass reads O(batch) of a full LRU.
+   ``reference_step`` loop (``tests/serial_reference.py``) across
+   every cache configuration (local LRU, shared tier, disabled),
+   including in-batch duplicates, episode resets, and counter
+   accounting; a Hypothesis property holds ``step_batch``,
+   ``step_batch_stream`` and ``step`` to it over random proposal
+   sequences, LRU sizes, shared-tier states, episode lengths and chunk
+   arrival orders (shared-tier bytes and bulk-call counts included),
+   and the decision pass reads O(batch) of a full LRU.
 3. **Driver parity** — ``run_agent`` (the generation protocol) is
    byte-identical to the point-at-a-time reference driver
    (``tests/serial_reference.py``) for every built-in agent.
@@ -58,7 +59,7 @@ from repro.sweeps import (
     weighted_split,
 )
 
-from serial_reference import run_agent_serial
+from serial_reference import reference_step, run_agent_serial
 from test_pipeline import _ScriptedStreamBackend
 from test_service import SvcCountingEnv, _free_port
 
@@ -189,11 +190,11 @@ def _env(**kwargs):
 
 
 def _serial_reference(env, actions):
-    """Drive ``env.step`` the way run_agent does (auto-reset between
-    steps) and collect the comparable outcome."""
+    """Drive ``reference_step`` the way run_agent does (auto-reset
+    between steps) and collect the comparable outcome."""
     out = []
     for action in actions:
-        result = env.step(action)
+        result = reference_step(env, action)
         out.append((result[0].tolist(), result[1], result[2], result[3],
                     result[4]["metrics"], result[4]["target_met"],
                     result[4]["step"]))
@@ -329,6 +330,32 @@ class TestStepBatchParity:
         batched.step_batch(ACTIONS)
         assert list(batched.dataset) == list(serial.dataset)
 
+    def test_step_methods_do_not_call_each_other(self, monkeypatch):
+        """``step``, ``step_batch`` and ``step_batch_stream`` share one
+        private path, so a hook on each public name (the benchmark's
+        calibration and tracer wrap all three) fires once per call."""
+        from repro.core.env import ArchGymEnv
+
+        calls = Counter()
+        for name in ("step", "step_batch", "step_batch_stream"):
+            method = getattr(ArchGymEnv, name)
+
+            def counted(*args, _name=name, _method=method, **kwargs):
+                calls[_name] += 1
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(ArchGymEnv, name, counted)
+        env = _env()
+        env.enable_cache()
+        env.step(ACTIONS[0])
+        assert calls == Counter(step=1)
+        env.reset()
+        env.step_batch(ACTIONS[:1])
+        assert calls == Counter(step=1, step_batch=1)
+        env.reset()
+        list(env.step_batch_stream(ACTIONS[:1]))
+        assert calls == Counter(step=1, step_batch=1, step_batch_stream=1)
+
     def test_empty_batch_is_a_no_op(self):
         env = _env()
         assert env.step_batch([]) == []
@@ -418,16 +445,23 @@ class _BulkCountingStore(SharedCacheStore):
         super().put_many(entries)
 
 
-def _run_batches(env, batches, stream=False):
-    """Step ``env`` batch by batch the way run_agent does: reset after
-    a batch whose final point ended an episode. A counting shared tier
-    must see at most one ``get_many`` and one ``put_many`` per batch."""
+def _run_batches(env, batches, mode="batch"):
+    """Step ``env`` batch by batch the way run_agent does — with
+    ``step_batch``, ``step_batch_stream``, or ``step`` point by point
+    (``mode`` ``"batch"``, ``"stream"`` or ``"step"``) — and reset after
+    a call whose final point ended an episode. A counting shared tier
+    must see at most one ``get_many`` and one ``put_many`` per call."""
     out = []
     store = env.shared_cache
+    if mode == "step":
+        batches = [[action] for batch in batches for action in batch]
     for batch in batches:
-        results = list(
-            env.step_batch_stream(batch) if stream else env.step_batch(batch)
-        )
+        if mode == "step":
+            results = [env.step(batch[0])]
+        elif mode == "stream":
+            results = list(env.step_batch_stream(batch))
+        else:
+            results = env.step_batch(batch)
         out.extend(_batch_outcome(results))
         if results[-1][2] or results[-1][3]:
             env.reset()
@@ -458,13 +492,13 @@ def _decisions(env, evaluations):
 
 
 class TestDecisionPassProperty:
-    """``step_batch`` and ``step_batch_stream`` decide exactly as the
-    serial ``step`` loop for random proposal sequences, LRU sizes
-    (evictions inside a batch included), a shared tier on or off and
-    pre-populated by another process, episode lengths, and chunk
-    arrival orders — and leave the shared tier byte for byte as the
-    serial loop does, with one bulk lookup and one bulk write per
-    batch at most."""
+    """``step_batch``, ``step_batch_stream`` and ``step`` point by
+    point decide exactly as the serial ``reference_step`` loop for
+    random proposal sequences, LRU sizes (evictions inside a batch
+    included), a shared tier on or off and pre-populated by another
+    process, episode lengths, and chunk arrival orders — and leave the
+    shared tier byte for byte as the serial loop does, with one bulk
+    lookup and one bulk write per call at most."""
 
     @given(
         batches=st.lists(
@@ -488,7 +522,7 @@ class TestDecisionPassProperty:
         )
         with tempfile.TemporaryDirectory() as tmp:
             envs = {}
-            for mode in ("serial", "batch", "stream"):
+            for mode in ("serial", "batch", "stream", "step"):
                 env = SvcCountingEnv()
                 env.episode_length = episode_length
                 env.enable_cache(maxsize=lru_size)  # 0 leaves it off
@@ -514,16 +548,19 @@ class TestDecisionPassProperty:
             assert _run_batches(batched, batches) == reference
             assert _decisions(batched, batched.evaluations) == expected
             streamed = envs["stream"]
-            assert _run_batches(streamed, batches, stream=True) == reference
+            assert _run_batches(streamed, batches, "stream") == reference
             assert _decisions(streamed, backend._env.evaluations) == expected
             assert streamed.stats.remote_evals == serial.evaluations
+            stepped = envs["step"]
+            assert _run_batches(stepped, batches, "step") == reference
+            assert _decisions(stepped, stepped.evaluations) == expected
             if shared:
                 contents = {
                     mode: _shared_contents(env.shared_cache, Path(tmp) / mode)
                     for mode, env in envs.items()
                 }
-                assert contents["batch"] == contents["serial"]
-                assert contents["stream"] == contents["serial"]
+                for mode in ("batch", "stream", "step"):
+                    assert contents[mode] == contents["serial"]
 
 
 # -- 3. driver parity --------------------------------------------------------------

@@ -26,18 +26,23 @@ Five batteries:
    repeated scatters reuse one socket per host.
 
 The replicated shared-cache tier rides along: a generation costs it
-one bulk lookup plus one bulk write per replica, and the anti-entropy
-backfill writes each listed page with one bulk request. So does the
+one bulk lookup plus one bulk write per replica (a point-by-point
+``env.step``, the same per miss, with one ``/evaluate_batch``), the
+anti-entropy backfill writes each listed page with one bulk request,
+and trial teardown closes the store's own clients. So does the
 ``timeloop-pool`` benchmark's setting: a GA+ACO TimeloopGym sweep over
 two hosts with the server-backed shared cache, cold and warm, matches
 the serial reference once shared hits are folded into misses.
 """
 
 import functools
+import gc
 import json
 import sys
 import threading
 import time
+import warnings
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -491,6 +496,7 @@ class TestBulkCacheTraffic:
             results = env.step_batch(generation)
         finally:
             env.detach_backend().close()
+            store.close()
         outcome = [(r[1], r[4]["metrics"]) for r in results]
         return outcome, env, sum(h.client.requests_sent for h in store._hosts)
 
@@ -511,6 +517,53 @@ class TestBulkCacheTraffic:
         assert warm_env.stats.shared_cache_hits == 64
         assert warm_env.stats.cache_misses == 0
         assert warm == cold
+
+    def test_point_by_point_steps_ride_the_bulk_routes(
+        self, hosts, monkeypatch
+    ):
+        """``env.step`` is a one-point batch: each miss costs one
+        ``/evaluate_batch`` (never ``/evaluate``), one ``POST /cache``
+        lookup and one ``PUT /cache`` write per replica."""
+        sent = Counter()
+        send = ServiceClient._send
+
+        def counting_send(client, method, path, body):
+            sent[method, path] += 1
+            return send(client, method, path, body)
+
+        monkeypatch.setattr(ServiceClient, "_send", counting_send)
+        urls = [svc.url for svc in hosts]
+        env = repro.make(self.ENV)
+        env.enable_cache()
+        env.attach_backend(RemoteBackend(urls, timeout_s=10.0, retries=0))
+        store = ServerCacheStore(
+            urls[0], fallbacks=urls[1:], replicas=2, timeout_s=10.0, retries=0
+        )
+        env.attach_shared_cache(store)
+        env.reset(seed=0)
+        generation = GAAgent(
+            env.action_space, seed=0, population_size=16
+        ).propose_batch()
+        try:
+            for action in generation:
+                result = env.step(action)
+                if result[2] or result[3]:
+                    env.reset()
+        finally:
+            env.detach_backend().close()
+            store.close()
+
+        misses = env.stats.cache_misses
+        assert misses > 0
+        assert misses + env.stats.cache_hits == len(generation)
+        assert env.stats.remote_evals == misses
+        assert sum(svc.batch_requests for svc in hosts) == misses
+        assert sum(svc.evaluations for svc in hosts) == misses
+        assert sent["POST", "/evaluate"] == 0
+        assert sent["POST", "/evaluate_batch"] == misses
+        assert sent["POST", "/cache"] == misses
+        assert sent["PUT", "/cache"] == 2 * misses
+        assert [svc.cache_size() for svc in hosts] == [misses, misses]
 
 
 # -- anti-entropy backfill --------------------------------------------------------
@@ -777,6 +830,33 @@ class TestTransportTeardown:
             for host in pool._hosts:
                 assert host.client._all_conns == set()
                 assert host.probe_client._all_conns == set()
+
+
+    def test_trial_teardown_closes_shared_cache_sockets(self, two_services):
+        """A trial whose server-backed shared cache built its own
+        clients (a multi-host pool has no single client to reuse) must
+        close them at teardown: nothing left for the garbage collector
+        to find open."""
+        a, b = two_services
+        gc.collect()  # earlier tests' garbage is not this test's
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            report = run_lottery_sweep(
+                SvcCountingEnv, workers=1,
+                service_url=[a.url, b.url], shared_cache=True,
+                agents=("ga",), n_trials=2, n_samples=12, seed=3,
+            )
+            gc.collect()
+        assert report.shared_cache_hits > 0  # the shared tier engaged
+        # Only sockets to this test's hosts: an earlier test's pool may
+        # drop its last reference (an exiting worker thread) meanwhile.
+        peers = {f"raddr=('127.0.0.1', {svc.port})" for svc in (a, b)}
+        leaks = [
+            str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)
+            and any(peer in str(w.message) for peer in peers)
+        ]
+        assert leaks == []
 
 
 # -- self-tuning dispatch weights -------------------------------------------------

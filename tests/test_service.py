@@ -35,13 +35,11 @@ from repro.service import EvaluationService, RemoteBackend, RemoteEnv, ServiceCl
 from repro.service.wire import (
     MAX_CACHE_PAGE,
     dump_body,
-    key_to_token,
     load_body,
     parse_batch_response,
     parse_cache_entries,
     parse_cache_listing,
     parse_metrics_response,
-    token_to_key,
 )
 from repro.sweeps import run_lottery_sweep
 
@@ -112,20 +110,6 @@ def _free_port() -> int:
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
-
-
-class TestWireFormat:
-    def test_key_token_roundtrip(self):
-        key = '[["m","a"],["x",3]]'
-        assert token_to_key(key_to_token(key)) == key
-
-    def test_token_is_url_path_safe(self):
-        token = key_to_token('{"quotes", [brackets] / slashes?}')
-        assert all(c.isalnum() or c in "-_" for c in token)
-
-    def test_bad_token_raises_service_error(self):
-        with pytest.raises(ServiceError, match="token"):
-            token_to_key("!!not base64!!")
 
 
 # -- wire properties --------------------------------------------------------------
@@ -649,15 +633,15 @@ class TestKeepAlive:
             svc2.stop()
 
     def test_early_error_reply_does_not_desync_the_connection(self, service):
-        """An error reply sent before the request body was read (404
-        route, malformed token) must drain the body — otherwise the
+        """An error reply sent before the request body was read (a 404
+        for an unrouted POST or PUT) must drain the body — otherwise the
         leftover bytes parse as the next request and poison every
         later request on the keep-alive socket."""
         client = ServiceClient(service.url, timeout_s=10.0, retries=0)
         status, _ = client._request("POST", "/no-such-route", {"pad": "x" * 256})
         assert status == 404
-        status, _ = client._request("PUT", "/cache/!!bad-token!!", {"m": {}})
-        assert status == 400
+        status, _ = client._request("PUT", "/cache/some-key", {"m": {}})
+        assert status == 404
         # the same connection must still serve real requests
         result = client.evaluate("SvcCounting-v0", {"x": 1, "m": "a"})
         assert result == SvcCountingEnv().evaluate({"x": 1, "m": "a"})
@@ -756,8 +740,10 @@ class TestRemoteBackend:
         local = SvcCountingEnv(scale=3.0)
         remote = RemoteEnv(SvcCountingEnv(scale=3.0), service.url,
                            env_kwargs={"scale": 3.0})
+        remote.reset(seed=0)
         action = {"x": 0, "m": "a"}
-        assert remote._dispatch_evaluate(action) == local.evaluate(action)
+        assert remote.step(action)[4]["metrics"] == local.evaluate(action)
+        assert remote.stats.remote_evals == 1 and remote.evaluations == 0
 
 
 def _normalized_records(report):

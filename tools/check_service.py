@@ -222,13 +222,14 @@ def generation_cache_microbench(
     ``env.step_batch`` over the pool, with the replicated shared-cache
     tier (``ServerCacheStore``, 2 replicas) on the same hosts.
 
-    Per point, ``env.step`` looks each design point up (one ``GET``)
-    and writes each miss to both replicas (two ``PUT`` requests); the
-    batched step asks once (``POST /cache``) and writes once per
-    replica (``PUT /cache``). Each leg steps its own generation (GA seeds 1 and
-    0) from a fresh env and store handle, so both start cold on fresh
-    hosts. The batched leg must use ≥ ``min_rt_ratio``× fewer ``/cache``
-    round trips (64 points: 192 vs 3), and a warm re-run of its
+    Per point, ``env.step`` is a one-point batch: it looks each design
+    point up (one ``POST /cache``) and writes each miss to both
+    replicas (two ``PUT /cache`` requests); the batched step asks once
+    for the whole generation and writes once per replica. Each leg
+    steps its own generation (GA seeds 1 and 0) from a fresh env and
+    store handle, so both start cold on fresh hosts. The batched leg
+    must use ≥ ``min_rt_ratio``× fewer ``/cache`` round trips (64
+    points: 192 vs 3), and a warm re-run of its
     generation from a fresh env and store must cost no host
     evaluations and reproduce every reward. ``env_id`` must be an
     environment whose parameter names no other caller of these hosts
@@ -266,6 +267,7 @@ def generation_cache_microbench(
                         env.reset()
         finally:
             backend.close()
+            store.close()
             env.close()
         rewards = [result[1] for result in results]
         requests = sum(h.client.requests_sent for h in store._hosts)
