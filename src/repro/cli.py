@@ -68,7 +68,7 @@ from repro.sweeps import (
     execute_trials,
     resolve_execution_backend,
     run_lottery_sweep,
-    validate_agent_names,
+    validate_sweep_args,
 )
 
 __all__ = ["main", "build_parser"]
@@ -344,14 +344,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_collect(args: argparse.Namespace) -> int:
-    from repro.core.errors import ArchGymError
-
     agents = tuple(a.strip() for a in args.agents.split(",") if a.strip())
-    validate_agent_names(agents)
-    if args.resume and not args.out_dir:
-        raise ArchGymError("--resume requires --out-dir")
-    if args.shared_cache and not (args.out_dir or args.service_url):
-        raise ArchGymError("--shared-cache requires --out-dir or --service-url")
+    validate_sweep_args(
+        agents, args.samples, args.workers, resume=args.resume,
+        out_dir=args.out_dir, shared_cache=args.shared_cache,
+        service_url=args.service_url,
+    )
     factory = RegistryEnvFactory(args.env, **_env_kwargs(args))
     backend, server_cache_url, shared_cache_dir = resolve_execution_backend(
         args.service_url, args.shared_cache, args.out_dir,

@@ -376,9 +376,7 @@ class ServerCacheStore:
     Parameters
     ----------
     service:
-        Base URL of a running service (the chain's primary), or an
-        existing :class:`repro.service.ServiceClient` to reuse its
-        retry/timeout policy.
+        Base URL of a running service (the chain's primary).
     fallbacks:
         Base URLs of further pool hosts forming the replica chain
         behind the primary. URLs are normalized through
@@ -397,8 +395,9 @@ class ServerCacheStore:
         so the factor is purely a durability knob — it can never
         change results.
     client_kwargs:
-        ``timeout_s`` / ``retries`` / ``backoff_s`` when ``service`` is
-        a URL. Fallback clients inherit the primary client's policy.
+        ``timeout_s`` / ``retries`` / ``backoff_s`` of every client in
+        the chain. The store builds each of them and :meth:`close`
+        closes each of them.
 
     A host whose *transport* dies (connection refused/reset, timeout,
     torn body, each after the client's own retry policy) is skipped for
@@ -415,7 +414,7 @@ class ServerCacheStore:
 
     def __init__(
         self,
-        service: Any,
+        service: str,
         fallbacks: Sequence[str] = (),
         replicas: Optional[int] = None,
         **client_kwargs: Any,
@@ -424,36 +423,16 @@ class ServerCacheStore:
         # service package participating in any cycle.
         from repro.service.client import ServiceClient
 
-        if isinstance(service, ServiceClient):
-            if client_kwargs:
-                raise CacheStoreError(
-                    "client_kwargs cannot be combined with an existing "
-                    "ServiceClient — its policy would silently win; set "
-                    f"the policy on the client instead ({sorted(client_kwargs)})"
-                )
-            primary = service
-            self._owned: List[Any] = []
-        else:
-            primary = ServiceClient(str(service), **client_kwargs)
-            self._owned = [primary]
         # The replica chain: primary first, then the deduplicated
         # fallbacks. Clients are built eagerly — construction opens no
         # sockets and gives every URL its canonical base_url identity.
-        self._hosts: List[_CacheHost] = [_CacheHost(primary)]
-        seen = {primary.base_url}
-        for url in fallbacks:
-            client = ServiceClient(
-                str(url),
-                timeout_s=primary.timeout_s,
-                retries=primary.retries,
-                backoff_s=primary.backoff_s,
-                backoff_cap_s=primary.backoff_cap_s,
-            )
-            if client.base_url in seen:
-                continue
-            seen.add(client.base_url)
-            self._hosts.append(_CacheHost(client))
-            self._owned.append(client)
+        self._hosts: List[_CacheHost] = []
+        seen = set()
+        for url in (service, *fallbacks):
+            client = ServiceClient(str(url), **client_kwargs)
+            if client.base_url not in seen:
+                seen.add(client.base_url)
+                self._hosts.append(_CacheHost(client))
         if replicas is None:
             replicas = min(2, len(self._hosts))
         if not isinstance(replicas, int) or isinstance(replicas, bool) or replicas < 1:
@@ -630,12 +609,11 @@ class ServerCacheStore:
         return self._call("cache_list", offset, limit)
 
     def close(self) -> None:
-        """Close the keep-alive sockets of the clients this store built
-        (for a URL primary and for its fallbacks), never those of a
-        client it was handed — that one belongs to its caller. The
-        store stays usable; connections reopen on the next request."""
-        for client in self._owned:
-            client.close()
+        """Close the keep-alive sockets of every client in the chain.
+        The store stays usable; connections reopen on the next
+        request."""
+        for host in self._hosts:
+            host.client.close()
 
     def __repr__(self) -> str:
         return (

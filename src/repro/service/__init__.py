@@ -8,10 +8,11 @@ paged listing), and ``POST /cache`` (look up keys) and ``PUT /cache``
 (write entries), which a step sends once per generation — a single
 ``env.step`` with one key.
 Client side: :class:`ServiceClient` (persistent keep-alive
-connections, retry/timeout policy), :class:`RemoteBackend` (adapts a
-client — or a :class:`repro.sweeps.HostPool` — to ``ArchGymEnv``'s
-``evaluate`` / ``evaluate_batch`` / ``evaluate_batch_stream`` backend
-hooks), and :func:`RemoteEnv` (attach-and-return convenience). The
+connections, retry/timeout policy, one host), :class:`RemoteBackend`
+(drives a :class:`repro.sweeps.HostPool` over one or more URLs — one
+URL is a one-host pool — behind ``ArchGymEnv``'s ``evaluate`` /
+``evaluate_batch`` / ``evaluate_batch_stream`` backend hooks), and
+:func:`RemoteEnv` (attach-and-return convenience). The
 wire format is canonicalized in :mod:`repro.service.wire`; metrics
 survive the JSON round trip bit-exactly, which is what lets every
 remote mode stay byte-identical to an in-process run (see

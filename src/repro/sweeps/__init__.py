@@ -43,7 +43,12 @@ from repro.sweeps.export import (
     save_report_json,
 )
 from repro.sweeps.plots import render_boxplot, render_boxplots
-from repro.sweeps.runner import SweepReport, run_lottery_sweep, validate_agent_names
+from repro.sweeps.runner import (
+    SweepReport,
+    run_lottery_sweep,
+    validate_agent_names,
+    validate_sweep_args,
+)
 from repro.sweeps.shards import (
     execute_durable,
     iter_shards,
@@ -81,6 +86,7 @@ __all__ = [
     "SweepReport",
     "run_lottery_sweep",
     "validate_agent_names",
+    "validate_sweep_args",
     "execute_durable",
     "iter_shards",
     "load_manifest",

@@ -22,7 +22,7 @@ import math
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -77,84 +77,63 @@ EnvFactory = Callable[[], ArchGymEnv]
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """Serializable description of where a trial's cost model runs.
+    """Serializable description of the evaluation services a trial's
+    cost model runs on.
 
     Tasks cross a pickle boundary, so a live backend object (holding
-    an HTTP client) cannot ride on the task — this spec does, and each
-    worker builds its own backend from it.
-
-    ``kind="local"`` (the default when a task carries no spec) runs
-    ``env.evaluate`` in the worker process. ``kind="remote"`` dispatches
-    every evaluation to the evaluation service at ``service_url`` — or,
-    when ``service_urls`` names several hosts, to a least-load
-    :class:`~repro.sweeps.hostpool.HostPool` over all of them with
-    automatic failover. ``env_kwargs`` are forwarded so the server
-    constructs the same environment configuration (workload, objective,
-    …) the worker built locally, and ``timeout_s``/``retries`` set the
-    client's retry/timeout policy.
+    HTTP clients) cannot ride on the task — this spec does, and each
+    worker builds its own backend from it: a least-load
+    :class:`~repro.sweeps.hostpool.HostPool` over ``service_urls``
+    with automatic failover (one URL is a one-host pool). A task with
+    no spec runs ``env.evaluate`` in the worker process.
+    ``env_kwargs`` are forwarded so the server constructs the same
+    environment configuration (workload, objective, …) the worker
+    built locally, and ``timeout_s``/``retries`` set the clients'
+    retry/timeout policy.
     """
 
-    kind: str = "local"
-    service_url: Optional[str] = None
+    #: Every host of the pool, in tie-break order (the first one also
+    #: hosts the server-backed shared cache).
+    service_urls: Tuple[str, ...]
     env_kwargs: Optional[Dict[str, Any]] = None
     timeout_s: float = 60.0
     retries: int = 2
-    #: All hosts of a multi-host pool (``service_url`` is then its
-    #: first entry, kept for compatibility and as the cache host).
-    service_urls: Optional[Tuple[str, ...]] = None
     #: Per-host capacity weights aligned with ``service_urls``
     #: (``None`` = all hosts weigh 1).
     service_weights: Optional[Tuple[float, ...]] = None
-    #: Let a multi-host pool self-tune those weights from observed
-    #: per-host service rates (a placement knob — results are
-    #: byte-identical either way).
+    #: Let the pool self-tune those weights from observed per-host
+    #: service rates (a placement knob — results are byte-identical
+    #: either way).
     auto_weights: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in ("local", "remote"):
-            raise ExecutorError(
-                f"backend kind must be 'local' or 'remote', got {self.kind!r}"
-            )
-        if self.service_urls is not None and not isinstance(
-            self.service_urls, tuple
-        ):  # normalize lists so the spec stays hash/pickle-stable
-            object.__setattr__(self, "service_urls", tuple(self.service_urls))
-        if self.service_weights is not None and not isinstance(
-            self.service_weights, tuple
-        ):
+        # Normalize to tuples so the spec stays hash/pickle-stable.
+        urls = self.service_urls
+        object.__setattr__(
+            self, "service_urls", (urls,) if isinstance(urls, str) else tuple(urls)
+        )
+        if self.service_weights is not None:
             object.__setattr__(
                 self, "service_weights", tuple(self.service_weights)
             )
-        if self.kind == "remote" and not (self.service_url or self.service_urls):
-            raise ExecutorError("remote backend requires a service_url")
+        if not self.service_urls:
+            raise ExecutorError("a backend spec requires a service_url")
         if self.service_weights is not None and len(self.service_weights) != len(
-            self.urls
+            self.service_urls
         ):
             raise ExecutorError(
-                f"backend spec has {len(self.urls)} url(s) but "
+                f"backend spec has {len(self.service_urls)} url(s) but "
                 f"{len(self.service_weights)} weight(s)"
             )
 
-    @property
-    def urls(self) -> Tuple[str, ...]:
-        """Every host this spec targets (at least one for remote)."""
-        if self.service_urls:
-            return self.service_urls
-        return (self.service_url,) if self.service_url else ()
-
-    def build(self) -> Optional[Any]:
-        """Instantiate the backend in the worker (``None`` = local)."""
-        if self.kind == "local":
-            return None
+    def build(self) -> Any:
+        """Instantiate the backend in the worker."""
         from repro.service.remote import RemoteBackend
 
-        urls = self.urls
         return RemoteBackend(
-            urls[0] if len(urls) == 1 else list(urls),
+            self.service_urls,
             env_kwargs=self.env_kwargs,
-            weights=(
-                list(self.service_weights) if self.service_weights else None
-            ),
+            weights=self.service_weights,
             auto_weights=self.auto_weights,
             timeout_s=self.timeout_s,
             retries=self.retries,
@@ -165,28 +144,13 @@ class BackendSpec:
 #: connections and a HostPool's quarantine memory then span all the
 #: trials a worker runs, instead of every trial re-probing a host that
 #: died (and paying a fresh TCP handshake per trial).
-_BACKEND_CACHE: Dict[Tuple[Any, ...], Any] = {}
+_BACKEND_CACHE: Dict[str, Any] = {}
 #: Owner of the cache entries. A forked pool worker inherits the
 #: parent's cache *and* its clients' open keep-alive sockets — letting
 #: workers share one TCP stream would interleave their HTTP responses.
 #: A PID mismatch therefore drops the cache so each process opens its
 #: own connections.
 _BACKEND_CACHE_PID: Optional[int] = None
-
-
-def _backend_cache_key(spec: BackendSpec) -> Tuple[Any, ...]:
-    return (
-        spec.kind,
-        spec.service_url,
-        spec.service_urls,
-        spec.service_weights,
-        spec.auto_weights,
-        json.dumps(spec.env_kwargs, sort_keys=True, default=str)
-        if spec.env_kwargs
-        else None,
-        spec.timeout_s,
-        spec.retries,
-    )
 
 
 def build_backend(spec: Optional[BackendSpec]) -> Optional[Any]:
@@ -203,7 +167,7 @@ def build_backend(spec: Optional[BackendSpec]) -> Optional[Any]:
     if _BACKEND_CACHE_PID != pid:
         _BACKEND_CACHE.clear()
         _BACKEND_CACHE_PID = pid
-    key = _backend_cache_key(spec)
+    key = json.dumps(asdict(spec), sort_keys=True, default=str)
     backend = _BACKEND_CACHE.get(key)
     if backend is None:
         backend = spec.build()
@@ -223,9 +187,7 @@ def close_cached_backends() -> None:
     (their connections and workers reopen lazily on first dispatch).
     """
     for backend in _BACKEND_CACHE.values():
-        close = getattr(backend, "close", None)
-        if close is not None:
-            close()
+        backend.close()
 
 
 def clear_backend_cache() -> None:
@@ -255,10 +217,11 @@ def resolve_execution_backend(
     ``service_url`` — one URL or a sequence of them (repeated
     ``--service-url`` flags become a multi-host :class:`HostPool`),
     each optionally carrying a capacity weight as ``URL=WEIGHT``
-    (default 1; see :func:`parse_weighted_url`) — yields a remote
+    (default 1; see :func:`parse_weighted_url`) — yields a
     :class:`BackendSpec` (with any ``timeout_s``/``retries``
     overrides; ``None`` keeps the spec defaults, ``auto_weights`` lets
-    a multi-host pool self-tune its dispatch weights); ``shared_cache``
+    the pool self-tune its dispatch weights); no ``service_url`` yields
+    no spec, so trials evaluate in-process; ``shared_cache``
     prefers the service's ``/cache`` store (cross-machine; the *first*
     host's, so every trial reads one map — with writes replicated to
     ``cache_replicas`` pool hosts, see
@@ -320,8 +283,6 @@ def resolve_execution_backend(
     backend = None
     if urls is not None:
         backend = BackendSpec(
-            kind="remote",
-            service_url=urls[0],
             service_urls=urls,
             service_weights=weights,
             auto_weights=auto_weights,
@@ -448,39 +409,22 @@ def run_trial(task: TrialTask) -> TrialOutcome:
         elif task.server_cache_url is not None:
             from repro.core.cache_store import ServerCacheStore
 
-            # Reuse the evaluation backend's client (and with it the
-            # task's retry/timeout policy) when the cache lives on the
-            # same single service; a multi-host pool — or a task with
-            # no remote backend — gets a dedicated client pointed at
-            # the designated cache host, under the task's policy. The
-            # pool's hosts become the store's replica chain (the store
-            # dedupes the primary itself): writes fan out to
-            # ``cache_replicas`` of them, and if the cache host's
-            # transport dies mid-sweep reads fail over to a replica
-            # instead of abandoning its entries.
-            cache_url = task.server_cache_url.rstrip("/")
-            fallbacks = tuple(task.backend.urls) if task.backend else ()
-            if (
-                remote is not None
-                and getattr(remote.client, "base_url", None) == cache_url
-            ):
-                server_store = ServerCacheStore(
-                    remote.client,
-                    fallbacks=fallbacks,
-                    replicas=task.cache_replicas,
-                )
-            elif task.backend is not None:
-                server_store = ServerCacheStore(
-                    cache_url,
-                    fallbacks=fallbacks,
-                    replicas=task.cache_replicas,
-                    timeout_s=task.backend.timeout_s,
-                    retries=task.backend.retries,
-                )
-            else:
-                server_store = ServerCacheStore(
-                    cache_url, replicas=task.cache_replicas
-                )
+            # The pool's hosts become the store's replica chain behind
+            # the designated cache host (the store dedupes the primary
+            # itself), under the task's retry/timeout policy: writes
+            # fan out to ``cache_replicas`` of them, and if the cache
+            # host's transport dies mid-sweep reads fail over to a
+            # replica instead of abandoning its entries. A task that
+            # evaluates in-process uses the cache host alone under the
+            # default policy.
+            spec = task.backend or BackendSpec((task.server_cache_url,))
+            server_store = ServerCacheStore(
+                task.server_cache_url,
+                fallbacks=spec.service_urls,
+                replicas=task.cache_replicas,
+                timeout_s=spec.timeout_s,
+                retries=spec.retries,
+            )
             env.attach_shared_cache(server_store)
         dataset: Optional[ArchGymDataset] = None
         if task.collect:
@@ -520,8 +464,6 @@ def run_trial(task: TrialTask) -> TrialOutcome:
     finally:
         env.close()
         if server_store is not None:
-            # The trial's own cache clients; a reused backend client is
-            # closed with the cached backends instead.
             server_store.close()
 
 

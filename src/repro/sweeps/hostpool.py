@@ -50,10 +50,10 @@ Server-produced errors (HTTP 4xx/5xx bodies — unknown env, cost-model
 crash) are **not** failover events: they are deterministic and would
 fail identically on every host, so they propagate immediately.
 
-The pool quacks like :class:`~repro.service.client.ServiceClient` for
-``evaluate``/``evaluate_batch``, so
-:class:`~repro.service.remote.RemoteBackend` can carry either without
-knowing which it holds.
+:class:`~repro.service.remote.RemoteBackend` always drives a pool, so
+one URL is a one-host pool: its batches still ride one
+``POST /evaluate_batch``, and a host whose transport dies gets the
+all-dead revival probe before the call fails.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
+from fractions import Fraction
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ServiceError, ServiceTransportError
@@ -90,25 +91,27 @@ _MIN_RATE_WINDOW_S = 1e-6
 
 
 def weighted_split(n: int, weights: Sequence[float]) -> List[int]:
-    """Apportion ``n`` items over ``weights`` proportionally.
+    """Apportion ``n`` items over non-negative ``weights`` proportionally.
 
     Largest-remainder rounding (ties to the earlier position), so the
-    counts always sum to ``n`` and the split is deterministic for a
-    given weight vector.
+    counts always sum to ``n``, each count is the floor of its share or
+    one above it, and the split is deterministic for a given weight
+    vector. The shares are exact fractions, so no weight is too large
+    (``n * w`` would overflow a float) and equal remainders really tie.
     """
     if not weights:
         raise ServiceError("weighted_split needs at least one weight")
-    total = float(sum(weights))
+    exact = [Fraction(w) for w in weights]
+    total = sum(exact)
     if total <= 0:
         # A weight vector derived from *observed* service rates can
         # legitimately be all zero (a cold fleet with no measurements
         # yet): split uniformly instead of dividing by zero.
-        weights = [1.0] * len(weights)
-        total = float(len(weights))
-    raw = [n * w / total for w in weights]
-    counts = [int(r) for r in raw]
+        exact, total = [Fraction(1)] * len(exact), Fraction(len(exact))
+    shares = [n * w / total for w in exact]
+    counts = [math.floor(share) for share in shares]
     order = sorted(
-        range(len(weights)), key=lambda i: (-(raw[i] - counts[i]), i)
+        range(len(shares)), key=lambda i: (counts[i] - shares[i], i)
     )
     for i in order[: n - sum(counts)]:
         counts[i] += 1
@@ -611,7 +614,7 @@ class HostPool:
             self._local.last_host = host.url
             return result
 
-    # -- the ServiceClient surface RemoteBackend uses -----------------------------
+    # -- the surface RemoteBackend uses -------------------------------------------
 
     def evaluate(
         self,
@@ -973,10 +976,6 @@ class HostPool:
             with state_lock:
                 stop[0] = True
         self._local.last_host = last_host
-
-    def healthz(self) -> Dict[str, Any]:
-        """Liveness document of the least-loaded living host."""
-        return self._call("healthz", 0)
 
     def close(self) -> None:
         """Release every transport resource the pool holds: each host's

@@ -27,7 +27,7 @@ from repro.agents.base import SearchResult
 from repro.agents.hyperparams import HYPERPARAM_GRIDS, sample_hyperparams
 from repro.core.dataset import ArchGymDataset
 from repro.core.env import ArchGymEnv
-from repro.core.errors import ArchGymError
+from repro.core.errors import ArchGymError, ExecutorError
 from repro.sweeps.executor import (
     TrialTask,
     execute_trials,
@@ -40,7 +40,7 @@ from repro.sweeps.stats import (
     spread_percent,
 )
 
-__all__ = ["SweepReport", "run_lottery_sweep", "validate_agent_names"]
+__all__ = ["SweepReport", "run_lottery_sweep", "validate_agent_names", "validate_sweep_args"]
 
 EnvFactory = Callable[[], ArchGymEnv]
 
@@ -304,6 +304,33 @@ def validate_agent_names(agents: Sequence[str]) -> None:
         )
 
 
+def validate_sweep_args(
+    agents: Sequence[str],
+    n_samples: int,
+    workers: int,
+    resume: bool = False,
+    out_dir: Optional[Union[str, Path]] = None,
+    shared_cache: bool = False,
+    service_url: Optional[Union[str, Sequence[str]]] = None,
+) -> None:
+    """Reject a sweep's or a collection's arguments before anything
+    runs or is written — above all before an ``out_dir`` records a
+    manifest for a sweep that could never run, which would then refuse
+    the corrected rerun as a different sweep."""
+    validate_agent_names(agents)
+    if n_samples < 1:
+        raise ArchGymError(f"n_samples must be >= 1, got {n_samples}")
+    if workers < 1:
+        raise ExecutorError(f"workers must be >= 1, got {workers}")
+    if resume and not out_dir:
+        raise ArchGymError("resume requires an out_dir (--out-dir)")
+    if shared_cache and not out_dir and not service_url:
+        raise ArchGymError(
+            "shared_cache requires an out_dir (--out-dir) or a "
+            "service_url (--service-url)"
+        )
+
+
 def run_lottery_sweep(
     env_factory: EnvFactory,
     agents: Sequence[str],
@@ -483,15 +510,14 @@ def run_lottery_sweep(
         corpus holds this many points and validation RMSE clears the
         proxy's gate.
     """
-    if n_trials < 1 or n_samples < 1:
-        raise ArchGymError("n_trials and n_samples must be >= 1")
-    validate_agent_names(agents)
+    if n_trials < 1:
+        raise ArchGymError(f"n_trials must be >= 1, got {n_trials}")
     if service_url is not None and not isinstance(service_url, str):
         service_url = tuple(service_url) or None  # empty list == no service
-    if resume and out_dir is None:
-        raise ArchGymError("resume=True requires out_dir")
-    if shared_cache and out_dir is None and service_url is None:
-        raise ArchGymError("shared_cache=True requires out_dir or service_url")
+    validate_sweep_args(
+        agents, n_samples, workers, resume=resume, out_dir=out_dir,
+        shared_cache=shared_cache, service_url=service_url,
+    )
     rng = np.random.default_rng(seed)
     probe = env_factory()
     try:

@@ -293,11 +293,11 @@ class TestSharedCacheStoreContract(CacheStoreContract):
 
 class TestServerCacheStoreContract(CacheStoreContract):
     @pytest.fixture()
-    def make_store(self):
+    def make_store(self, closing):
         with EvaluationService() as svc:
-            yield lambda: ServerCacheStore(
+            yield lambda: closing(ServerCacheStore(
                 svc.url, timeout_s=10.0, retries=1, backoff_s=0.01
-            )
+            ))
 
     @pytest.fixture()
     def io_calls(self):
@@ -475,22 +475,6 @@ class TestServerStoreSpecifics:
         with pytest.raises(ServiceError):
             store.put(_key(1), {"cost": 1.0})
 
-    def test_accepts_existing_client(self):
-        from repro.service import ServiceClient
-
-        client = ServiceClient("http://127.0.0.1:1", timeout_s=1.0, retries=0)
-        store = ServerCacheStore(client)
-        assert store._hosts[0].client is client
-
-    def test_client_with_policy_kwargs_rejected(self):
-        """Kwargs alongside a ready-made client would be silently
-        discarded — refuse instead."""
-        from repro.service import ServiceClient
-
-        client = ServiceClient("http://127.0.0.1:1", timeout_s=1.0, retries=0)
-        with pytest.raises(CacheStoreError, match="client_kwargs"):
-            ServerCacheStore(client, timeout_s=5.0)
-
 
 class TestServerStoreReplication:
     """Write-through fan-out and read fail-over across the chain."""
@@ -541,27 +525,27 @@ class TestServerStoreReplication:
             "http://127.0.0.1:3",
         ]
 
-    def test_put_fans_out_to_replicas(self):
+    def test_put_fans_out_to_replicas(self, closing):
         with EvaluationService() as a, EvaluationService() as b:
-            store = ServerCacheStore(
+            store = closing(ServerCacheStore(
                 a.url, fallbacks=(b.url,), timeout_s=10.0, retries=0
-            )
+            ))
             for i in range(3):
                 store.put(_key(i), {"cost": float(i)})
             assert a.cache_size() == 3
             assert b.cache_size() == 3
 
-    def test_replication_factor_one_writes_primary_only(self):
+    def test_replication_factor_one_writes_primary_only(self, closing):
         with EvaluationService() as a, EvaluationService() as b:
-            store = ServerCacheStore(
+            store = closing(ServerCacheStore(
                 a.url, fallbacks=(b.url,), replicas=1,
                 timeout_s=10.0, retries=0,
-            )
+            ))
             store.put(_key(1), {"cost": 1.0})
             assert a.cache_size() == 1
             assert b.cache_size() == 0
 
-    def test_read_fails_over_to_replica_after_primary_death(self):
+    def test_read_fails_over_to_replica_after_primary_death(self, closing):
         """The entries of a dead cache host are *not* lost: a reader
         that never saw them finds every replicated entry on the next
         living host."""
@@ -569,16 +553,16 @@ class TestServerStoreReplication:
         a.start()
         try:
             with EvaluationService() as b:
-                writer = ServerCacheStore(
+                writer = closing(ServerCacheStore(
                     a.url, fallbacks=(b.url,),
                     timeout_s=2.0, retries=0, backoff_s=0.01,
-                )
+                ))
                 writer.put(_key(1), {"cost": 1.0})
                 writer.put(_key(2), {"cost": 2.0})
-                reader = ServerCacheStore(
+                reader = closing(ServerCacheStore(
                     a.url, fallbacks=(b.url,),
                     timeout_s=2.0, retries=0, backoff_s=0.01,
-                )
+                ))
                 a.stop()
                 assert reader.get(_key(1)) == {"cost": 1.0}
                 assert reader.get(_key(2)) == {"cost": 2.0}
@@ -604,34 +588,34 @@ class TestServerStoreReplication:
         with pytest.raises(ServiceError):
             store.put(_key(1), {"cost": 1.0})
 
-    def test_put_many_fans_out_to_replicas(self):
+    def test_put_many_fans_out_to_replicas(self, closing):
         """One bulk write per replica, to the first ``replicas`` hosts
         of the chain; the host past the factor gets nothing."""
         with EvaluationService() as a, EvaluationService() as b, \
                 EvaluationService() as c:
-            store = ServerCacheStore(
+            store = closing(ServerCacheStore(
                 a.url, fallbacks=(b.url, c.url), replicas=2,
                 timeout_s=10.0, retries=0,
-            )
+            ))
             store.put_many([(_key(i), {"cost": float(i)}) for i in range(5)])
             assert [a.cache_size(), b.cache_size(), c.cache_size()] == [5, 5, 0]
             assert [h.client.requests_sent for h in store._hosts] == [1, 1, 0]
 
-    def test_get_many_fails_over_after_primary_death(self):
+    def test_get_many_fails_over_after_primary_death(self, closing):
         a = EvaluationService()
         a.start()
         try:
             with EvaluationService() as b:
-                writer = ServerCacheStore(
+                writer = closing(ServerCacheStore(
                     a.url, fallbacks=(b.url,),
                     timeout_s=2.0, retries=0, backoff_s=0.01,
-                )
+                ))
                 entries = [(_key(i), {"cost": float(i)}) for i in range(4)]
                 writer.put_many(entries)
-                reader = ServerCacheStore(
+                reader = closing(ServerCacheStore(
                     a.url, fallbacks=(b.url,),
                     timeout_s=2.0, retries=0, backoff_s=0.01,
-                )
+                ))
                 a.stop()
                 keys = [k for k, _ in entries] + [_key(9)]
                 assert reader.get_many(keys) == dict(entries)
@@ -650,17 +634,17 @@ class TestServerStoreReplication:
         # nothing landed, so nothing is memoized: the retry is re-sent
         assert store._local == {}
 
-    def test_get_and_put_memoize_through_one_cleaner(self):
+    def test_get_and_put_memoize_through_one_cleaner(self, closing):
         """Regression: ``get`` used to memoize the server's dict
         un-normalized while ``put`` memoized a cleaned copy, so a
         later put of an equal-but-int-valued dict re-sent the entry.
         Both paths now share one ``{k: float(v)}`` cleaner and the
         re-put short-circuits."""
         with EvaluationService() as svc:
-            ServerCacheStore(svc.url, timeout_s=10.0, retries=0).put(
+            closing(ServerCacheStore(svc.url, timeout_s=10.0, retries=0)).put(
                 _key(5), {"cost": 2.0}
             )
-            reader = ServerCacheStore(svc.url, timeout_s=10.0, retries=0)
+            reader = closing(ServerCacheStore(svc.url, timeout_s=10.0, retries=0))
             assert reader.get(_key(5)) == {"cost": 2.0}
             sent_before = reader._hosts[0].client.requests_sent
             reader.put(_key(5), {"cost": 2})  # int-valued, equal cleaned
@@ -712,18 +696,22 @@ class TestServerMemoizationPath:
             svc.register("MemoEnv-v0", _MemoEnv)
             yield svc
 
-    def test_batch_entries_equal_explicit_put_entries(self, memo_service):
+    def test_batch_entries_equal_explicit_put_entries(self, memo_service, closing):
         """Feed one server via /evaluate_batch and another via explicit
         PUTs of locally computed metrics: every cache read must agree
         byte-for-byte, and the sizes must match."""
         from repro.service import ServiceClient
 
         actions = self._actions(6)
-        batch_client = ServiceClient(memo_service.url, timeout_s=10.0, retries=0)
+        batch_client = closing(
+            ServiceClient(memo_service.url, timeout_s=10.0, retries=0)
+        )
         batch_client.evaluate_batch("MemoEnv-v0", actions)
 
         with EvaluationService() as explicit:
-            put_client = ServiceClient(explicit.url, timeout_s=10.0, retries=0)
+            put_client = closing(
+                ServiceClient(explicit.url, timeout_s=10.0, retries=0)
+            )
             env = _MemoEnv()
             for action in actions:
                 put_client.cache_put(
@@ -737,32 +725,32 @@ class TestServerMemoizationPath:
                     key_str
                 )
 
-    def test_server_cache_store_reads_memoized_entries(self, memo_service):
+    def test_server_cache_store_reads_memoized_entries(self, memo_service, closing):
         """A ServerCacheStore pointed at a batch-fed server hits the
         memoized entries exactly as if they had been explicitly put."""
         from repro.service import ServiceClient
 
         actions = self._actions(4)
-        client = ServiceClient(memo_service.url, timeout_s=10.0, retries=0)
+        client = closing(ServiceClient(memo_service.url, timeout_s=10.0, retries=0))
         batched = client.evaluate_batch("MemoEnv-v0", actions)
 
-        store = ServerCacheStore(memo_service.url, timeout_s=10.0, retries=0)
+        store = closing(ServerCacheStore(memo_service.url, timeout_s=10.0, retries=0))
         assert len(store) == len(actions)
         for action, metrics in zip(actions, batched):
             assert store.get(canonical_action_key(action)) == metrics
 
-    def test_store_puts_count_as_batch_memo_hits(self, memo_service):
+    def test_store_puts_count_as_batch_memo_hits(self, memo_service, closing):
         """The inverse direction: entries written through the store
         contract answer batch points without touching the cost model."""
         actions = self._actions(5)
-        store = ServerCacheStore(memo_service.url, timeout_s=10.0, retries=0)
+        store = closing(ServerCacheStore(memo_service.url, timeout_s=10.0, retries=0))
         env = _MemoEnv()
         for action in actions:
             store.put(canonical_action_key(action), env.evaluate(action))
 
         from repro.service import ServiceClient
 
-        client = ServiceClient(memo_service.url, timeout_s=10.0, retries=0)
+        client = closing(ServiceClient(memo_service.url, timeout_s=10.0, retries=0))
         batched = client.evaluate_batch("MemoEnv-v0", actions)
         health = client.healthz()
         assert health["evaluations"] == 0  # every point was a memo hit

@@ -211,3 +211,30 @@ class TestDurableCommands:
                 "--samples", "4", "--out", str(tmp_path / "x.jsonl"),
                 "--resume",
             ])
+
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("collect", ["--samples", "0"]),
+            ("collect", ["--workers", "0"]),
+            ("sweep", ["--samples", "0"]),
+            ("sweep", ["--workers", "0"]),
+        ],
+    )
+    def test_rejected_arguments_leave_no_manifest(self, tmp_path, command, bad):
+        """A rejected command must not record its sweep: a leftover
+        ``sweep.json`` made the corrected rerun into the same directory
+        fail as "a different sweep"."""
+        from repro.core.errors import ArchGymError
+
+        out_dir = tmp_path / "d"
+        args = [command, "--env", "MaestroGym-v0", "--agents", "rw",
+                "--samples", "5", "--out-dir", str(out_dir)]
+        if command == "collect":
+            args += ["--out", str(tmp_path / "d.jsonl")]
+        else:
+            args += ["--trials", "1"]
+        with pytest.raises(ArchGymError):
+            main(args + bad)
+        assert not (out_dir / "sweep.json").exists()
+        assert main(args) == 0  # the corrected rerun is not refused

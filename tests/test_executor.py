@@ -24,7 +24,7 @@ from repro.core.errors import ArchGymError, ExecutorError
 from repro.core.rewards import TargetReward
 from repro.core.spaces import Categorical, CompositeSpace, Discrete
 from repro.sweeps import BackendSpec, TrialTask, execute_trials, run_lottery_sweep
-from repro.sweeps.executor import run_trial
+from repro.sweeps.executor import build_backend, run_trial
 
 
 class CountingEnv(ArchGymEnv):
@@ -406,9 +406,13 @@ class TestBackendSpec:
     """
 
     def test_default_is_local(self):
-        spec = BackendSpec()
-        assert spec.kind == "local"
-        assert spec.build() is None
+        """A task without a spec is the one way to say in-process."""
+        task = TrialTask(
+            index=0, agent="rw", hyperparams={}, agent_seed=1, run_seed=1,
+            n_samples=5, env_factory=CountingEnv,
+        )
+        assert task.backend is None
+        assert build_backend(task.backend) is None
 
     def test_task_without_backend_runs_locally(self):
         task = TrialTask(
@@ -417,26 +421,25 @@ class TestBackendSpec:
         )
         assert run_trial(task).result.remote_evals == 0
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ExecutorError, match="kind"):
-            BackendSpec(kind="carrier-pigeon")
-
     def test_remote_requires_service_url(self):
         with pytest.raises(ExecutorError, match="service_url"):
-            BackendSpec(kind="remote")
+            BackendSpec(service_urls=())
 
     def test_remote_spec_builds_remote_backend(self):
+        """One URL builds a one-host pool under the spec's policy."""
         from repro.service import RemoteBackend
 
         spec = BackendSpec(
-            kind="remote", service_url="http://127.0.0.1:1",
+            service_urls=("http://127.0.0.1:1",),
             env_kwargs={"workload": "stream"}, timeout_s=5.0, retries=1,
         )
         backend = spec.build()
         assert isinstance(backend, RemoteBackend)
         assert backend.env_kwargs == {"workload": "stream"}
-        assert backend.client.timeout_s == 5.0
-        assert backend.client.retries == 1
+        assert backend.pool.urls == ["http://127.0.0.1:1"]
+        (host,) = backend.pool._hosts
+        assert host.client.timeout_s == 5.0
+        assert host.client.retries == 1
 
     def test_resolve_execution_backend_precedence(self):
         from repro.sweeps import resolve_execution_backend
@@ -453,7 +456,7 @@ class TestBackendSpec:
             "http://127.0.0.1:1", True, "/tmp/run",
             env_kwargs={"workload": "stream"},
         )
-        assert backend.kind == "remote"
+        assert backend.service_urls == ("http://127.0.0.1:1",)
         assert backend.env_kwargs == {"workload": "stream"}
         assert cache_url == "http://127.0.0.1:1" and cache_dir is None
 
@@ -467,13 +470,14 @@ class TestBackendSpec:
         defaulted, _, _ = resolve_execution_backend(
             "http://127.0.0.1:1", False, None
         )
-        assert defaulted.timeout_s == BackendSpec().timeout_s
-        assert defaulted.retries == BackendSpec().retries
+        spec = BackendSpec(("http://127.0.0.1:1",))
+        assert defaulted.timeout_s == spec.timeout_s
+        assert defaulted.retries == spec.retries
 
     def test_spec_and_task_pickle(self):
         """The whole point of a spec: it crosses the process boundary
         even though a live HTTP client would not."""
-        spec = BackendSpec(kind="remote", service_url="http://127.0.0.1:1")
+        spec = BackendSpec(("http://127.0.0.1:1",))
         task = TrialTask(
             index=0, agent="rw", hyperparams={}, agent_seed=1, run_seed=1,
             n_samples=5, env_factory=CountingEnv, backend=spec,

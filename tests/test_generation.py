@@ -24,8 +24,11 @@ Four batteries:
    host.
 """
 
+import itertools
+import math
 import tempfile
 from collections import Counter, OrderedDict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -635,7 +638,6 @@ class TestWeightParsing:
         )
         assert backend.service_urls == ("http://a:1", "http://b:1")
         assert backend.service_weights == (2.0, 1.0)
-        assert backend.service_url == "http://a:1"
 
     def test_resolve_backend_all_default_weights_stay_none(self):
         backend, _, _ = resolve_execution_backend(
@@ -659,7 +661,6 @@ class TestWeightParsing:
     def test_spec_validates_weight_arity(self):
         with pytest.raises(ExecutorError, match="weight"):
             BackendSpec(
-                kind="remote",
                 service_urls=("http://a:1", "http://b:1"),
                 service_weights=(1.0,),
             )
@@ -689,6 +690,43 @@ class TestWeightedSplit:
         assert weighted_split(7, [0.0, 0.0]) == [4, 3]
         assert sum(weighted_split(0, [0.0])) == 0
 
+    def test_huge_weights_do_not_overflow(self):
+        """``parse_weighted_url`` and ``HostPool`` accept any positive
+        finite weight, so ``--service-url A=1e308`` is legal; ``n * w``
+        must not overflow (it raised ``OverflowError``, or ``ValueError``
+        on a NaN share, from the first scatter)."""
+        assert weighted_split(3, [1e308, 1.0]) == [3, 0]
+        assert weighted_split(10, [1e308, 1e308]) == [5, 5]
+        assert weighted_split(4, [1.7976931348623157e308] * 3) == [2, 1, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 10_000),
+        weights=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1, max_size=16,
+        ),
+    )
+    def test_prop_split_conserves_and_is_proportional(self, n, weights):
+        counts = weighted_split(n, weights)
+        assert sum(counts) == n
+        exact = [Fraction(w) for w in weights]
+        total = sum(exact)
+        if total == 0:  # an all-zero vector splits uniformly
+            exact, total = [Fraction(1)] * len(exact), Fraction(len(exact))
+        for count, weight in zip(counts, exact):
+            share = n * weight / total
+            assert math.floor(share) <= count <= math.floor(share) + 1
+        # equal inputs give equal splits: the same vector again, and
+        # equal weights within it (the one extra goes to the earlier)
+        assert weighted_split(n, list(weights)) == counts
+        for i, j in itertools.combinations(range(len(weights)), 2):
+            if weights[i] == weights[j]:
+                assert counts[i] - counts[j] in (0, 1)
+
 
 class TestWeightedHostPool:
     def test_weights_validated(self):
@@ -709,7 +747,7 @@ class TestWeightedHostPool:
         )
         assert pool.weights_by_host == {"http://a:1": 2.0, "http://b:1": 1.0}
 
-    def test_least_load_divides_by_weight(self):
+    def test_least_load_divides_by_weight(self, closing):
         """A weight-4 host with 2 in-flight (load 0.5) must win over a
         weight-1 host with 1 in-flight (load 1.0)."""
         svc_a = EvaluationService()
@@ -719,10 +757,10 @@ class TestWeightedHostPool:
         svc_b.register("SvcCounting-v0", SvcCountingEnv)
         svc_b.start()
         try:
-            pool = HostPool(
+            pool = closing(HostPool(
                 [svc_a.url, svc_b.url], weights=[4.0, 1.0],
                 timeout_s=10.0, retries=0,
-            )
+            ))
             pool._hosts[0].inflight = 2
             pool._hosts[1].inflight = 1
             for i in range(4):
@@ -749,12 +787,12 @@ def two_counting_services():
 
 class TestGenerationScatter:
     def test_scatter_splits_by_weight_with_per_point_hosts(
-        self, two_counting_services
+        self, two_counting_services, closing
     ):
         a, b = two_counting_services
-        pool = HostPool(
+        pool = closing(HostPool(
             [a.url, b.url], weights=[3.0, 1.0], timeout_s=10.0, retries=0
-        )
+        ))
         actions = [{"x": i % 8, "m": "a"} for i in range(16)]
         metrics, hosts = pool.evaluate_batch_scatter(
             "SvcCounting-v0", actions, memoize=False
@@ -767,14 +805,14 @@ class TestGenerationScatter:
         assert sum(h.client.requests_sent for h in pool._hosts) == 2
 
     def test_singleton_batch_keeps_round_robin_placement(
-        self, two_counting_services
+        self, two_counting_services, closing
     ):
         """A 1-point batch must not pin the heaviest host: it delegates
         to the least-load/round-robin path."""
         a, b = two_counting_services
-        pool = HostPool(
+        pool = closing(HostPool(
             [a.url, b.url], weights=[2.0, 1.0], timeout_s=10.0, retries=0
-        )
+        ))
         for i in range(4):
             metrics, hosts = pool.evaluate_batch_scatter(
                 "SvcCounting-v0", [{"x": i, "m": "a"}], memoize=False
@@ -782,12 +820,12 @@ class TestGenerationScatter:
             assert len(metrics) == len(hosts) == 1
         assert a.evaluations == 2 and b.evaluations == 2
 
-    def test_scatter_fails_over_a_dead_chunk(self, two_counting_services):
+    def test_scatter_fails_over_a_dead_chunk(self, two_counting_services, closing):
         a, b = two_counting_services
         url_a = a.url
-        pool = HostPool(
+        pool = closing(HostPool(
             [url_a, b.url], timeout_s=1.0, retries=0, backoff_s=0.01
-        )
+        ))
         a.stop()
         actions = [{"x": i % 8, "m": "a"} for i in range(8)]
         metrics, hosts = pool.evaluate_batch_scatter(
@@ -799,10 +837,10 @@ class TestGenerationScatter:
         assert pool.quarantined_urls == [url_a]
 
     def test_server_error_propagates_without_quarantine(
-        self, two_counting_services
+        self, two_counting_services, closing
     ):
         a, b = two_counting_services
-        pool = HostPool([a.url, b.url], timeout_s=10.0, retries=0)
+        pool = closing(HostPool([a.url, b.url], timeout_s=10.0, retries=0))
         actions = [{"x": i % 8, "m": "a"} for i in range(8)]
         with pytest.raises(ServiceError, match="unknown environment") as err:
             pool.evaluate_batch_scatter("Nope-v0", actions)
@@ -811,12 +849,12 @@ class TestGenerationScatter:
 
 
 class TestServerCacheFailover:
-    def test_store_fails_over_to_next_pool_host(self, two_counting_services):
+    def test_store_fails_over_to_next_pool_host(self, two_counting_services, closing):
         a, b = two_counting_services
-        store = ServerCacheStore(
+        store = closing(ServerCacheStore(
             a.url, fallbacks=(b.url,), timeout_s=1.0, retries=0,
             backoff_s=0.01,
-        )
+        ))
         key_known = (("m", "a"), ("x", 1))
         store.put(key_known, {"cost": 4.3})  # replicated to A and B
         a.stop()

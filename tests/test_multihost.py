@@ -42,7 +42,6 @@ import sys
 import threading
 import time
 import warnings
-from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -59,7 +58,7 @@ from serial_reference import serial_sweeps
 
 # Reuse the deterministic service env (module-level, so tasks pickle)
 # and the dead-port probe.
-from test_service import SvcCountingEnv, _free_port
+from test_service import SvcCountingEnv, _count_requests, _free_port
 
 
 @pytest.fixture(autouse=True)
@@ -91,7 +90,7 @@ class TestBackendCacheForkSafety:
         from repro.sweeps import BackendSpec
         from repro.sweeps.executor import build_backend
 
-        spec = BackendSpec(kind="remote", service_url="http://127.0.0.1:1")
+        spec = BackendSpec(("http://127.0.0.1:1",))
         first = build_backend(spec)
         assert build_backend(spec) is first
 
@@ -102,7 +101,7 @@ class TestBackendCacheForkSafety:
         from repro.sweeps import BackendSpec
         from repro.sweeps import executor as executor_module
 
-        spec = BackendSpec(kind="remote", service_url="http://127.0.0.1:1")
+        spec = BackendSpec(("http://127.0.0.1:1",))
         parent_backend = executor_module.build_backend(spec)
         monkeypatch.setattr(executor_module.os, "getpid", lambda: -12345)
         child_backend = executor_module.build_backend(spec)
@@ -146,37 +145,37 @@ class TestHostPoolScheduling:
         with pytest.raises(ServiceError, match="at least one"):
             HostPool([])
 
-    def test_serial_calls_spread_round_robin(self, two_services):
+    def test_serial_calls_spread_round_robin(self, two_services, closing):
         a, b = two_services
-        pool = HostPool([a.url, b.url], timeout_s=10.0, retries=0)
+        pool = closing(HostPool([a.url, b.url], timeout_s=10.0, retries=0))
         for i in range(8):
             pool.evaluate("SvcCounting-v0", {"x": i % 8, "m": "a"})
         assert a.evaluations == 4 and b.evaluations == 4
         assert pool.evals_by_host == {a.url: 4, b.url: 4}
 
-    def test_loaded_host_sheds_to_idle_one(self, two_services):
+    def test_loaded_host_sheds_to_idle_one(self, two_services, closing):
         a, b = two_services
-        pool = HostPool([a.url, b.url], timeout_s=10.0, retries=0)
+        pool = closing(HostPool([a.url, b.url], timeout_s=10.0, retries=0))
         # Pin synthetic in-flight load on host a: every call must go b.
         pool._hosts[0].inflight = 5
         for i in range(4):
             pool.evaluate("SvcCounting-v0", {"x": i, "m": "a"})
         assert a.evaluations == 0 and b.evaluations == 4
 
-    def test_last_host_tracks_the_answering_host(self, two_services):
+    def test_last_host_tracks_the_answering_host(self, two_services, closing):
         a, b = two_services
-        pool = HostPool([a.url, b.url], timeout_s=10.0, retries=0)
+        pool = closing(HostPool([a.url, b.url], timeout_s=10.0, retries=0))
         pool.evaluate("SvcCounting-v0", {"x": 1, "m": "a"})
         first = pool.last_host
         pool.evaluate("SvcCounting-v0", {"x": 2, "m": "a"})
         assert {first, pool.last_host} == {a.url, b.url}
 
-    def test_check_health_quarantines_non_responders(self, two_services):
+    def test_check_health_quarantines_non_responders(self, two_services, closing):
         a, b = two_services
         dead = f"http://127.0.0.1:{_free_port()}"
-        pool = HostPool(
+        pool = closing(HostPool(
             [a.url, dead, b.url], timeout_s=1.0, retries=0, backoff_s=0.01
-        )
+        ))
         report = pool.check_health()
         assert report[a.url]["status"] == "ok"
         assert report[b.url]["status"] == "ok"
@@ -193,10 +192,10 @@ class TestHostPoolScheduling:
 
 
 class TestHostPoolFailover:
-    def test_dead_host_quarantined_call_fails_over(self, two_services):
+    def test_dead_host_quarantined_call_fails_over(self, two_services, closing):
         a, b = two_services
         url_a = a.url
-        pool = HostPool([url_a, b.url], timeout_s=1.0, retries=0, backoff_s=0.01)
+        pool = closing(HostPool([url_a, b.url], timeout_s=1.0, retries=0, backoff_s=0.01))
         a.stop()
         for i in range(4):  # round-robin would hit a twice; both go b
             pool.evaluate("SvcCounting-v0", {"x": i, "m": "a"})
@@ -214,26 +213,26 @@ class TestHostPoolFailover:
             assert url in message
 
     def test_server_produced_error_propagates_without_quarantine(
-        self, two_services
+        self, two_services, closing
     ):
         a, b = two_services
-        pool = HostPool([a.url, b.url], timeout_s=10.0, retries=0)
+        pool = closing(HostPool([a.url, b.url], timeout_s=10.0, retries=0))
         with pytest.raises(ServiceError, match="unknown environment") as excinfo:
             pool.evaluate("Nope-v0", {"x": 1})
         assert not isinstance(excinfo.value, ServiceTransportError)
         assert pool.quarantined_urls == []  # deterministic failure != death
 
-    def test_quarantined_host_rejoins_after_revive_period(self, two_services):
+    def test_quarantined_host_rejoins_after_revive_period(self, two_services, closing):
         """One transient failure must not cost a host the whole sweep:
         after revive_after_s the pool re-probes its healthz and puts it
         back in rotation — even while other hosts are still alive."""
         a, b = two_services
         url_a = a.url
         port_a = a.port
-        pool = HostPool(
+        pool = closing(HostPool(
             [url_a, b.url], timeout_s=1.0, retries=0, backoff_s=0.01,
             revive_after_s=0.05,
-        )
+        ))
         a.stop()
         for i in range(4):
             pool.evaluate("SvcCounting-v0", {"x": i, "m": "a"})
@@ -249,13 +248,13 @@ class TestHostPoolFailover:
         finally:
             restarted.stop()
 
-    def test_failed_probe_restarts_the_revival_clock(self, two_services):
+    def test_failed_probe_restarts_the_revival_clock(self, two_services, closing):
         a, b = two_services
         url_a = a.url
-        pool = HostPool(
+        pool = closing(HostPool(
             [url_a, b.url], timeout_s=1.0, retries=0, backoff_s=0.01,
             revive_after_s=0.05,
-        )
+        ))
         a.stop()
         pool.evaluate("SvcCounting-v0", {"x": 1, "m": "a"})
         assert pool.quarantined_urls == [url_a]
@@ -265,10 +264,10 @@ class TestHostPoolFailover:
         assert pool.quarantined_urls == [url_a]  # still dead
         assert pool._hosts[0].quarantined_at > stamp_before  # clock reset
 
-    def test_restarted_host_is_revived_when_all_else_fails(self):
+    def test_restarted_host_is_revived_when_all_else_fails(self, closing):
         svc = _service()
         port = svc.port
-        pool = HostPool([svc.url], timeout_s=1.0, retries=0, backoff_s=0.01)
+        pool = closing(HostPool([svc.url], timeout_s=1.0, retries=0, backoff_s=0.01))
         pool.evaluate("SvcCounting-v0", {"x": 1, "m": "a"})
         svc.stop()
         with pytest.raises(ServiceTransportError):
@@ -367,7 +366,7 @@ class TestMultiHostFaultInjection:
                 service_timeout_s=0.5, service_retries=0,
             )
 
-    def test_torn_batch_bodies_retried_then_quarantined(self):
+    def test_torn_batch_bodies_retried_then_quarantined(self, closing):
         """A host answering /evaluate_batch with torn JSON gets the
         client's full retry allowance, then the pool quarantines it and
         the batch completes on the healthy host."""
@@ -379,9 +378,9 @@ class TestMultiHostFaultInjection:
         torn_url = f"http://127.0.0.1:{httpd.server_address[1]}"
         good = _service()
         try:
-            pool = HostPool(
+            pool = closing(HostPool(
                 [torn_url, good.url], timeout_s=2.0, retries=1, backoff_s=0.01
-            )
+            ))
             actions = [{"x": i, "m": "a"} for i in range(4)]
             batched = pool.evaluate_batch("SvcCounting-v0", actions)
             env = SvcCountingEnv()
@@ -524,14 +523,7 @@ class TestBulkCacheTraffic:
         """``env.step`` is a one-point batch: each miss costs one
         ``/evaluate_batch`` (never ``/evaluate``), one ``POST /cache``
         lookup and one ``PUT /cache`` write per replica."""
-        sent = Counter()
-        send = ServiceClient._send
-
-        def counting_send(client, method, path, body):
-            sent[method, path] += 1
-            return send(client, method, path, body)
-
-        monkeypatch.setattr(ServiceClient, "_send", counting_send)
+        sent = _count_requests(monkeypatch)
         urls = [svc.url for svc in hosts]
         env = repro.make(self.ENV)
         env.enable_cache()
@@ -574,21 +566,21 @@ class TestCacheBackfill:
     the pool must backfill it from a live replica before putting it
     back in rotation, so the fleet's cache coverage survives restarts."""
 
-    def _seed(self, url, n):
-        client = ServiceClient(url, timeout_s=5.0, retries=0)
+    def _seed(self, closing, url, n):
+        client = closing(ServiceClient(url, timeout_s=5.0, retries=0))
         entries = {f"pt-{i:03d}": {"cost": float(i)} for i in range(n)}
         client.cache_put_many(list(entries.items()))
         return client, entries
 
-    def test_check_health_backfills_revived_host(self, two_services):
+    def test_check_health_backfills_revived_host(self, two_services, closing):
         """450 donor entries are three listing pages: the revived host
         receives exactly one bulk write per page, and every entry."""
         a, b = two_services
         url_b, port_b = b.url, b.port
-        client_a, seeded = self._seed(a.url, 450)
-        pool = HostPool(
+        client_a, seeded = self._seed(closing, a.url, 450)
+        pool = closing(HostPool(
             [a.url, url_b], timeout_s=1.0, retries=0, backoff_s=0.01
-        )
+        ))
         b.stop()
         for i in range(2):  # quarantine b via failed dispatch
             pool.evaluate("SvcCounting-v0", {"x": i, "m": "a"})
@@ -606,9 +598,9 @@ class TestCacheBackfill:
             assert pool.quarantined_urls == []
             assert pool.cache_backfills == donor_size
             assert writes == [200, 200, 50]
-            entries, total = ServiceClient(
+            entries, total = closing(ServiceClient(
                 url_b, timeout_s=5.0, retries=0
-            ).cache_list(limit=1000)
+            )).cache_list(limit=1000)
             assert total == donor_size
             got = dict(entries)
             for key_str, metrics in seeded.items():
@@ -616,17 +608,17 @@ class TestCacheBackfill:
         finally:
             restarted.stop()
 
-    def test_timed_revival_backfills_before_rejoining(self, two_services):
+    def test_timed_revival_backfills_before_rejoining(self, two_services, closing):
         """The production path: the piggybacked revival probe (not an
         explicit health check) restores the host — backfill must ride
         along there too."""
         a, b = two_services
         url_b, port_b = b.url, b.port
-        client_a, _ = self._seed(a.url, 3)
-        pool = HostPool(
+        client_a, _ = self._seed(closing, a.url, 3)
+        pool = closing(HostPool(
             [a.url, url_b], timeout_s=1.0, retries=0, backoff_s=0.01,
             revive_after_s=0.05,
-        )
+        ))
         b.stop()
         for i in range(2):  # round-robin: b's turn comes within two
             pool.evaluate("SvcCounting-v0", {"x": i, "m": "a"})
@@ -643,7 +635,7 @@ class TestCacheBackfill:
             restarted.stop()
 
     def test_revival_and_backfill_ride_an_inflight_scatter(
-        self, two_services
+        self, two_services, closing
     ):
         """The hardest interleaving: the timed revival probe fires at
         the entry of a scatter dispatch, so the anti-entropy backfill
@@ -652,7 +644,7 @@ class TestCacheBackfill:
         very batch whose dispatch revived it."""
         a, b = two_services
         url_b, port_b = b.url, b.port
-        client_a, seeded = self._seed(a.url, 4)
+        client_a, seeded = self._seed(closing, a.url, 4)
         pool = HostPool(
             [a.url, url_b], timeout_s=5.0, retries=0, backoff_s=0.01,
             revive_after_s=0.05,
@@ -679,9 +671,9 @@ class TestCacheBackfill:
             # The revived host answered part of the scatter that
             # triggered its own revival — no warm-up round needed.
             assert url_b in hosts and a.url in hosts
-            entries, total = ServiceClient(
+            entries, total = closing(ServiceClient(
                 url_b, timeout_s=5.0, retries=0
-            ).cache_list(limit=1000)
+            )).cache_list(limit=1000)
             got = dict(entries)
             for key_str, value in seeded.items():
                 assert got[key_str] == value
@@ -821,7 +813,7 @@ class TestTransportTeardown:
         )
         assert _BACKEND_CACHE  # the sweep memoized its backend
         for backend in _BACKEND_CACHE.values():
-            pool = backend.client
+            pool = backend.pool
             opened = sum(
                 h.client.connections_opened + h.probe_client.connections_opened
                 for h in pool._hosts
@@ -879,16 +871,16 @@ class TestAutoWeights:
                 auto_weights=True, auto_weights_interval_s=-1.0,
             )
 
-    def test_slow_host_weight_tuned_below_fast_host(self):
+    def test_slow_host_weight_tuned_below_fast_host(self, closing):
         slow = EvaluationService()
         slow.register("SvcCounting-v0", _SlowCountingEnv)
         slow.start()
         fast = _service()
         try:
-            pool = HostPool(
+            pool = closing(HostPool(
                 [slow.url, fast.url], timeout_s=10.0, retries=0,
                 auto_weights=True, auto_weights_interval_s=0.0,
-            )
+            ))
             # Static weights are untouched; effective ones start equal.
             assert pool.weights_by_host == {slow.url: 1.0, fast.url: 1.0}
             assert pool.effective_weights_by_host == pool.weights_by_host
@@ -906,23 +898,23 @@ class TestAutoWeights:
             slow.stop()
             fast.stop()
 
-    def test_unmeasured_host_keeps_static_weight(self, two_services):
+    def test_unmeasured_host_keeps_static_weight(self, two_services, closing):
         """A cold host (no observed evaluations yet) must keep its
         declared weight — tuning only ever acts on evidence."""
         a, b = two_services
-        pool = HostPool(
+        pool = closing(HostPool(
             [a.url, b.url], timeout_s=10.0, retries=0,
             auto_weights=True, auto_weights_interval_s=0.0,
-        )
+        ))
         pool._hosts[0].inflight = 5  # starve a: every call goes to b
         for i in range(6):
             pool.evaluate("SvcCounting-v0", {"x": i, "m": "a"})
         eff = pool.effective_weights_by_host
         assert eff[a.url] == pytest.approx(1.0)
 
-    def test_auto_weights_off_by_default(self, two_services):
+    def test_auto_weights_off_by_default(self, two_services, closing):
         a, b = two_services
-        pool = HostPool([a.url, b.url], timeout_s=10.0, retries=0)
+        pool = closing(HostPool([a.url, b.url], timeout_s=10.0, retries=0))
         for i in range(6):
             pool.evaluate("SvcCounting-v0", {"x": i, "m": "a"})
         assert pool.auto_weight_updates == 0

@@ -28,7 +28,7 @@ import time
 import pytest
 
 from repro.core.errors import ServiceError, ServiceTransportError
-from repro.service import EvaluationService, RemoteBackend, ServiceClient
+from repro.service import EvaluationService, RemoteBackend
 from repro.sweeps import HostPool, clear_backend_cache, run_lottery_sweep
 
 from serial_reference import run_agent_serial, serial_sweeps
@@ -173,11 +173,11 @@ class TestStreamingMechanics:
             )
 
     def test_remote_backend_single_client_falls_back(self):
+        """A one-URL backend is a one-host pool: its stream is one
+        whole-batch chunk, one ``/evaluate_batch`` request."""
         svc = _service()
+        backend = RemoteBackend(svc.url, timeout_s=10.0, retries=0)
         try:
-            backend = RemoteBackend(
-                ServiceClient(svc.url, timeout_s=10.0, retries=0)
-            )
             actions = _distinct_actions(5)
             chunks = list(
                 backend.evaluate_batch_stream("SvcCounting-v0", actions)
@@ -186,7 +186,10 @@ class TestStreamingMechanics:
             env = SvcCountingEnv()
             assert chunks[0][1] == [env.evaluate(x) for x in actions]
             assert backend.last_hosts == [svc.url] * 5
+            assert backend.pool.stream_units == 0
+            assert svc.health()["batch_requests"] == 1
         finally:
+            backend.close()
             svc.stop()
 
 

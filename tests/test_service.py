@@ -20,6 +20,7 @@ import math
 import socket
 import threading
 import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -101,8 +102,10 @@ def service():
 
 
 @pytest.fixture()
-def client(service):
-    return ServiceClient(service.url, timeout_s=10.0, retries=1, backoff_s=0.01)
+def client(service, closing):
+    return closing(
+        ServiceClient(service.url, timeout_s=10.0, retries=1, backoff_s=0.01)
+    )
 
 
 def _free_port() -> int:
@@ -323,13 +326,13 @@ class TestCacheListing:
         page, total = client.cache_list()
         assert page == [] and total == 0
 
-    def test_listing_matches_file_backed_store(self, tmp_path):
+    def test_listing_matches_file_backed_store(self, tmp_path, closing):
         """The durable (``--cache-dir``) server must page identically
         to the in-memory one."""
         svc = EvaluationService(cache_dir=tmp_path / "srv-cache")
         svc.start()
         try:
-            client = ServiceClient(svc.url, timeout_s=10.0, retries=0)
+            client = closing(ServiceClient(svc.url, timeout_s=10.0, retries=0))
             entries = self._fill(client, 4)
             page, total = client.cache_list(limit=10)
             assert total == 4
@@ -370,11 +373,11 @@ class TestBulkCacheEndpoints:
         client.cache_put_many([])
         assert client.requests_sent == 0
 
-    def test_file_backed_server_serves_the_bulk_forms(self, tmp_path):
+    def test_file_backed_server_serves_the_bulk_forms(self, tmp_path, closing):
         svc = EvaluationService(cache_dir=tmp_path / "srv-cache")
         svc.start()
         try:
-            client = ServiceClient(svc.url, timeout_s=10.0, retries=0)
+            client = closing(ServiceClient(svc.url, timeout_s=10.0, retries=0))
             entries = [(f"key-{i}", {"cost": float(i)}) for i in range(6)]
             client.cache_put_many(entries)
             assert client.cache_get_many([k for k, _ in entries]) == dict(entries)
@@ -444,10 +447,10 @@ class TestBatchEndpoint:
             yield svc
 
     @pytest.fixture()
-    def memo_client(self, memo_service):
-        return ServiceClient(
+    def memo_client(self, memo_service, closing):
+        return closing(ServiceClient(
             memo_service.url, timeout_s=10.0, retries=1, backoff_s=0.01
-        )
+        ))
 
     def _actions(self, n):
         return [{"x": i % 8, "m": "a" if i % 2 else "b"} for i in range(n)]
@@ -461,8 +464,8 @@ class TestBatchEndpoint:
         )
         assert batched == singles
 
-    def test_batch_is_one_round_trip(self, service):
-        client = ServiceClient(service.url, timeout_s=10.0, retries=0)
+    def test_batch_is_one_round_trip(self, service, closing):
+        client = closing(ServiceClient(service.url, timeout_s=10.0, retries=0))
         client.evaluate_batch("SvcCounting-v0", self._actions(64))
         assert client.requests_sent == 1
 
@@ -595,15 +598,15 @@ class TestKeepAlive:
     """The connection-reuse contract: one socket per thread for a whole
     request stream, with a free (non-retry) re-send on a stale socket."""
 
-    def test_many_requests_one_connection(self, service):
-        client = ServiceClient(service.url, timeout_s=10.0, retries=0)
+    def test_many_requests_one_connection(self, service, closing):
+        client = closing(ServiceClient(service.url, timeout_s=10.0, retries=0))
         for i in range(20):
             client.evaluate("SvcCounting-v0", {"x": i % 8, "m": "a"})
         assert client.connections_opened == 1
         assert client.requests_sent == 20
 
-    def test_mixed_verbs_share_the_connection(self, service):
-        client = ServiceClient(service.url, timeout_s=10.0, retries=0)
+    def test_mixed_verbs_share_the_connection(self, service, closing):
+        client = closing(ServiceClient(service.url, timeout_s=10.0, retries=0))
         client.healthz()
         client.evaluate("SvcCounting-v0", {"x": 1, "m": "a"})
         client.cache_put("k", {"cost": 1.0})
@@ -611,7 +614,7 @@ class TestKeepAlive:
         client.cache_size()
         assert client.connections_opened == 1
 
-    def test_stale_socket_reconnects_without_burning_a_retry(self):
+    def test_stale_socket_reconnects_without_burning_a_retry(self, closing):
         """Server restarts between requests: the idle keep-alive socket
         is dead, and even a retries=0 client must transparently
         reconnect — the request bytes never reached a live peer."""
@@ -619,7 +622,7 @@ class TestKeepAlive:
         svc1.register("SvcCounting-v0", SvcCountingEnv)
         svc1.start()
         port = svc1.port
-        client = ServiceClient(svc1.url, timeout_s=10.0, retries=0)
+        client = closing(ServiceClient(svc1.url, timeout_s=10.0, retries=0))
         expected = client.evaluate("SvcCounting-v0", {"x": 1, "m": "a"})
         svc1.stop()
         svc2 = EvaluationService(port=port)
@@ -632,12 +635,14 @@ class TestKeepAlive:
         finally:
             svc2.stop()
 
-    def test_early_error_reply_does_not_desync_the_connection(self, service):
+    def test_early_error_reply_does_not_desync_the_connection(
+        self, service, closing
+    ):
         """An error reply sent before the request body was read (a 404
         for an unrouted POST or PUT) must drain the body — otherwise the
         leftover bytes parse as the next request and poison every
         later request on the keep-alive socket."""
-        client = ServiceClient(service.url, timeout_s=10.0, retries=0)
+        client = closing(ServiceClient(service.url, timeout_s=10.0, retries=0))
         status, _ = client._request("POST", "/no-such-route", {"pad": "x" * 256})
         assert status == 404
         status, _ = client._request("PUT", "/cache/some-key", {"m": {}})
@@ -647,12 +652,12 @@ class TestKeepAlive:
         assert result == SvcCountingEnv().evaluate({"x": 1, "m": "a"})
         assert client.connections_opened == 1
 
-    def test_stop_closes_live_keepalive_connections(self, service):
+    def test_stop_closes_live_keepalive_connections(self, service, closing):
         """A stopped server must be *dead* to its connected clients —
         not quietly kept alive by a blocked handler thread."""
-        client = ServiceClient(
+        client = closing(ServiceClient(
             service.url, timeout_s=2.0, retries=0, backoff_s=0.01
-        )
+        ))
         client.evaluate("SvcCounting-v0", {"x": 1, "m": "a"})  # connect
         service.stop()
         with pytest.raises(ServiceError):
@@ -709,8 +714,9 @@ class TestRetryPolicy:
 
 
 class TestRemoteBackend:
-    def test_remote_env_steps_without_local_evaluations(self, service):
+    def test_remote_env_steps_without_local_evaluations(self, service, closing):
         env = RemoteEnv(SvcCountingEnv(), service.url)
+        closing(env.backend)
         env.reset(seed=0)
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -718,8 +724,9 @@ class TestRemoteBackend:
         assert env.evaluations == 0  # the local instance never simulated
         assert env.stats.remote_evals == 5  # every step went over the wire
 
-    def test_local_lru_still_shields_the_network(self, service):
+    def test_local_lru_still_shields_the_network(self, service, closing):
         env = RemoteEnv(SvcCountingEnv(), service.url)
+        closing(env.backend)
         env.enable_cache()
         env.reset(seed=0)
         action = {"x": 2, "m": "b"}
@@ -728,22 +735,58 @@ class TestRemoteBackend:
         assert env.stats.remote_evals == 1
         assert env.stats.cache_hits == 1
 
-    def test_detach_backend_returns_to_local(self, service):
+    def test_detach_backend_returns_to_local(self, service, closing):
         env = RemoteEnv(SvcCountingEnv(), service.url)
-        backend = env.detach_backend()
+        backend = closing(env.detach_backend())
         assert isinstance(backend, RemoteBackend)
         env.reset(seed=0)
         env.step({"x": 2, "m": "b"})
         assert env.evaluations == 1 and env.stats.remote_evals == 0
 
-    def test_env_kwargs_forwarded(self, service):
+    def test_dead_host_gets_one_revival_probe(self, monkeypatch, closing):
+        """A one-URL backend is a one-host pool: when its host dies the
+        pool quarantines it and sends one short ``/healthz`` probe (a
+        restarted server would rejoin there) before the call fails."""
+        svc = EvaluationService()
+        svc.register("SvcCounting-v0", SvcCountingEnv)
+        url = svc.start()
+        backend = closing(
+            RemoteBackend(url, timeout_s=2.0, retries=0, backoff_s=0.01)
+        )
+        try:
+            backend.evaluate_batch("SvcCounting-v0", [{"x": 1, "m": "a"}])
+            assert backend.last_hosts == [url]
+        finally:
+            svc.stop()
+        sent = _count_requests(monkeypatch)
+        with pytest.raises(ServiceTransportError, match="all 1 evaluation host"):
+            backend.evaluate_batch("SvcCounting-v0", [{"x": 2, "m": "a"}])
+        assert backend.pool.quarantined_urls == [url]
+        assert sent["GET", "/healthz"] == 1
+
+    def test_env_kwargs_forwarded(self, service, closing):
         local = SvcCountingEnv(scale=3.0)
         remote = RemoteEnv(SvcCountingEnv(scale=3.0), service.url,
                            env_kwargs={"scale": 3.0})
+        closing(remote.backend)
         remote.reset(seed=0)
         action = {"x": 0, "m": "a"}
         assert remote.step(action)[4]["metrics"] == local.evaluate(action)
         assert remote.stats.remote_evals == 1 and remote.evaluations == 0
+
+
+def _count_requests(monkeypatch):
+    """Count every request any :class:`ServiceClient` sends, by
+    ``(method, path)``."""
+    sent = Counter()
+    send = ServiceClient._send
+
+    def counting_send(client, method, path, body):
+        sent[method, path] += 1
+        return send(client, method, path, body)
+
+    monkeypatch.setattr(ServiceClient, "_send", counting_send)
+    return sent
 
 
 def _normalized_records(report):
@@ -836,6 +879,21 @@ class TestServiceSweepParity:
         assert result.remote_hosts == {service.url: result.remote_evals}
         assert report.remote_evals_by_host == {service.url: report.remote_evals}
         assert service.url in report.print_table()
+
+    def test_one_url_sweep_is_a_one_host_pool(self, service, monkeypatch):
+        """One ``service_url`` drives a one-host pool: the host simulates
+        exactly the sweep's misses, each inside a ``/evaluate_batch``,
+        and no ``POST /evaluate`` is sent."""
+        sent = _count_requests(monkeypatch)
+        report = run_lottery_sweep(
+            SvcCountingEnv, agents=("rw", "ga"), n_trials=2, n_samples=20,
+            seed=5, cache=True, service_url=service.url,
+        )
+        health = service.health()
+        assert report.cache_misses > 0
+        assert health["evaluations"] == report.cache_misses == report.remote_evals
+        assert sent["POST", "/evaluate"] == 0
+        assert sent["POST", "/evaluate_batch"] == health["batch_requests"] > 0
 
     def test_server_cache_store_as_shared_tier(self, service):
         """`shared_cache=True` + `service_url` uses the service's /cache:
