@@ -459,7 +459,7 @@ class ServerCacheStore:
     @staticmethod
     def _clean(metrics: Dict[str, Any]) -> Dict[str, float]:
         """The one metrics normalizer both :meth:`get_many` and
-        :meth:`put_many` memoize through, so a write of an
+        :meth:`put_many` keep local copies through, so a write of an
         equal-but-int-valued dict short-circuits against a previously
         fetched entry. Non-finite values are rejected before they reach
         a wire body."""

@@ -21,7 +21,7 @@ meets the user target. Every step is logged to an attached
 :class:`~repro.core.dataset.ArchGymDataset` (Fig. 9).
 
 Because the built-in cost models are deterministic functions of the
-action, an environment can memoize them: :meth:`ArchGymEnv.enable_cache`
+action, an environment can cache them: :meth:`ArchGymEnv.enable_cache`
 turns on a design-point evaluation cache keyed on the canonicalized
 action dict, so repeated queries of the same design skip the simulator
 entirely (the same wall-clock argument that motivates the paper's proxy
@@ -170,6 +170,9 @@ class ArchGymEnv:
         self.terminate_on_target = terminate_on_target
         self.stats = EnvStats()
         self._backend: Optional[Any] = None
+        #: The attached backend if :func:`~repro.service.RemoteEnv`
+        #: built it, which :meth:`close` then closes.
+        self._owned_backend: Optional[Any] = None
         self._eval_cache: "Optional[OrderedDict[ActionKey, Dict[str, float]]]" = None
         self._eval_cache_maxsize = 0
         self._shared_cache: "Optional[SharedCacheStore]" = None
@@ -200,53 +203,46 @@ class ArchGymEnv:
     def attach_backend(self, backend: Any) -> None:
         """Dispatch every cost-model call through ``backend``.
 
-        ``backend`` is duck-typed. Its main hook is
+        ``backend`` is duck-typed. Its one required hook is
         ``evaluate_batch(env_id, actions) -> List[Dict[str, float]]``,
         which every step uses, a single ``step`` as a one-point batch
         — e.g. :class:`repro.service.RemoteBackend`, which forwards the
-        design points to an evaluation service over HTTP. A backend
-        without it needs ``evaluate(env_id, action) -> Dict[str,
-        float]``, called once per point; an optional
+        design points to an evaluation service over HTTP. An optional
         ``evaluate_batch_stream`` hook serves :meth:`step_batch_stream`.
         Everything above the cost model (reward, caching tiers, episode
         accounting, dataset logging) stays local, so an unmodified
         agent transparently evaluates over the network; remote calls
-        are counted in ``stats.remote_evals``.
+        are counted in ``stats.remote_evals``. The backend stays the
+        caller's to close.
         """
         self._backend = backend
+        self._owned_backend = None
 
     def detach_backend(self) -> Optional[Any]:
-        """Return to in-process evaluation; hands back the old backend."""
+        """Return to in-process evaluation; hands back the old backend,
+        which is then the caller's to close."""
         backend, self._backend = self._backend, None
+        self._owned_backend = None
         return backend
 
     def _dispatch_evaluate_batch(
         self, actions: Sequence[Mapping[str, Any]]
     ) -> List[Dict[str, float]]:
         """Many cost-model runs, batched through the backend's
-        ``evaluate_batch(env_id, actions)`` hook, or one
-        ``evaluate(env_id, action)`` call per point for a backend
-        without it.
+        ``evaluate_batch(env_id, actions)`` hook.
 
-        ``remote_evals`` counts one per design point either way, and
-        per-host attribution uses the backend's per-point
-        ``last_hosts`` when it reports one (a pool that scattered the
-        batch over several hosts), falling back to charging each call's
-        points to ``last_host``.
+        ``remote_evals`` counts one per design point, and per-host
+        attribution uses the backend's per-point ``last_hosts`` when it
+        reports one (a pool that scattered the batch over several
+        hosts), falling back to charging the call's points to
+        ``last_host``.
         """
         if self._backend is None:
             return [self.evaluate(action) for action in actions]
-        batch_fn = getattr(self._backend, "evaluate_batch", None)
-        if batch_fn is None:
-            metrics_list, hosts = [], []
-            for action in actions:
-                metrics_list.append(self._backend.evaluate(self.env_id, action))
-                hosts.append(getattr(self._backend, "last_host", None))
-        else:
-            metrics_list = batch_fn(self.env_id, list(actions))
-            hosts = getattr(self._backend, "last_hosts", None)
-            if hosts is None:
-                hosts = [getattr(self._backend, "last_host", None)] * len(actions)
+        metrics_list = self._backend.evaluate_batch(self.env_id, list(actions))
+        hosts = getattr(self._backend, "last_hosts", None)
+        if hosts is None:
+            hosts = [getattr(self._backend, "last_host", None)] * len(actions)
         self.stats.remote_evals += len(actions)
         by_host = self.stats.remote_evals_by_host
         for host in hosts:
@@ -760,7 +756,11 @@ class ArchGymEnv:
         return f"{self.env_id}: {self.stats!r}"
 
     def close(self) -> None:
-        """Release resources (no-op for the built-in environments)."""
+        """Release resources: closes a backend the env owns (see
+        :func:`~repro.service.RemoteEnv`); otherwise a no-op for the
+        built-in environments."""
+        if self._owned_backend is not None:
+            self._owned_backend.close()
 
     def __repr__(self) -> str:
         return (

@@ -22,7 +22,7 @@ batching and reuse.
 
 Retry policy
 ------------
-The evaluation API is deterministic and idempotent (``evaluate`` runs
+The evaluation API is deterministic and idempotent (``/evaluate_batch`` runs
 a pure cost model; cache ``PUT`` is last-writer-wins), so *transport*
 failures — connection refused/reset, socket timeout, a body that does
 not parse — are retried up to ``retries`` times with exponential
@@ -53,8 +53,10 @@ from repro.service.wire import (
     parse_batch_response,
     parse_cache_entries,
     parse_cache_listing,
-    parse_metrics_response,
 )
+# Unused here: the benchmark's tracer (perfbench/spans.py) wraps this
+# module's parse_metrics_response by name.
+from repro.service.wire import parse_metrics_response  # noqa: F401
 
 __all__ = ["ServiceClient"]
 
@@ -305,26 +307,21 @@ class ServiceClient:
         action: Dict[str, Any],
         env_kwargs: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, float]:
-        """Evaluate one design point on the server's ``env``."""
-        request: Dict[str, Any] = {"env": env, "action": jsonify(action)}
-        if env_kwargs:
-            request["kwargs"] = jsonify(env_kwargs)
-        parsed = self._checked("POST", "/evaluate", request)
-        return parse_metrics_response(parsed, f"evaluate response for env {env!r}")
+        """Evaluate one design point on the server's ``env``: a
+        one-action :meth:`evaluate_batch`."""
+        return self.evaluate_batch(env, [action], env_kwargs)[0]
 
     def evaluate_batch(
         self,
         env: str,
         actions: Sequence[Dict[str, Any]],
         env_kwargs: Optional[Dict[str, Any]] = None,
-        memoize: bool = True,
     ) -> List[Dict[str, float]]:
-        """Evaluate many design points in one round trip.
+        """Evaluate many design points in one ``POST /evaluate_batch``.
 
-        The server runs the whole batch under a single env-instance
-        lock and (with ``memoize``, the default) answers repeat design
-        points from its ``/cache`` store instead of re-simulating.
-        Results come back in request order, one metric dict per action.
+        The server simulates every action, repeats included, under a
+        single env-instance lock. Results come back in request order,
+        one metric dict per action.
         """
         if not actions:
             raise ServiceError("evaluate_batch needs at least one action")
@@ -334,8 +331,6 @@ class ServiceClient:
         }
         if env_kwargs:
             request["kwargs"] = jsonify(env_kwargs)
-        if not memoize:
-            request["memoize"] = False
         parsed = self._checked("POST", "/evaluate_batch", request)
         return parse_batch_response(parsed, env, len(actions))
 

@@ -84,9 +84,8 @@ class RemoteBackend:
         return self.pool.last_host
 
     def evaluate(self, env_name: str, action: Dict[str, Any]) -> Dict[str, float]:
-        """Evaluate one design point over ``POST /evaluate``. The env
-        steps through :meth:`evaluate_batch`, a single ``step`` with a
-        one-point batch."""
+        """Evaluate one design point as a one-action batch on the pool
+        (the env itself only calls :meth:`evaluate_batch`)."""
         return self.pool.evaluate(env_name, action, env_kwargs=self.env_kwargs)
 
     def evaluate_batch(
@@ -97,13 +96,12 @@ class RemoteBackend:
         The pool scatters the batch over its living hosts by capacity
         weight (parallel chunks, results reassembled in request order;
         one host sends the whole batch), and ``last_hosts`` afterwards
-        names, per point, the host that answered it. Server-side
-        memoization stays off, so a sweep never grows a server's memo
-        map; cross-trial reuse is the shared cache tier's job.
+        names, per point, the host that answered it. The hosts simulate
+        every point they are sent; cross-trial reuse is the shared cache
+        tier's job.
         """
         metrics, self.last_hosts = self.pool.evaluate_batch_scatter(
-            env_name, list(actions), env_kwargs=self.env_kwargs,
-            memoize=False,
+            env_name, list(actions), env_kwargs=self.env_kwargs
         )
         return metrics
 
@@ -118,13 +116,12 @@ class RemoteBackend:
         no barrier on the slowest host; one living host answers the
         whole batch as a single chunk. ``last_hosts`` is rebuilt per
         point as chunks land, matching the barrier path's provenance
-        contract once the stream is drained. Server-side memoization
-        stays off, as in :meth:`evaluate_batch`.
+        contract once the stream is drained.
         """
         actions = list(actions)
         self.last_hosts = [None] * len(actions)
         for start, metrics_list, host in self.pool.evaluate_batch_stream(
-            env_name, actions, env_kwargs=self.env_kwargs, memoize=False,
+            env_name, actions, env_kwargs=self.env_kwargs
         ):
             self.last_hosts[start:start + len(metrics_list)] = (
                 [host] * len(metrics_list)
@@ -156,15 +153,18 @@ def RemoteEnv(  # noqa: N802 - constructor-style helper, returns the env
 
         env = RemoteEnv(repro.make("DRAMGym-v0"), "http://127.0.0.1:8023")
         obs, reward, *_ = env.step(action)   # cost model ran remotely
+        env.close()                          # releases the pool's sockets
 
     ``service`` may also be a list of URLs — the evaluations then
     spread over a least-load :class:`~repro.sweeps.hostpool.HostPool`
     with automatic failover. ``env_kwargs`` must mirror the
     construction arguments so the server evaluates the same
-    environment configuration. ``env.backend.close()`` releases the
-    pool's sockets.
+    environment configuration. The env owns the backend built here:
+    ``env.close()`` closes it, unless
+    :meth:`~repro.core.env.ArchGymEnv.detach_backend` has handed it
+    back to the caller first.
     """
-    env.attach_backend(
-        RemoteBackend(service, env_kwargs=env_kwargs, **client_kwargs)
-    )
+    backend = RemoteBackend(service, env_kwargs=env_kwargs, **client_kwargs)
+    env.attach_backend(backend)
+    env._owned_backend = backend  # the one backend env.close() closes
     return env

@@ -8,27 +8,19 @@ separate process — or on a separate machine — behind these endpoints:
     Liveness + inventory: wire format, registered environment names,
     how many evaluations this server has run, and the size of its
     design-point cache.
-``POST /evaluate``
-    Body ``{"env": name, "action": {...}, "kwargs": {...}?}``; the
-    server builds (and keeps) the named environment, runs its
-    ``evaluate`` cost model, and answers ``{"metrics": {...}}``.
-    ``kwargs`` are environment construction arguments (workload,
-    objective, …); each distinct ``(env, kwargs)`` pair gets its own
-    long-lived instance, serialized by a per-instance lock because
-    cost models are not promised to be thread-safe.
 ``POST /evaluate_batch``
-    Body ``{"env": name, "actions": [{...}, ...], "kwargs": {...}?,
-    "memoize": bool?}``; answers ``{"metrics": [...], "memo_hits": n}``
-    with one metric object per action, in request order. The whole
-    batch runs under **one** acquisition of the instance lock, so N
-    design points pay one round trip and one lock handoff instead of
-    N. With ``memoize`` (the default) every fresh evaluation is also
-    written into the ``/cache`` store — under exactly the key a
-    ``PUT /cache`` of that design point would use — and repeat points
-    are answered from it without touching the cost model (counted in
-    ``memo_hits`` and on ``/healthz``). Because the ``/cache`` map is
-    keyed on the design point alone, memoization is auto-disabled on
-    servers hosting more than one environment.
+    The one evaluation request. Body ``{"env": name, "actions": [{...},
+    ...], "kwargs": {...}?}``; the server builds (and keeps) the named
+    environment, runs its ``evaluate`` cost model on every action, and
+    answers ``{"metrics": [...]}`` with one metric object per action,
+    in request order. ``kwargs`` are environment construction arguments
+    (workload, objective, …); each distinct ``(env, kwargs)`` pair gets
+    its own long-lived instance, serialized by a per-instance lock
+    because cost models are not promised to be thread-safe. The whole
+    batch runs under **one** acquisition of that lock, so N design
+    points pay one round trip and one lock handoff instead of N. Every
+    action is simulated, repeats included: reuse across requests is the
+    client's cache tiers' job, never the server's.
 ``GET /cache``
     A ``canonical_action_key -> metrics`` map shared by every client —
     the server-backed twin of the file-backed
@@ -55,7 +47,9 @@ separate process — or on a separate machine — behind these endpoints:
 Everything is stdlib: ``http.server.ThreadingHTTPServer`` + ``json``.
 Server-side failures are reported as JSON ``{"error": ...}`` bodies
 with 4xx/5xx statuses — the client maps them onto
-:class:`~repro.core.errors.ServiceError`.
+:class:`~repro.core.errors.ServiceError`. A request whose
+``Content-Length`` is not a non-negative integer gets a 400 and its
+connection is closed, since its body cannot be framed.
 """
 
 from __future__ import annotations
@@ -69,8 +63,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 from urllib.parse import urlsplit
 
-from repro.core.cache_store import SharedCacheStore, encode_key
-from repro.core.env import ArchGymEnv, canonical_action_key
+from repro.core.cache_store import SharedCacheStore
+from repro.core.env import ArchGymEnv
 from repro.core.errors import ServiceError
 from repro.service.wire import (
     DEFAULT_CACHE_PAGE,
@@ -146,12 +140,9 @@ class EvaluationService:
         self.evaluations = 0
         #: ``/evaluate_batch`` requests served.
         self.batch_requests = 0
-        #: Batch design points answered from the memo instead of the
-        #: cost model.
-        self.memo_hits = 0
-        #: Cumulative seconds the cost models spent simulating (memo
-        #: hits cost ~0 and are excluded) — with ``evaluations`` this
-        #: gives observers the host's service *rate*, which is what
+        #: Cumulative seconds the cost models spent simulating — with
+        #: ``evaluations`` this gives observers the host's service
+        #: *rate*, which is what
         #: :class:`~repro.sweeps.hostpool.HostPool` auto-weights read.
         self.busy_s = 0.0
         self._httpd: Optional[ThreadingHTTPServer] = None
@@ -214,110 +205,34 @@ class EvaluationService:
                 self._instances[instance_key] = env
         return env
 
-    def evaluate(
-        self,
-        name: str,
-        action: Dict[str, Any],
-        kwargs: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, float]:
-        """Run one design point through the named environment."""
-        kwargs = kwargs or {}
-        instance_key, factory, lock = self._instance_lock(name, kwargs)
-        # Construct and evaluate under the per-instance lock only — a
-        # slow env build or simulation must never stall requests for
-        # other instances (or /healthz) behind the global state lock.
-        with lock:
-            env = self._instance(instance_key, factory, kwargs)
-            t0 = time.perf_counter()
-            metrics = env.evaluate(action)
-            busy = time.perf_counter() - t0
-        with self._state_lock:  # instance locks differ per (env, kwargs)
-            self.evaluations += 1
-            self.busy_s += busy
-        return clean_metrics(metrics)
-
     def evaluate_batch(
         self,
         name: str,
         actions: List[Dict[str, Any]],
         kwargs: Optional[Dict[str, Any]] = None,
-        memoize: bool = True,
-    ) -> Tuple[List[Dict[str, float]], int]:
-        """Run many design points under one instance-lock acquisition.
-
-        Returns ``(metrics_list, memo_hits)`` with one entry per action
-        in request order. With ``memoize`` every fresh evaluation also
-        lands in the ``/cache`` store — keyed exactly as a ``PUT
-        /cache`` of the same design point
-        (``encode_key(canonical_action_key(action))``), so batch traffic
-        and explicit cache writes are indistinguishable to readers —
-        and repeat design points are answered from that store without
-        touching the cost model.
-
-        The memo shares the server-wide ``/cache`` map, which is keyed
-        on the design point alone (the
-        :class:`~repro.core.cache_store.SharedCacheStore` contract), so
-        memoization requires one server to serve one deterministic
-        environment configuration. The part of that assumption the
-        server can verify, it enforces: a server with **more than one
-        registered environment** auto-disables memoization (two envs
-        sharing an action shape would silently serve each other's
-        metrics); serving one env under two different ``kwargs``
-        configurations is the caller's contract to keep — the same one
-        ``--shared-cache`` / ``ServerCacheStore`` has always carried.
-        Pass ``memoize=False`` per request to opt out.
-        """
+    ) -> List[Dict[str, float]]:
+        """Run every action of one batch, repeats included, through the
+        named environment under one instance-lock acquisition; one
+        metric dict per action, in request order."""
         kwargs = kwargs or {}
         instance_key, factory, lock = self._instance_lock(name, kwargs)
-        with self._state_lock:
-            memoize = memoize and len(self._registry) == 1
-        results: List[Optional[Dict[str, float]]] = [None] * len(actions)
-        pending: List[Tuple[int, Dict[str, Any], str]] = []
-        memo_hits = 0
-        for i, action in enumerate(actions):
-            key_str = ""  # only the memo reads the key
-            if memoize:
-                key_str = encode_key(canonical_action_key(action))
-                found = self.cache_get(key_str)
-                if found is not None:
-                    results[i] = found
-                    memo_hits += 1
-                    continue
-            pending.append((i, dict(action), key_str))
-        evaluated = 0
+        results: List[Dict[str, float]] = []
         busy = 0.0
-        if pending:
-            with lock:
-                env = self._instance(instance_key, factory, kwargs)
-                fresh: Dict[str, Dict[str, float]] = {}
-                for i, action, key_str in pending:
-                    metrics = fresh.get(key_str) if memoize else None
-                    if metrics is None:
-                        t0 = time.perf_counter()
-                        raw = env.evaluate(action)
-                        busy += time.perf_counter() - t0
-                        metrics = clean_metrics(raw)
-                        evaluated += 1
-                        if memoize:
-                            self.cache_put(key_str, metrics)
-                            fresh[key_str] = metrics
-                    else:  # same design point twice in one batch
-                        memo_hits += 1
-                    results[i] = metrics
-        with self._state_lock:
-            self.evaluations += evaluated
+        # Construct and evaluate under the per-instance lock only — a
+        # slow env build or simulation must never stall requests for
+        # other instances (or /healthz) behind the global state lock.
+        with lock:
+            env = self._instance(instance_key, factory, kwargs)
+            for action in actions:
+                t0 = time.perf_counter()
+                raw = env.evaluate(action)
+                busy += time.perf_counter() - t0
+                results.append(clean_metrics(raw))
+        with self._state_lock:  # instance locks differ per (env, kwargs)
+            self.evaluations += len(results)
             self.batch_requests += 1
-            self.memo_hits += memo_hits
             self.busy_s += busy
-        # results is fully populated: every index either hit the memo
-        # or was in pending
-        return [r for r in results if r is not None], memo_hits
-
-    def cache_get(self, key_str: str) -> Optional[Dict[str, float]]:
-        return self.cache_get_many([key_str]).get(key_str)
-
-    def cache_put(self, key_str: str, metrics: Dict[str, float]) -> None:
-        self.cache_put_many([(key_str, metrics)])
+        return results
 
     def cache_get_many(self, key_strs: List[str]) -> Dict[str, Dict[str, float]]:
         """``{key_str: metrics}`` for every held key of ``key_strs``
@@ -380,7 +295,6 @@ class EvaluationService:
         with self._state_lock:
             evaluations = self.evaluations
             batch_requests = self.batch_requests
-            memo_hits = self.memo_hits
             busy_s = self.busy_s
         return {
             "status": "ok",
@@ -388,7 +302,9 @@ class EvaluationService:
             "envs": envs,
             "evaluations": evaluations,
             "batch_requests": batch_requests,
-            "memo_hits": memo_hits,
+            # Always 0 (the server keeps no memo); the benchmark's host
+            # counters (perfbench/hosts.py) read it.
+            "memo_hits": 0,
             "busy_s": busy_s,
             "cache_size": cache_size,
         }
@@ -630,10 +546,9 @@ class _Handler(BaseHTTPRequestHandler):
         if self._body_consumed:
             return
         self._body_consumed = True
-        length = int(self.headers.get("Content-Length") or 0)
-        if 0 < length <= self._drain_cap:
-            self.rfile.read(length)
-        elif length > self._drain_cap:
+        if 0 < self._body_length <= self._drain_cap:
+            self.rfile.read(self._body_length)
+        elif self._body_length > self._drain_cap:
             self.close_connection = True
 
     def _reply(self, status: int, payload: Dict[str, Any]) -> None:
@@ -642,13 +557,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:  # tell the client not to reuse it
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
         self._body_consumed = True
-        return load_body(self.rfile.read(length))
+        return load_body(self.rfile.read(self._body_length))
 
     def _dispatch(self, handler: Callable[[], None]) -> None:
         self._body_consumed = False  # per-request; _reply drains leftovers
@@ -659,8 +575,19 @@ class _Handler(BaseHTTPRequestHandler):
             # failure, which its policy retries/fails over honestly.
             self.close_connection = True
             return
+        length = self.headers.get("Content-Length", "0").strip()
+        if not (length.isascii() and length.isdigit()):
+            # A body that cannot be framed leaves the socket out of
+            # step for good: answer without reading it, then close.
+            self._body_consumed = self.close_connection = True
+            error = f"Content-Length must be a non-negative integer, got {length!r}"
+            self._reply(400, {"error": error})
+            return
+        self._body_length = int(length)
         try:
             handler()
+        except _UnknownEnvironment as exc:
+            self._reply(404, {"error": str(exc)})
         except ServiceError as exc:
             self._reply(400, {"error": str(exc)})
         except Exception as exc:  # cost-model crash → explicit 500
@@ -693,10 +620,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         def handle() -> None:
-            if self.path == "/evaluate":
-                self._handle_evaluate()
-            elif self.path == "/evaluate_batch":
-                self._handle_evaluate_batch()
+            if self.path == "/evaluate_batch":
+                name, actions, kwargs = parse_batch_request(self._read_json())
+                metrics = self.service.evaluate_batch(name, actions, kwargs)
+                self._reply(200, {"metrics": metrics})
             elif self.path == "/cache":
                 keys = parse_cache_lookup(self._read_json())
                 found = self.service.cache_get_many(keys)
@@ -707,39 +634,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(404, {"error": f"no route {self.path!r}"})
 
         self._dispatch(handle)
-
-    def _handle_evaluate(self) -> None:
-        request = self._read_json()
-        if not isinstance(request, dict) or "env" not in request:
-            raise ServiceError(f"evaluate body must name an 'env': {request!r}")
-        action = request.get("action")
-        if not isinstance(action, dict):
-            raise ServiceError(f"evaluate body needs an 'action' object: {request!r}")
-        try:
-            metrics = self.service.evaluate(
-                str(request["env"]), action, request.get("kwargs")
-            )
-        except _UnknownEnvironment as exc:
-            self._reply(404, {"error": str(exc)})
-            return
-        except ServiceError as exc:
-            self._reply(400, {"error": str(exc)})
-            return
-        self._reply(200, {"metrics": metrics})
-
-    def _handle_evaluate_batch(self) -> None:
-        name, actions, kwargs, memoize = parse_batch_request(self._read_json())
-        try:
-            metrics_list, memo_hits = self.service.evaluate_batch(
-                name, actions, kwargs, memoize=memoize
-            )
-        except _UnknownEnvironment as exc:
-            self._reply(404, {"error": str(exc)})
-            return
-        except ServiceError as exc:
-            self._reply(400, {"error": str(exc)})
-            return
-        self._reply(200, {"metrics": metrics_list, "memo_hits": memo_hits})
 
     def do_PUT(self) -> None:
         def handle() -> None:

@@ -53,9 +53,11 @@ __all__ = [
 
 #: Protocol identifier served by ``GET /healthz``; clients may check it.
 #: v2: the per-key ``GET/PUT /cache/<token>`` routes of v1 are gone (a
-#: single cache key rides the bulk ``POST/PUT /cache`` bodies); every
-#: other v1 request body remains valid and answered identically.
-WIRE_FORMAT = "archgym-service-v2"
+#: single cache key rides the bulk ``POST/PUT /cache`` bodies).
+#: v3: ``POST /evaluate`` and the batch memo are gone: every action of a
+#: ``POST /evaluate_batch`` is simulated and the answer is ``{"metrics":
+#: [...]}`` alone (a v2 client's batch-memo flag is ignored).
+WIRE_FORMAT = "archgym-service-v3"
 
 #: Page size ``GET /cache?offset=N`` uses when no ``limit`` is given.
 DEFAULT_CACHE_PAGE = 500
@@ -139,10 +141,10 @@ def clean_metrics(metrics: Mapping[str, Any]) -> Dict[str, float]:
     return clean
 
 
-def parse_batch_request(request: Any) -> tuple:
+def parse_batch_request(request: Any) -> Tuple[str, List[Mapping], Dict[str, Any]]:
     """Validate one ``POST /evaluate_batch`` body.
 
-    Returns ``(env, actions, kwargs, memoize)`` or raises
+    Returns ``(env, actions, kwargs)`` or raises
     :class:`ServiceError` naming the schema violation — the shape both
     sides agree on lives here so client and server cannot drift.
     """
@@ -166,12 +168,7 @@ def parse_batch_request(request: Any) -> tuple:
         raise ServiceError(
             f"evaluate_batch 'kwargs' must be an object: {kwargs!r}"
         )
-    memoize = request.get("memoize", True)
-    if not isinstance(memoize, bool):
-        raise ServiceError(
-            f"evaluate_batch 'memoize' must be a boolean: {memoize!r}"
-        )
-    return str(request["env"]), actions, dict(kwargs or {}), memoize
+    return str(request["env"]), actions, dict(kwargs or {})
 
 
 def parse_cache_query(query: str) -> Tuple[int, int]:

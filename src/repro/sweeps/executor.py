@@ -31,6 +31,7 @@ from repro.agents.hyperparams import make_agent
 from repro.core.dataset import ArchGymDataset, Transition
 from repro.core.env import ArchGymEnv
 from repro.core.errors import ExecutorError, ServiceError
+from repro.service.client import ServiceClient
 
 __all__ = [
     "BackendSpec",
@@ -227,6 +228,12 @@ def resolve_execution_backend(
     ``cache_replicas`` pool hosts, see
     :class:`~repro.core.cache_store.ServerCacheStore`) over a file
     store under ``out_dir``.
+
+    Each URL is spelled as the pool's clients spell it
+    (``ServiceClient.base_url``), and hosts are deduped on that
+    spelling. A malformed URL, or one host given two weights, raises
+    :class:`ExecutorError` here, before any trial runs or any
+    ``sweep.json`` is written.
     """
     if auto_weights and service_url is None:
         raise ExecutorError(
@@ -262,7 +269,11 @@ def resolve_execution_backend(
         )
         by_url: Dict[str, float] = {}
         for spec in specs:
-            url, weight = parse_weighted_url(spec)
+            raw_url, weight = parse_weighted_url(spec)
+            try:  # the pool's own spelling of the host; opens no socket
+                url = ServiceClient(raw_url).base_url
+            except ServiceError as exc:
+                raise ExecutorError(str(exc)) from None
             if url in by_url:  # dedupe, keep order — weights must agree
                 if by_url[url] != weight:
                     raise ExecutorError(

@@ -622,20 +622,19 @@ class HostPool:
         action: Dict[str, Any],
         env_kwargs: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, float]:
-        """Evaluate one design point on the best available host."""
-        return self._call("evaluate", 1, env, action, env_kwargs=env_kwargs)
+        """Evaluate one design point on the best available host: a
+        one-action batch, with the same failover."""
+        return self._call("evaluate_batch", 1, env, [action], env_kwargs=env_kwargs)[0]
 
     def evaluate_batch(
         self,
         env: str,
         actions: Sequence[Dict[str, Any]],
         env_kwargs: Optional[Dict[str, Any]] = None,
-        memoize: bool = True,
     ) -> List[Dict[str, float]]:
         """Evaluate a batch on one host (whole-batch failover)."""
         return self._call(
-            "evaluate_batch", len(actions), env, actions,
-            env_kwargs=env_kwargs, memoize=memoize,
+            "evaluate_batch", len(actions), env, actions, env_kwargs=env_kwargs
         )
 
     def _try_host(
@@ -665,7 +664,6 @@ class HostPool:
         env: str,
         actions: Sequence[Dict[str, Any]],
         env_kwargs: Optional[Dict[str, Any]] = None,
-        memoize: bool = True,
     ) -> Tuple[List[Dict[str, float]], List[Optional[str]]]:
         """Split one batch across the living hosts and run the chunks
         in parallel.
@@ -707,8 +705,7 @@ class HostPool:
             chunks = []
         if len(chunks) <= 1:
             metrics = self._call(
-                "evaluate_batch", len(actions), env, actions,
-                env_kwargs=env_kwargs, memoize=memoize,
+                "evaluate_batch", len(actions), env, actions, env_kwargs=env_kwargs
             )
             return metrics, [self.last_host] * len(actions)
 
@@ -717,16 +714,14 @@ class HostPool:
         ) -> Tuple[List[Dict[str, float]], Optional[str]]:
             try:
                 got = self._try_host(
-                    host, "evaluate_batch", len(sub), env, sub,
-                    env_kwargs=env_kwargs, memoize=memoize,
+                    host, "evaluate_batch", len(sub), env, sub, env_kwargs=env_kwargs
                 )
                 return got, host.url
             except ServiceTransportError:
                 # The assigned host died (now quarantined): re-run the
                 # chunk through the normal failover path.
                 got = self._call(
-                    "evaluate_batch", len(sub), env, sub,
-                    env_kwargs=env_kwargs, memoize=memoize,
+                    "evaluate_batch", len(sub), env, sub, env_kwargs=env_kwargs
                 )
                 return got, self._local.last_host
 
@@ -759,7 +754,6 @@ class HostPool:
         env: str,
         actions: Sequence[Dict[str, Any]],
         env_kwargs: Optional[Dict[str, Any]] = None,
-        memoize: bool = True,
         unit_size: Optional[int] = None,
     ) -> Iterator[Tuple[int, List[Dict[str, float]], Optional[str]]]:
         """Stream one batch's results back as hosts finish, with work
@@ -827,8 +821,7 @@ class HostPool:
         ]
         if len(alive) < 2 or len(units) < 2:
             metrics = self._call(
-                "evaluate_batch", len(actions), env, actions,
-                env_kwargs=env_kwargs, memoize=memoize,
+                "evaluate_batch", len(actions), env, actions, env_kwargs=env_kwargs
             )
             yield 0, metrics, self.last_host
             return
@@ -874,9 +867,7 @@ class HostPool:
                     uid, _ = work
                     start, sub = units[uid]
                     try:
-                        got = host.client.evaluate_batch(
-                            env, sub, env_kwargs=env_kwargs, memoize=memoize,
-                        )
+                        got = host.client.evaluate_batch(env, sub, env_kwargs=env_kwargs)
                     except ServiceTransportError as exc:
                         self._mark(host, alive=False, error=str(exc))
                         with self._lock:

@@ -17,15 +17,13 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.core.cache_store import ServerCacheStore, SharedCacheStore, encode_key
-from repro.core.env import ArchGymEnv, canonical_action_key
+from repro.core.env import canonical_action_key
 from repro.core.errors import (
     ArchGymError,
     CacheStoreError,
     ServiceError,
     ServiceTransportError,
 )
-from repro.core.rewards import TargetReward
-from repro.core.spaces import Categorical, CompositeSpace, Discrete
 from repro.service import EvaluationService
 
 
@@ -635,7 +633,7 @@ class TestServerStoreReplication:
         assert store._local == {}
 
     def test_get_and_put_memoize_through_one_cleaner(self, closing):
-        """Regression: ``get`` used to memoize the server's dict
+        """Regression: ``get`` used to cache the server's dict
         un-normalized while ``put`` memoized a cleaned copy, so a
         later put of an equal-but-int-valued dict re-sent the entry.
         Both paths now share one ``{k: float(v)}`` cleaner and the
@@ -660,99 +658,3 @@ class TestKeyEncoding:
     def test_distinct_keys_distinct_encodings(self):
         assert encode_key(_key(1)) != encode_key(_key(2))
 
-
-# -- the server-memoization path --------------------------------------------------
-
-
-class _MemoEnv(ArchGymEnv):
-    """Deterministic 16-point env the memoization battery serves."""
-
-    env_id = "MemoEnv-v0"
-
-    def __init__(self):
-        super().__init__(
-            action_space=CompositeSpace(
-                [Discrete("x", 0, 7, 1), Categorical("m", ("a", "b"))]
-            ),
-            observation_metrics=["cost"],
-            reward_spec=TargetReward("cost", target=1.0),
-        )
-
-    def evaluate(self, action):
-        return {"cost": 0.1 + 0.2 + action["x"] + (action["m"] == "a")}
-
-
-class TestServerMemoizationPath:
-    """`/evaluate_batch` memoization and explicit `PUT /cache` must be
-    one and the same map: identical keys, identical entries, identical
-    hit behavior — a store reader cannot tell which path fed it."""
-
-    def _actions(self, n):
-        return [{"x": i % 8, "m": "a" if i % 2 else "b"} for i in range(n)]
-
-    @pytest.fixture()
-    def memo_service(self):
-        with EvaluationService() as svc:
-            svc.register("MemoEnv-v0", _MemoEnv)
-            yield svc
-
-    def test_batch_entries_equal_explicit_put_entries(self, memo_service, closing):
-        """Feed one server via /evaluate_batch and another via explicit
-        PUTs of locally computed metrics: every cache read must agree
-        byte-for-byte, and the sizes must match."""
-        from repro.service import ServiceClient
-
-        actions = self._actions(6)
-        batch_client = closing(
-            ServiceClient(memo_service.url, timeout_s=10.0, retries=0)
-        )
-        batch_client.evaluate_batch("MemoEnv-v0", actions)
-
-        with EvaluationService() as explicit:
-            put_client = closing(
-                ServiceClient(explicit.url, timeout_s=10.0, retries=0)
-            )
-            env = _MemoEnv()
-            for action in actions:
-                put_client.cache_put(
-                    encode_key(canonical_action_key(action)),
-                    env.evaluate(action),
-                )
-            assert batch_client.cache_size() == put_client.cache_size()
-            for action in actions:
-                key_str = encode_key(canonical_action_key(action))
-                assert batch_client.cache_get(key_str) == put_client.cache_get(
-                    key_str
-                )
-
-    def test_server_cache_store_reads_memoized_entries(self, memo_service, closing):
-        """A ServerCacheStore pointed at a batch-fed server hits the
-        memoized entries exactly as if they had been explicitly put."""
-        from repro.service import ServiceClient
-
-        actions = self._actions(4)
-        client = closing(ServiceClient(memo_service.url, timeout_s=10.0, retries=0))
-        batched = client.evaluate_batch("MemoEnv-v0", actions)
-
-        store = closing(ServerCacheStore(memo_service.url, timeout_s=10.0, retries=0))
-        assert len(store) == len(actions)
-        for action, metrics in zip(actions, batched):
-            assert store.get(canonical_action_key(action)) == metrics
-
-    def test_store_puts_count_as_batch_memo_hits(self, memo_service, closing):
-        """The inverse direction: entries written through the store
-        contract answer batch points without touching the cost model."""
-        actions = self._actions(5)
-        store = closing(ServerCacheStore(memo_service.url, timeout_s=10.0, retries=0))
-        env = _MemoEnv()
-        for action in actions:
-            store.put(canonical_action_key(action), env.evaluate(action))
-
-        from repro.service import ServiceClient
-
-        client = closing(ServiceClient(memo_service.url, timeout_s=10.0, retries=0))
-        batched = client.evaluate_batch("MemoEnv-v0", actions)
-        health = client.healthz()
-        assert health["evaluations"] == 0  # every point was a memo hit
-        assert health["memo_hits"] == len(actions)
-        assert batched == [env.evaluate(a) for a in actions]

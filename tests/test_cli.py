@@ -219,6 +219,15 @@ class TestDurableCommands:
             ("collect", ["--workers", "0"]),
             ("sweep", ["--samples", "0"]),
             ("sweep", ["--workers", "0"]),
+            # nothing listens on these URLs: each is refused before any
+            # request, as a malformed URL or as one host (the same base
+            # URL once normalized) given two weights
+            ("collect", ["--service-url", "htp://127.0.0.1:9"]),
+            ("sweep", ["--service-url", "htp://127.0.0.1:9"]),
+            ("collect", ["--service-url", "http://127.0.0.1:9=2",
+                         "--service-url", "http://127.0.0.1:9/=3"]),
+            ("sweep", ["--service-url", "http://127.0.0.1:9=2",
+                       "--service-url", "http://127.0.0.1:9/=3"]),
         ],
     )
     def test_rejected_arguments_leave_no_manifest(self, tmp_path, command, bad):

@@ -795,7 +795,7 @@ class TestGenerationScatter:
         ))
         actions = [{"x": i % 8, "m": "a"} for i in range(16)]
         metrics, hosts = pool.evaluate_batch_scatter(
-            "SvcCounting-v0", actions, memoize=False
+            "SvcCounting-v0", actions
         )
         env = SvcCountingEnv()
         assert metrics == [env.evaluate(action) for action in actions]
@@ -815,7 +815,7 @@ class TestGenerationScatter:
         ))
         for i in range(4):
             metrics, hosts = pool.evaluate_batch_scatter(
-                "SvcCounting-v0", [{"x": i, "m": "a"}], memoize=False
+                "SvcCounting-v0", [{"x": i, "m": "a"}]
             )
             assert len(metrics) == len(hosts) == 1
         assert a.evaluations == 2 and b.evaluations == 2
@@ -829,7 +829,7 @@ class TestGenerationScatter:
         a.stop()
         actions = [{"x": i % 8, "m": "a"} for i in range(8)]
         metrics, hosts = pool.evaluate_batch_scatter(
-            "SvcCounting-v0", actions, memoize=False
+            "SvcCounting-v0", actions
         )
         env = SvcCountingEnv()
         assert metrics == [env.evaluate(action) for action in actions]

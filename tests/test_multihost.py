@@ -63,7 +63,7 @@ from test_service import SvcCountingEnv, _count_requests, _free_port
 
 @pytest.fixture(autouse=True)
 def _fresh_backend_cache():
-    """Pools memoize per-process; tests must not inherit another test's
+    """Pools are cached per process; tests must not inherit another test's
     quarantine state for a recycled URL."""
     clear_backend_cache()
     yield

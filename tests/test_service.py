@@ -16,10 +16,12 @@ Three load-bearing guarantees:
    the failing trial; never a hang, never a silently wrong metric.
 """
 
+import gc
 import math
 import socket
 import threading
 import time
+import warnings
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -28,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.env import ArchGymEnv, canonical_action_key
+from repro.core.env import ArchGymEnv
 from repro.core.errors import ServiceError, ServiceTransportError
 from repro.core.rewards import TargetReward
 from repro.core.spaces import Categorical, CompositeSpace, Discrete
@@ -276,18 +278,28 @@ class TestServerEndpoints:
 
     def test_busy_time_accumulates_on_healthz(self, client):
         """``busy_s`` is the auto-weights denominator: it must start at
-        zero, grow with real cost-model work (single and batched), and
-        stay put for memo hits."""
+        zero and grow with real cost-model work (single and batched)."""
         assert client.healthz()["busy_s"] == 0.0
         client.evaluate("SvcCounting-v0", {"x": 1, "m": "b"})
         after_one = client.healthz()["busy_s"]
         assert after_one > 0.0
         client.evaluate_batch(
-            "SvcCounting-v0",
-            [{"x": i, "m": "a"} for i in range(4)],
-            memoize=False,
+            "SvcCounting-v0", [{"x": i, "m": "a"} for i in range(4)]
         )
         assert client.healthz()["busy_s"] > after_one
+
+    def test_single_point_route_is_gone(self, client):
+        """``POST /evaluate_batch`` is the one evaluation request: the
+        old single-point route answers 404, and a one-point evaluate
+        rides a one-action batch."""
+        status, parsed = client._request(
+            "POST", "/evaluate", {"env": "SvcCounting-v0", "action": {"x": 1}}
+        )
+        assert status == 404 and "no route" in parsed["error"]
+        client.evaluate("SvcCounting-v0", {"x": 1, "m": "b"})
+        health = client.healthz()
+        assert health["format"] == "archgym-service-v3"
+        assert (health["evaluations"], health["batch_requests"]) == (1, 1)
 
 
 class TestCacheListing:
@@ -432,25 +444,17 @@ class TestBulkCacheEndpoints:
 
 class TestBatchEndpoint:
     """``POST /evaluate_batch``: many design points, one round trip,
-    one instance-lock acquisition, server-side memoization.
-
-    Memoization tests run on a *single-env* server (``memo_client``):
-    the ``/cache`` map is keyed on the design point alone, so a server
-    hosting several environments auto-disables the memo rather than
-    serving one env's metrics to another.
-    """
+    one instance-lock acquisition, every point simulated."""
 
     @pytest.fixture()
-    def memo_service(self):
+    def single_env_client(self, closing):
+        """A client of a server hosting one environment — where the
+        removed batch memo used to engage."""
         with EvaluationService() as svc:
             svc.register("SvcCounting-v0", SvcCountingEnv)
-            yield svc
-
-    @pytest.fixture()
-    def memo_client(self, memo_service, closing):
-        return closing(ServiceClient(
-            memo_service.url, timeout_s=10.0, retries=1, backoff_s=0.01
-        ))
+            yield closing(ServiceClient(
+                svc.url, timeout_s=10.0, retries=1, backoff_s=0.01
+            ))
 
     def _actions(self, n):
         return [{"x": i % 8, "m": "a" if i % 2 else "b"} for i in range(n)]
@@ -458,10 +462,7 @@ class TestBatchEndpoint:
     def test_batch_matches_per_point_bit_exactly(self, client):
         actions = self._actions(6)
         singles = [client.evaluate("SvcCounting-v0", a) for a in actions]
-        # memoize off so both paths really run the cost model
-        batched = client.evaluate_batch(
-            "SvcCounting-v0", actions, memoize=False
-        )
+        batched = client.evaluate_batch("SvcCounting-v0", actions)
         assert batched == singles
 
     def test_batch_is_one_round_trip(self, service, closing):
@@ -471,7 +472,7 @@ class TestBatchEndpoint:
 
     def test_batch_preserves_request_order(self, client):
         actions = list(reversed(self._actions(8)))
-        batched = client.evaluate_batch("SvcCounting-v0", actions, memoize=False)
+        batched = client.evaluate_batch("SvcCounting-v0", actions)
         env = SvcCountingEnv()
         assert batched == [env.evaluate(a) for a in actions]
 
@@ -481,101 +482,59 @@ class TestBatchEndpoint:
         for action, remote in zip(self._actions(3), batched):
             assert list(remote) == list(local.evaluate(action))
 
-    def test_memoization_feeds_the_cache_store(self, memo_client):
-        """Every fresh batch evaluation must land in /cache under the
-        exact key an explicit PUT of that design point would use."""
-        from repro.core.cache_store import encode_key
-
-        actions = self._actions(5)
-        batched = memo_client.evaluate_batch("SvcCounting-v0", actions)
-        assert memo_client.cache_size() == len(actions)
-        for action, metrics in zip(actions, batched):
-            key_str = encode_key(canonical_action_key(action))
-            assert memo_client.cache_get(key_str) == metrics
-
-    def test_repeat_batch_hits_memo_not_cost_model(self, memo_client):
-        actions = self._actions(4)
-        memo_client.evaluate_batch("SvcCounting-v0", actions)
-        evals_before = memo_client.healthz()["evaluations"]
-        memo_client.evaluate_batch("SvcCounting-v0", actions)
-        health = memo_client.healthz()
-        assert health["evaluations"] == evals_before  # nothing re-simulated
-        assert health["memo_hits"] == len(actions)
-        assert health["batch_requests"] == 2
-
-    def test_explicit_cache_put_preseeds_batch(self, memo_client):
-        """An entry written via PUT /cache answers a later batch point
-        — the memo and the explicit cache are one map."""
-        from repro.core.cache_store import encode_key
-
-        action = {"x": 5, "m": "a"}
-        planted = {"cost": 123.456}
-        memo_client.cache_put(encode_key(canonical_action_key(action)), planted)
-        batched = memo_client.evaluate_batch("SvcCounting-v0", [action])
-        assert batched == [planted]
-        assert memo_client.healthz()["evaluations"] == 0  # env never built
-
-    def test_duplicate_points_in_one_batch_simulate_once(self, memo_client):
+    def test_duplicate_points_in_one_batch_simulate_each_time(
+        self, single_env_client
+    ):
         action = {"x": 1, "m": "a"}
-        batched = memo_client.evaluate_batch(
+        batched = single_env_client.evaluate_batch(
             "SvcCounting-v0", [action, action, action]
         )
         assert batched[0] == batched[1] == batched[2]
-        assert memo_client.healthz()["evaluations"] == 1
-
-    def test_memoize_false_skips_the_store(self, memo_client):
-        memo_client.evaluate_batch(
-            "SvcCounting-v0", self._actions(3), memoize=False
-        )
-        assert memo_client.cache_size() == 0
-        assert memo_client.healthz()["evaluations"] == 3
-
-    def test_memo_key_built_only_when_memoizing(self, memo_service, monkeypatch):
-        """The memo key costs ~10 µs a point, and only the memo reads it:
-        an unmemoized batch builds none, a memoized one one per point."""
-        import repro.service.server as server_module
-
-        calls = []
-        real = server_module.encode_key
-        monkeypatch.setattr(
-            server_module, "encode_key", lambda key: calls.append(key) or real(key)
-        )
-        actions = self._actions(5)
-        unmemoized, hits = memo_service.evaluate_batch(
-            "SvcCounting-v0", actions, memoize=False
-        )
-        assert (calls, hits) == ([], 0)
-        memoized, hits = memo_service.evaluate_batch("SvcCounting-v0", actions)
-        assert len(calls) == len(actions)
-        assert hits == 0 and memoized == unmemoized
-        __, hits = memo_service.evaluate_batch("SvcCounting-v0", actions)
-        assert hits == len(actions)
-        assert memo_service.memo_hits == len(actions)
-
-    def test_numpy_action_values_hit_the_same_memo_line(self, memo_client):
-        plain = memo_client.evaluate_batch("SvcCounting-v0", [{"x": 4, "m": "a"}])
-        numpyish = memo_client.evaluate_batch(
-            "SvcCounting-v0", [{"x": np.int64(4), "m": "a"}]
-        )
-        assert plain == numpyish
-        assert memo_client.healthz()["evaluations"] == 1  # second was memo
+        health = single_env_client.healthz()
+        assert health["evaluations"] == 3
+        assert health["cache_size"] == 0
 
     def test_multi_env_server_never_memoizes(self, service, client):
-        """Regression: the /cache map is keyed on the design point
-        alone, so a server hosting several environments must NOT
-        memoize — two envs sharing an action shape would serve each
-        other's metrics. (`service` registers three envs.)"""
+        """A batch never writes the ``/cache`` map, so two environments
+        sharing an action shape each simulate their own points and
+        never see each other's metrics. (`service` registers three
+        envs.)"""
         actions = self._actions(3)
         client.evaluate_batch("SvcCounting-v0", actions)
-        assert client.cache_size() == 0  # nothing memoized
         client.evaluate_batch("MultiMetric-v0", actions)
         health = client.healthz()
-        assert health["memo_hits"] == 0
-        # same action shapes, distinct envs: each simulated on its own
+        assert health["cache_size"] == 0
         assert health["evaluations"] == 2 * len(actions)
-        # and the two envs' metrics never crossed
         multi = client.evaluate_batch("MultiMetric-v0", actions)
         assert multi == [MultiMetricEnv().evaluate(a) for a in actions]
+        assert client.cache_size() == 0
+
+    def test_single_env_server_answers_each_workload_with_its_own_metrics(
+        self, closing
+    ):
+        """Regression: the removed batch memo keyed on the design point
+        alone, so a server hosting only DRAMGym answered a
+        ``workload="random"`` batch with the metrics it had stored for
+        ``workload="stream"``."""
+        import functools
+
+        import repro
+
+        action = repro.make("DRAMGym-v0").action_space.sample(
+            np.random.default_rng(0)
+        )
+        expected = {
+            workload: repro.make("DRAMGym-v0", workload=workload).evaluate(action)
+            for workload in ("stream", "random")
+        }
+        assert expected["stream"] != expected["random"]
+        with EvaluationService() as svc:
+            svc.register("DRAMGym-v0", functools.partial(repro.make, "DRAMGym-v0"))
+            client = closing(ServiceClient(svc.url, timeout_s=30.0, retries=0))
+            for workload, metrics in expected.items():
+                assert client.evaluate_batch(
+                    "DRAMGym-v0", [action], env_kwargs={"workload": workload}
+                ) == [metrics]
 
     def test_empty_batch_rejected_client_side(self, client):
         with pytest.raises(ServiceError, match="at least one action"):
@@ -592,6 +551,62 @@ class TestBatchEndpoint:
     def test_cost_model_crash_in_batch_is_service_error(self, client):
         with pytest.raises(ServiceError, match="simulator exploded"):
             client.evaluate_batch("Crashing-v0", [{"x": 1, "m": "a"}])
+
+
+@pytest.fixture(scope="module")
+def property_hosts():
+    """A service hosting the property's two environments, with a client
+    and a one-host pool on it. Module scope: every Hypothesis example
+    reuses the same service and connections."""
+    from repro.sweeps.hostpool import HostPool
+
+    with EvaluationService() as svc:
+        svc.register("SvcCounting-v0", SvcCountingEnv)
+        svc.register("MultiMetric-v0", MultiMetricEnv)
+        client = ServiceClient(svc.url, timeout_s=10.0, retries=0)
+        pool = HostPool([svc.url], timeout_s=10.0, retries=0)
+        try:
+            yield client, pool
+        finally:
+            pool.close()
+            client.close()
+
+
+#: Design points of the 16-point test space, with numpy-typed values
+#: mixed in: the wire must carry both spellings as one design point.
+design_points = st.fixed_dictionaries({
+    "x": st.integers(0, 7).flatmap(
+        lambda x: st.sampled_from((x, np.int64(x), np.int32(x)))
+    ),
+    "m": st.sampled_from(("a", "b", np.str_("a"), np.str_("b"))),
+})
+
+
+class TestOneEvaluationRequest:
+    """Every evaluation rides ``POST /evaluate_batch`` with nothing
+    between the request and the cost model: a batch answers byte for
+    byte what in-process ``evaluate`` returns, the one-point calls equal
+    a one-action batch, and every point is simulated."""
+
+    @given(
+        env_id=st.sampled_from(("SvcCounting-v0", "MultiMetric-v0")),
+        actions=st.lists(design_points, min_size=1, max_size=32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_is_in_process_evaluate_point_for_point(
+        self, property_hosts, env_id, actions
+    ):
+        client, pool = property_hosts
+        local = {"SvcCounting-v0": SvcCountingEnv, "MultiMetric-v0": MultiMetricEnv}
+        env = local[env_id]()
+        before = client.healthz()["evaluations"]
+        batched = client.evaluate_batch(env_id, actions)
+        assert client.healthz()["evaluations"] - before == len(actions)
+        assert dump_body(batched) == dump_body([env.evaluate(a) for a in actions])
+        for action in actions:
+            one = dump_body(client.evaluate_batch(env_id, [action])[0])
+            assert dump_body(client.evaluate(env_id, action)) == one
+            assert dump_body(pool.evaluate(env_id, action)) == one
 
 
 class TestKeepAlive:
@@ -651,6 +666,28 @@ class TestKeepAlive:
         result = client.evaluate("SvcCounting-v0", {"x": 1, "m": "a"})
         assert result == SvcCountingEnv().evaluate({"x": 1, "m": "a"})
         assert client.connections_opened == 1
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_is_400_and_closes(self, service, client, length):
+        """A ``Content-Length`` that is not a non-negative integer gets a
+        400 at once — not a handler thread reading to EOF (``-1``), nor
+        a dropped connection (``abc``) — and the service keeps serving."""
+        with socket.create_connection(("127.0.0.1", service.port), timeout=5.0) as sock:
+            sock.sendall(
+                b"POST /cache HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n"
+            )
+            reply = b""
+            while True:  # the server closes the connection after its reply
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400"
+        assert b"Connection: close" in head
+        assert "Content-Length" in load_body(body)["error"]
+        assert client.healthz()["status"] == "ok"
 
     def test_stop_closes_live_keepalive_connections(self, service, closing):
         """A stopped server must be *dead* to its connected clients —
@@ -715,8 +752,7 @@ class TestRetryPolicy:
 
 class TestRemoteBackend:
     def test_remote_env_steps_without_local_evaluations(self, service, closing):
-        env = RemoteEnv(SvcCountingEnv(), service.url)
-        closing(env.backend)
+        env = closing(RemoteEnv(SvcCountingEnv(), service.url))
         env.reset(seed=0)
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -725,8 +761,7 @@ class TestRemoteBackend:
         assert env.stats.remote_evals == 5  # every step went over the wire
 
     def test_local_lru_still_shields_the_network(self, service, closing):
-        env = RemoteEnv(SvcCountingEnv(), service.url)
-        closing(env.backend)
+        env = closing(RemoteEnv(SvcCountingEnv(), service.url))
         env.enable_cache()
         env.reset(seed=0)
         action = {"x": 2, "m": "b"}
@@ -742,6 +777,42 @@ class TestRemoteBackend:
         env.reset(seed=0)
         env.step({"x": 2, "m": "b"})
         assert env.evaluations == 1 and env.stats.remote_evals == 0
+
+    def test_remote_env_close_releases_the_pool_it_built(self, service):
+        """``RemoteEnv`` builds its backend, so ``env.close()`` closes it:
+        no keep-alive socket is left for the garbage collector to
+        report."""
+        gc.collect()  # so only this test's garbage is collected below
+        env = RemoteEnv(SvcCountingEnv(), service.url)
+        env.reset(seed=0)
+        env.step({"x": 1, "m": "a"})
+        assert env.stats.remote_evals == 1
+        env.close()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            del env
+            gc.collect()
+        assert [str(w.message) for w in caught] == []
+
+    def test_attached_backend_stays_the_callers(self, service, closing):
+        """A backend passed to ``attach_backend``, or handed back by
+        ``detach_backend``, is the caller's: ``env.close()`` leaves its
+        keep-alive connection open."""
+        attached = closing(RemoteBackend(service.url, timeout_s=10.0))
+        env = SvcCountingEnv()
+        env.attach_backend(attached)
+        remote = RemoteEnv(SvcCountingEnv(), service.url)
+        detached = closing(remote.detach_backend())
+        for backend in (attached, detached):
+            backend.evaluate_batch("SvcCounting-v0", [{"x": 1, "m": "a"}])
+        env.close()
+        remote.close()
+        for backend in (attached, detached):
+            backend.evaluate_batch("SvcCounting-v0", [{"x": 2, "m": "a"}])
+            # one socket served both batches: nothing closed it between
+            assert sum(
+                h.client.connections_opened for h in backend.pool._hosts
+            ) == 1
 
     def test_dead_host_gets_one_revival_probe(self, monkeypatch, closing):
         """A one-URL backend is a one-host pool: when its host dies the
@@ -766,9 +837,8 @@ class TestRemoteBackend:
 
     def test_env_kwargs_forwarded(self, service, closing):
         local = SvcCountingEnv(scale=3.0)
-        remote = RemoteEnv(SvcCountingEnv(scale=3.0), service.url,
-                           env_kwargs={"scale": 3.0})
-        closing(remote.backend)
+        remote = closing(RemoteEnv(SvcCountingEnv(scale=3.0), service.url,
+                                   env_kwargs={"scale": 3.0}))
         remote.reset(seed=0)
         action = {"x": 0, "m": "a"}
         assert remote.step(action)[4]["metrics"] == local.evaluate(action)

@@ -9,12 +9,13 @@ over a two-host pool with a mid-sweep kill:
 2. while both hosts are healthy, runs the GA-generation
    microbenchmark (``check_service.generation_microbench``): one real
    population-64 GA generation scattered over the 2-host pool must
-   issue ≥ 32× fewer HTTP round trips than per-point dispatch (64 vs
-   one ``POST /evaluate_batch`` per host) and be faster; stepped
-   through ``env.step_batch`` with the replicated shared-cache tier,
-   a generation must issue ≥ 32× fewer ``/cache`` round trips than
-   per-point steps (3 vs 192), and a warm re-run must cost no host
-   evaluations. That cache leg runs on MaestroGym-v0, which both hosts
+   issue ≥ 32× fewer HTTP round trips than per-point dispatch (64
+   one-point ``POST /evaluate_batch`` requests, checked on the hosts'
+   ``/healthz`` ``batch_requests``, vs one per host) and be faster;
+   stepped through ``env.step_batch`` with the replicated shared-cache
+   tier, a generation must issue ≥ 32× fewer ``/cache`` round trips
+   than per-point steps (3 vs 192), and a warm re-run must cost no
+   host evaluations. That cache leg runs on MaestroGym-v0, which both hosts
    also serve: its design points share no parameter name with
    DRAMGym's, so the entries it leaves behind can never answer the
    sweep below;

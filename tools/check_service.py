@@ -8,9 +8,11 @@ Drives the real CLI end to end, mirroring tools/check_resume.py:
 2. runs a seeded sweep through the service (``--service-url``) and
    exports the report;
 3. microbenchmarks the transport: the same 64 design points evaluated
-   per-point (64 × ``POST /evaluate`` on one keep-alive connection)
-   versus batched (one ``POST /evaluate_batch``) — the batch must use
-   ≥ 3× fewer round trips (it uses 64× fewer) and less wall-clock;
+   per-point (64 one-point ``POST /evaluate_batch`` requests on one
+   keep-alive connection, checked on the host's ``/healthz``
+   ``batch_requests``) versus batched (one 64-point
+   ``POST /evaluate_batch``) — the batch must use ≥ 3× fewer round
+   trips (it uses 64× fewer) and less wall-clock;
    (:func:`generation_microbench` is the multi-host sibling — a real
    GA generation of 64 scattered over a 2-host pool must use ≥ 32×
    fewer round trips than per-point dispatch, and stepped through
@@ -64,6 +66,23 @@ SWEEP_ARGS = [
 ]
 
 
+def _batch_requests(urls) -> int:
+    """The hosts' ``/healthz`` ``batch_requests`` counters, summed."""
+    return sum(healthz(url)["batch_requests"] for url in urls)
+
+
+def _require_one_batch_per_point(urls, before: int, n_points: int) -> None:
+    """Fail unless the hosts served exactly one ``/evaluate_batch``
+    per point since their counters read ``before``: a per-point leg
+    must cost one round trip per design point, as it claims."""
+    sent = _batch_requests(urls) - before
+    if sent != n_points:
+        raise RuntimeError(
+            f"per-point leg sent {sent} /evaluate_batch request(s) for "
+            f"{n_points} points (want one per point)"
+        )
+
+
 def _microbench(url: str, n_points: int = 64) -> None:
     """Batched + keep-alive vs per-point requests over the same design
     points; fails the job unless batching wins on round trips (≥ 3×
@@ -90,16 +109,15 @@ def _microbench(url: str, n_points: int = 64) -> None:
     per_point_s, batched_s = float("inf"), float("inf")
     reps = 3  # best-of-3 per leg so one scheduler hiccup can't flake CI
     for _ in range(reps):
+        before = _batch_requests([url])
         start = time.perf_counter()
         per_point_results = [
             per_point.evaluate("DRAMGym-v0", action) for action in actions
         ]
         per_point_s = min(per_point_s, time.perf_counter() - start)
+        _require_one_batch_per_point([url], before, n_points)
         start = time.perf_counter()
-        # memoize off: both legs must pay the full simulation cost
-        batched_results = batched.evaluate_batch(
-            "DRAMGym-v0", actions, memoize=False
-        )
+        batched_results = batched.evaluate_batch("DRAMGym-v0", actions)
         batched_s = min(batched_s, time.perf_counter() - start)
 
     if per_point.connections_opened != 1:
@@ -136,8 +154,9 @@ def generation_microbench(
 
     One real GA generation (``population`` distinct-by-construction
     design points from ``GAAgent.propose_batch``) is evaluated two
-    ways over the same multi-host pool: per point (one
-    ``POST /evaluate`` each, spread least-load/round-robin) and
+    ways over the same multi-host pool: per point (a one-point
+    ``POST /evaluate_batch`` each, spread least-load/round-robin,
+    checked on the hosts' ``/healthz`` ``batch_requests``) and
     scattered (``HostPool.evaluate_batch_scatter`` — one
     ``POST /evaluate_batch`` per host, in parallel). The scattered leg
     must use ≥ ``min_rt_ratio``× fewer HTTP round trips (population 64
@@ -168,16 +187,17 @@ def generation_microbench(
     per_point_s, scatter_s = float("inf"), float("inf")
     reps = 3  # best-of-3 per leg so one scheduler hiccup can't flake CI
     for _ in range(reps):
+        before = _batch_requests(urls)
         start = time.perf_counter()
         per_point_results = [
             per_point_pool.evaluate("DRAMGym-v0", action)
             for action in generation
         ]
         per_point_s = min(per_point_s, time.perf_counter() - start)
+        _require_one_batch_per_point(urls, before, population)
         start = time.perf_counter()
-        # memoize off: both legs must pay the full simulation cost
         scatter_results, scatter_hosts = scatter_pool.evaluate_batch_scatter(
-            "DRAMGym-v0", generation, memoize=False
+            "DRAMGym-v0", generation
         )
         scatter_s = min(scatter_s, time.perf_counter() - start)
 
@@ -364,14 +384,14 @@ def straggler_microbench(
 
         start = time.perf_counter()
         barrier_results, _ = barrier_pool.evaluate_batch_scatter(
-            "DRAMGym-v0", generation, memoize=False
+            "DRAMGym-v0", generation
         )
         barrier_s = time.perf_counter() - start
 
         start = time.perf_counter()
         streamed: list = [None] * len(generation)
         for begin, metrics_list, _ in stream_pool.evaluate_batch_stream(
-            "DRAMGym-v0", generation, memoize=False, unit_size=unit_size
+            "DRAMGym-v0", generation, unit_size=unit_size
         ):
             streamed[begin:begin + len(metrics_list)] = metrics_list
         stream_s = time.perf_counter() - start
@@ -445,9 +465,7 @@ def auto_weights_microbench(
             auto_weights=True, auto_weights_interval_s=0.0,
         )
         for batch in batches:
-            # memoize off: every point pays the full simulation cost,
-            # so the observed rates reflect the real speed gap
-            pool.evaluate_batch_scatter("DRAMGym-v0", batch, memoize=False)
+            pool.evaluate_batch_scatter("DRAMGym-v0", batch)
         slow_evals, fast_evals = slow.evaluations, fast.evaluations
         slow_url, fast_url = slow.url, fast.url
     finally:
