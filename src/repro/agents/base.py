@@ -40,7 +40,7 @@ from repro.core.env import ArchGymEnv
 from repro.core.errors import AgentError
 from repro.core.spaces import CompositeSpace
 
-__all__ = ["Agent", "SearchResult", "run_agent"]
+__all__ = ["Agent", "SearchResult", "check_proxy_knobs", "run_agent"]
 
 
 def _stable_value_fmt(value: Any, nested: bool = False) -> str:
@@ -279,6 +279,34 @@ class SearchResult:
         )
 
 
+def check_proxy_knobs(
+    proxy_screen: bool, proxy_oversample: int, proxy_topk: Optional[int],
+    proxy_refresh: float, proxy_min_corpus: int,
+) -> None:
+    """Reject bad proxy-screening knobs (only when ``proxy_screen`` is
+    on): the one check behind :func:`run_agent` and
+    :func:`~repro.sweeps.runner.validate_sweep_args`."""
+    if not proxy_screen:
+        return
+    from repro.proxy.online import OnlineProxy  # lazily, as run_agent does
+
+    if proxy_oversample < 1:
+        raise AgentError(
+            f"proxy_oversample must be >= 1, got {proxy_oversample}"
+        )
+    if proxy_topk is not None and proxy_topk < 1:
+        raise AgentError(f"proxy_topk must be >= 1, got {proxy_topk}")
+    if not 0.0 <= proxy_refresh <= 1.0:
+        raise AgentError(
+            f"proxy_refresh must be in [0, 1], got {proxy_refresh}"
+        )
+    if proxy_min_corpus < OnlineProxy.MIN_CORPUS_FLOOR:
+        raise AgentError(
+            f"proxy_min_corpus must be >= {OnlineProxy.MIN_CORPUS_FLOOR}, "
+            f"got {proxy_min_corpus}"
+        )
+
+
 def run_agent(
     agent: Agent,
     env: ArchGymEnv,
@@ -343,17 +371,8 @@ def run_agent(
     """
     if n_samples < 1:
         raise AgentError("n_samples must be >= 1")
-    if proxy_screen:
-        if proxy_oversample < 1:
-            raise AgentError(
-                f"proxy_oversample must be >= 1, got {proxy_oversample}"
-            )
-        if proxy_topk is not None and proxy_topk < 1:
-            raise AgentError(f"proxy_topk must be >= 1, got {proxy_topk}")
-        if not 0.0 <= proxy_refresh <= 1.0:
-            raise AgentError(
-                f"proxy_refresh must be in [0, 1], got {proxy_refresh}"
-            )
+    check_proxy_knobs(proxy_screen, proxy_oversample, proxy_topk,
+                      proxy_refresh, proxy_min_corpus)
     higher = env.reward_spec.higher_is_better
     if env.dataset is not None:
         env.set_source(source_tag or agent.hyperparam_tag())

@@ -348,10 +348,12 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     validate_sweep_args(
         agents, args.samples, args.workers, resume=args.resume,
         out_dir=args.out_dir, shared_cache=args.shared_cache,
-        service_url=args.service_url,
+        service_url=args.service_url, proxy_screen=args.proxy_screen,
+        proxy_oversample=args.proxy_oversample, proxy_topk=args.proxy_topk,
+        proxy_refresh=args.proxy_refresh, proxy_min_corpus=args.proxy_min_corpus,
     )
     factory = RegistryEnvFactory(args.env, **_env_kwargs(args))
-    backend, server_cache_url, shared_cache_dir = resolve_execution_backend(
+    backend, server_cache, shared_cache_dir = resolve_execution_backend(
         args.service_url, args.shared_cache, args.out_dir,
         env_kwargs=factory.env_kwargs,
         timeout_s=args.service_timeout, retries=args.service_retries,
@@ -366,7 +368,7 @@ def _cmd_collect(args: argparse.Namespace) -> int:
             n_samples=args.samples, env_factory=factory,
             collect=True, cache=False if args.no_cache else None,
             shared_cache_dir=shared_cache_dir,
-            backend=backend, server_cache_url=server_cache_url,
+            backend=backend, server_cache=server_cache,
             cache_replicas=args.cache_replicas,
             pipeline=args.pipeline,
             proxy_screen=args.proxy_screen,

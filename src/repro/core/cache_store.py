@@ -11,9 +11,10 @@ that outlive any single environment or process, all sharing one
 
 - :class:`SharedCacheStore` — a directory of append-only JSONL shard
   files, for trials sharing a filesystem.
-- :class:`ServerCacheStore` — the ``/cache`` endpoints of a
-  :class:`repro.service.EvaluationService`, for sweeps spread over
-  machines that share only a network.
+- :class:`ServerCacheStore` — the ``/cache`` endpoints of the hosts of
+  a :class:`~repro.sweeps.hostpool.HostPool` (in a sweep, the trial's
+  backend pool), for sweeps spread over machines that share only a
+  network.
 
 ``SharedCacheStore`` design constraints, in order:
 
@@ -39,9 +40,12 @@ import math
 import os
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.errors import CacheStoreError, ServiceTransportError
+from repro.core.errors import CacheStoreError
+
+if TYPE_CHECKING:
+    from repro.sweeps.hostpool import HostPool
 
 __all__ = ["SharedCacheStore", "ServerCacheStore", "encode_key"]
 
@@ -348,25 +352,14 @@ class SharedCacheStore:
         self._offsets[shard] += complete
 
 
-class _CacheHost:
-    """One replica host in a :class:`ServerCacheStore` chain."""
-
-    __slots__ = ("client", "alive", "last_error")
-
-    def __init__(self, client: Any) -> None:
-        self.client = client
-        self.alive = True
-        self.last_error: Optional[str] = None
-
-
 class ServerCacheStore:
     """The same ``get``/``put``/``__len__`` (and ``get_many``/
     ``put_many``) contract as :class:`SharedCacheStore`, backed by the
-    ``/cache`` endpoints of one or more evaluation services instead of
-    a shared filesystem.
+    ``/cache`` endpoints of a :class:`~repro.sweeps.hostpool.HostPool`'s
+    hosts instead of a shared filesystem.
 
     Point any number of sweeps — on any number of machines — at one
-    service URL and they reuse each other's design points. Entries this
+    fleet and they reuse each other's design points. Entries this
     process has already seen are memoized locally (the cost model is
     deterministic, so a cached copy can never go stale), and a batched
     step asks for a whole generation at once, which keeps HTTP chatter
@@ -375,171 +368,43 @@ class ServerCacheStore:
 
     Parameters
     ----------
-    service:
-        Base URL of a running service (the chain's primary).
-    fallbacks:
-        Base URLs of further pool hosts forming the replica chain
-        behind the primary. URLs are normalized through
-        ``ServiceClient.base_url`` and deduplicated (against the
-        primary and each other) preserving order, so a trailing-slash
-        variant or a repeated URL never becomes a second probe of the
-        same dead host.
+    pool:
+        Carries every request, and its owner closes the sockets. Reads
+        go to its first living host in URL order (the primary), writes
+        to the first ``replicas`` living hosts, under the pool's
+        quarantine, revival and backfill
+        (:meth:`~repro.sweeps.hostpool.HostPool.cache_write`). With no
+        host left the call raises
+        :class:`~repro.core.errors.ServiceTransportError`: the sweep
+        fails loudly rather than silently re-simulating.
     replicas:
-        Write-through replication factor: every ``put`` fans out to
-        the first ``replicas`` *living* hosts of the chain, so the
-        death of any ``replicas - 1`` hosts loses no entries — reads
-        fail over to a surviving replica instead of re-simulating.
-        ``None`` (the default) means ``min(2, chain length)``; larger
-        values are clamped to the chain length. The entries are a
-        deterministic memo (last-writer-wins, every copy identical),
-        so the factor is purely a durability knob — it can never
-        change results.
-    client_kwargs:
-        ``timeout_s`` / ``retries`` / ``backoff_s`` of every client in
-        the chain. The store builds each of them and :meth:`close`
-        closes each of them.
-
-    A host whose *transport* dies (connection refused/reset, timeout,
-    torn body, each after the client's own retry policy) is skipped for
-    the rest of this store's life; reads fall through to the next
-    living replica and writes keep fanning out to the survivors.
-    Deterministic server errors are not failover events and propagate
-    immediately. When the whole chain looks dead, every host gets one
-    optimistic second chance per operation (a restarted server
-    rejoins); only if that also fails does the operation raise
-    :class:`~repro.core.errors.ServiceTransportError` — an unreachable
-    cache fails the sweep loudly rather than silently degrading into
-    re-simulation.
+        Write-through replication factor: the death of any
+        ``replicas - 1`` hosts loses no entries — reads fail over to a
+        surviving replica instead of re-simulating. ``None`` (the
+        default) means ``min(2, pool size)``; larger values are clamped
+        to the pool size. The entries are a deterministic memo
+        (last-writer-wins, every copy identical), so the factor is
+        purely a durability knob — it can never change results.
     """
 
-    def __init__(
-        self,
-        service: str,
-        fallbacks: Sequence[str] = (),
-        replicas: Optional[int] = None,
-        **client_kwargs: Any,
-    ) -> None:
-        # Imported lazily: core must stay importable without the
-        # service package participating in any cycle.
-        from repro.service.client import ServiceClient
-
-        # The replica chain: primary first, then the deduplicated
-        # fallbacks. Clients are built eagerly — construction opens no
-        # sockets and gives every URL its canonical base_url identity.
-        self._hosts: List[_CacheHost] = []
-        seen = set()
-        for url in (service, *fallbacks):
-            client = ServiceClient(str(url), **client_kwargs)
-            if client.base_url not in seen:
-                seen.add(client.base_url)
-                self._hosts.append(_CacheHost(client))
+    def __init__(self, pool: "HostPool", replicas: Optional[int] = None) -> None:
+        n_hosts = len(pool.urls)
         if replicas is None:
-            replicas = min(2, len(self._hosts))
+            replicas = min(2, n_hosts)
         if not isinstance(replicas, int) or isinstance(replicas, bool) or replicas < 1:
             raise CacheStoreError(
                 f"replicas must be an integer >= 1, got {replicas!r}"
             )
-        self._replicas = min(replicas, len(self._hosts))
+        self.pool = pool
+        #: Effective write-through replication factor.
+        self.replicas = min(replicas, n_hosts)
         self._local: Dict[str, Dict[str, float]] = {}
-
-    # -- introspection ------------------------------------------------------------
-
-    @property
-    def replica_urls(self) -> List[str]:
-        """The normalized, deduplicated host chain (primary first)."""
-        return [h.client.base_url for h in self._hosts]
-
-    @property
-    def replicas(self) -> int:
-        """Effective write-through replication factor."""
-        return self._replicas
-
-    # -- internals ----------------------------------------------------------------
-
-    @staticmethod
-    def _clean(metrics: Dict[str, Any]) -> Dict[str, float]:
-        """The one metrics normalizer both :meth:`get_many` and
-        :meth:`put_many` keep local copies through, so a write of an
-        equal-but-int-valued dict short-circuits against a previously
-        fetched entry. Non-finite values are rejected before they reach
-        a wire body."""
-        return _finite_metrics(metrics)
-
-    def _quarantine(self, host: _CacheHost, exc: BaseException) -> None:
-        host.alive = False
-        host.last_error = str(exc)
-
-    def _revive_all(self) -> bool:
-        """Optimistically un-quarantine every dead host — the one
-        second chance per operation when the whole chain looks dead
-        (a restarted server rejoins). False if nothing was dead."""
-        flipped = False
-        for host in self._hosts:
-            if not host.alive:
-                host.alive = True
-                flipped = True
-        return flipped
-
-    def _inventory(self) -> str:
-        return "; ".join(
-            f"{h.client.base_url}: {h.last_error or 'ok'}" for h in self._hosts
-        )
-
-    def _call(self, op: str, *args: Any) -> Any:
-        """Run one read operation on the first living replica, falling
-        through the chain on transport death."""
-        revived = False
-        while True:
-            host = next((h for h in self._hosts if h.alive), None)
-            if host is None:
-                if not revived and self._revive_all():
-                    revived = True
-                    continue
-                raise ServiceTransportError(
-                    f"shared-cache {op} failed on every replica host: "
-                    f"{self._inventory()}"
-                )
-            try:
-                return getattr(host.client, op)(*args)
-            except ServiceTransportError as exc:
-                self._quarantine(host, exc)
-
-    def _fan_out(self, op: str, *args: Any) -> int:
-        """Write-through to the first ``replicas`` living hosts, one
-        after another; returns how many copies landed (dead hosts are
-        skipped and the fan-out continues down the chain to keep the
-        count)."""
-        written = 0
-        for host in self._hosts:
-            if written >= self._replicas:
-                break
-            if not host.alive:
-                continue
-            try:
-                getattr(host.client, op)(*args)
-                written += 1
-            except ServiceTransportError as exc:
-                self._quarantine(host, exc)
-        return written
-
-    def _write(self, op: str, *args: Any) -> None:
-        """Run one write operation through :meth:`_fan_out`, with the
-        whole-chain revival as its one second chance; raises if no copy
-        landed."""
-        written = self._fan_out(op, *args)
-        if not written and self._revive_all():
-            written = self._fan_out(op, *args)
-        if not written:
-            raise ServiceTransportError(
-                f"shared-cache {op} failed on every replica host: "
-                f"{self._inventory()}"
-            )
 
     # -- public API ---------------------------------------------------------------
 
     def get(self, key: ActionKey) -> Optional[Dict[str, float]]:
         """Metrics for ``key``, or ``None``: a one-key :meth:`get_many`
-        (asks the chain on a local miss, so entries written by other
+        (asks the primary on a local miss, so entries written by other
         machines become visible)."""
         return self.get_many([key]).get(key)
 
@@ -553,10 +418,8 @@ class ServerCacheStore:
     ) -> Dict[ActionKey, Dict[str, float]]:
         """Metrics for every stored key of ``keys``; misses are absent.
         Memoized keys answer locally; the rest ride one bulk lookup
-        (``POST /cache``, paged if huge). A replica whose transport dies
-        mid-read is skipped and the next one answers — its entries were
-        replicated, not abandoned. No request goes out when every key
-        is memoized."""
+        (``POST /cache``, paged if huge). No request goes out when
+        every key is memoized."""
         found: Dict[ActionKey, Dict[str, float]] = {}
         ask: Dict[str, ActionKey] = {}
         for key in keys:
@@ -567,10 +430,13 @@ class ServerCacheStore:
             else:
                 ask[key_str] = key
         if ask:
-            answers = self._call("cache_get_many", list(ask))
+            answers = self.pool.cache_read("cache_get_many", list(ask))
             for key_str, metrics in answers.items():
                 if key_str in ask:
-                    clean = self._clean(metrics)
+                    # The one normalizer both directions keep local
+                    # copies through, so a later put of an equal but
+                    # int-valued dict short-circuits.
+                    clean = _finite_metrics(metrics)
                     self._local[key_str] = clean
                     found[ask[key_str]] = dict(clean)
         return found
@@ -582,41 +448,33 @@ class ServerCacheStore:
         replica. Idempotent: a key this process already holds *with the
         same metrics* is not re-sent; a changed value is — the server
         maps are last-writer-wins. Every metric is checked before
-        anything is sent, and entries go out in order. Succeeds as long
-        as at least one copy lands; fewer than ``replicas`` survivors
-        degrade durability, not correctness."""
+        anything is sent, and entries go out in order. Nothing is
+        memoized unless a copy lands."""
         send: List[Tuple[str, Dict[str, float]]] = []
         staged: Dict[str, Dict[str, float]] = {}
         for key, metrics in entries:
-            key_str, clean = encode_key(key), self._clean(metrics)
+            key_str, clean = encode_key(key), _finite_metrics(metrics)
             if staged.get(key_str, self._local.get(key_str)) == clean:
                 continue
             staged[key_str] = clean
             send.append((key_str, clean))
         if send:
-            self._write("cache_put_many", send)
+            self.pool.cache_write("cache_put_many", self.replicas, send)
             self._local.update(staged)
 
     def __len__(self) -> int:
-        """Distinct keys held by the first living replica."""
-        return self._call("cache_size")
+        """Distinct keys held by the primary."""
+        return self.pool.cache_read("cache_size")
 
     def list_encoded(
         self, offset: int = 0, limit: int = 500
     ) -> Tuple[List[Tuple[str, Dict[str, float]]], int]:
-        """One page of the first living replica's ``GET /cache``
-        listing: ``([(key_str, metrics), ...], total)``."""
-        return self._call("cache_list", offset, limit)
-
-    def close(self) -> None:
-        """Close the keep-alive sockets of every client in the chain.
-        The store stays usable; connections reopen on the next
-        request."""
-        for host in self._hosts:
-            host.client.close()
+        """One page of the primary's ``GET /cache`` listing:
+        ``([(key_str, metrics), ...], total)``."""
+        return self.pool.cache_read("cache_list", offset, limit)
 
     def __repr__(self) -> str:
         return (
-            f"ServerCacheStore(urls={self.replica_urls!r}, "
-            f"replicas={self._replicas})"
+            f"ServerCacheStore(urls={self.pool.urls!r}, "
+            f"replicas={self.replicas})"
         )

@@ -235,11 +235,17 @@ class ArchGymEnv:
         attribution uses the backend's per-point ``last_hosts`` when it
         reports one (a pool that scattered the batch over several
         hosts), falling back to charging the call's points to
-        ``last_host``.
+        ``last_host``. An answer of the wrong length is refused before
+        anything is charged.
         """
         if self._backend is None:
             return [self.evaluate(action) for action in actions]
-        metrics_list = self._backend.evaluate_batch(self.env_id, list(actions))
+        metrics_list = list(self._backend.evaluate_batch(self.env_id, list(actions)))
+        if len(metrics_list) != len(actions):
+            raise EnvironmentError_(
+                f"backend answered {len(metrics_list)} metric object(s) "
+                f"for {len(actions)} design point(s)"
+            )
         hosts = getattr(self._backend, "last_hosts", None)
         if hosts is None:
             hosts = [getattr(self._backend, "last_host", None)] * len(actions)

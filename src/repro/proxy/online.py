@@ -13,8 +13,9 @@ Lifecycle:
 
 1. **Harvest.** Each generation, page the shared cache tier
    (file-backed :class:`~repro.core.cache_store.SharedCacheStore` or
-   the replicated :class:`~repro.core.cache_store.ServerCacheStore`,
-   one ``list_encoded`` contract) into the corpus. Entries that do not
+   :class:`~repro.core.cache_store.ServerCacheStore`, which pages the
+   first living host of the trial's pool; one ``list_encoded``
+   contract) into the corpus. Entries that do not
    decode against this environment's action space or lack a target
    metric are foreign — another env's points sharing the store — and
    are skipped, never errors. The driver's own real evaluations stream
@@ -81,6 +82,9 @@ class OnlineProxy:
         seeded generator so refits stay bounded as the cache grows.
     """
 
+    #: The smallest ``min_corpus`` accepted.
+    MIN_CORPUS_FLOOR = 8
+
     def __init__(
         self,
         space: CompositeSpace,
@@ -90,11 +94,11 @@ class OnlineProxy:
         seed: int = 0,
         max_fit_samples: int = 2048,
     ) -> None:
-        if min_corpus < 8:
+        if min_corpus < self.MIN_CORPUS_FLOOR:
             raise ProxyModelError(
-                f"min_corpus must be >= 8 (got {min_corpus}); a forest "
-                "fitted on fewer points cannot produce a meaningful "
-                "validation split"
+                f"min_corpus must be >= {self.MIN_CORPUS_FLOOR} (got "
+                f"{min_corpus}); a forest fitted on fewer points cannot "
+                "produce a meaningful validation split"
             )
         if max_fit_samples < min_corpus:
             raise ProxyModelError(

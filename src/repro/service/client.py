@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -80,8 +81,9 @@ class ServiceClient:
     base_url:
         E.g. ``"http://127.0.0.1:8023"`` (trailing slash tolerated).
     timeout_s:
-        Per-attempt socket timeout; a server that stalls longer fails
-        the attempt instead of hanging the sweep.
+        Per-attempt socket timeout, a finite number of seconds > 0; a
+        server that stalls longer fails the attempt instead of hanging
+        the sweep.
     retries:
         Extra attempts after the first, for transport-level failures.
     backoff_s:
@@ -103,8 +105,10 @@ class ServiceClient:
             raise ServiceError(
                 f"service url must start with http:// or https://, got {base_url!r}"
             )
-        if timeout_s <= 0:
-            raise ServiceError(f"timeout_s must be > 0, got {timeout_s}")
+        if not (math.isfinite(timeout_s) and timeout_s > 0):
+            raise ServiceError(
+                f"timeout_s must be a finite number > 0, got {timeout_s!r}"
+            )
         if retries < 0:
             raise ServiceError(f"retries must be >= 0, got {retries}")
         if backoff_cap_s < 0:

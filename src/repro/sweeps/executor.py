@@ -93,8 +93,8 @@ class BackendSpec:
     retry/timeout policy.
     """
 
-    #: Every host of the pool, in tie-break order (the first one also
-    #: hosts the server-backed shared cache).
+    #: Every host of the pool, in tie-break order — also the shared
+    #: cache tier's order: its first living host is the primary.
     service_urls: Tuple[str, ...]
     env_kwargs: Optional[Dict[str, Any]] = None
     timeout_s: float = 60.0
@@ -209,8 +209,8 @@ def resolve_execution_backend(
     auto_weights: bool = False,
     cache_replicas: Optional[int] = None,
     proxy_screen: bool = False,
-) -> Tuple[Optional[BackendSpec], Optional[str], Optional[str]]:
-    """Derive a task batch's ``(backend, server_cache_url,
+) -> Tuple[Optional[BackendSpec], bool, Optional[str]]:
+    """Derive a task batch's ``(backend, server_cache,
     shared_cache_dir)`` from the user-facing execution knobs.
 
     One derivation shared by :func:`repro.sweeps.runner.run_lottery_sweep`
@@ -223,17 +223,16 @@ def resolve_execution_backend(
     overrides; ``None`` keeps the spec defaults, ``auto_weights`` lets
     the pool self-tune its dispatch weights); no ``service_url`` yields
     no spec, so trials evaluate in-process; ``shared_cache``
-    prefers the service's ``/cache`` store (cross-machine; the *first*
-    host's, so every trial reads one map — with writes replicated to
-    ``cache_replicas`` pool hosts, see
-    :class:`~repro.core.cache_store.ServerCacheStore`) over a file
-    store under ``out_dir``.
+    prefers the hosts' ``/cache`` maps (cross-machine: ``server_cache``
+    is then true, and each trial's
+    :class:`~repro.core.cache_store.ServerCacheStore` rides its
+    backend's pool) over a file store under ``out_dir``.
 
     Each URL is spelled as the pool's clients spell it
     (``ServiceClient.base_url``), and hosts are deduped on that
-    spelling. A malformed URL, or one host given two weights, raises
-    :class:`ExecutorError` here, before any trial runs or any
-    ``sweep.json`` is written.
+    spelling. A malformed URL, one host given two weights, or a bad
+    ``timeout_s``/``retries`` policy raises :class:`ExecutorError`
+    here, before any trial runs or any ``sweep.json`` is written.
     """
     if auto_weights and service_url is None:
         raise ExecutorError(
@@ -261,6 +260,11 @@ def resolve_execution_backend(
                 "server-backed shared cache tier and therefore requires "
                 "shared_cache=True with a service_url"
             )
+    overrides: Dict[str, Any] = {}
+    if timeout_s is not None:
+        overrides["timeout_s"] = timeout_s
+    if retries is not None:
+        overrides["retries"] = retries
     urls: Optional[Tuple[str, ...]] = None
     weights: Optional[Tuple[float, ...]] = None
     if service_url is not None:
@@ -270,8 +274,8 @@ def resolve_execution_backend(
         by_url: Dict[str, float] = {}
         for spec in specs:
             raw_url, weight = parse_weighted_url(spec)
-            try:  # the pool's own spelling of the host; opens no socket
-                url = ServiceClient(raw_url).base_url
+            try:  # the pool's own spelling and policy; opens no socket
+                url = ServiceClient(raw_url, **overrides).base_url
             except ServiceError as exc:
                 raise ExecutorError(str(exc)) from None
             if url in by_url:  # dedupe, keep order — weights must agree
@@ -286,11 +290,6 @@ def resolve_execution_backend(
             urls = tuple(by_url)
             if any(w != 1.0 for w in by_url.values()):
                 weights = tuple(by_url.values())
-    overrides: Dict[str, Any] = {}
-    if timeout_s is not None:
-        overrides["timeout_s"] = timeout_s
-    if retries is not None:
-        overrides["retries"] = retries
     backend = None
     if urls is not None:
         backend = BackendSpec(
@@ -300,20 +299,20 @@ def resolve_execution_backend(
             env_kwargs=env_kwargs,
             **overrides,
         )
-    server_cache_url = urls[0] if shared_cache and urls is not None else None
+    server_cache = shared_cache and urls is not None
     shared_cache_dir = (
         str(Path(out_dir) / "shared-cache")
-        if shared_cache and out_dir is not None and server_cache_url is None
+        if shared_cache and out_dir is not None and not server_cache
         else None
     )
-    if proxy_screen and server_cache_url is None and shared_cache_dir is None:
+    if proxy_screen and not server_cache and shared_cache_dir is None:
         raise ExecutorError(
             "proxy screening needs a shared cache tier to harvest its "
             "training corpus from: pass out_dir (--out-dir, file-backed "
             "tier) or a service_url (server-backed tier) alongside "
             "shared_cache"
         )
-    return backend, server_cache_url, shared_cache_dir
+    return backend, server_cache, shared_cache_dir
 
 
 @dataclass(frozen=True)
@@ -346,13 +345,13 @@ class TrialTask:
     #: :class:`BackendSpec` — e.g. remote, against an evaluation
     #: service. The spec is plain data, so it pickles with the task.
     backend: Optional[BackendSpec] = None
-    #: Base URL of an evaluation service whose ``/cache`` endpoints
-    #: serve as the shared cache tier (:class:`ServerCacheStore`) —
-    #: the cross-*machine* sibling of ``shared_cache_dir``, which
-    #: takes precedence if both are set.
-    server_cache_url: Optional[str] = None
+    #: Use the ``backend`` pool's ``/cache`` maps as the shared cache
+    #: tier (:class:`ServerCacheStore` on that pool) — the cross-
+    #: *machine* sibling of ``shared_cache_dir``, which takes
+    #: precedence if both are set. Requires ``backend``.
+    server_cache: bool = False
     #: Replication factor of that server-backed tier: every ``put``
-    #: fans out to this many pool hosts (``None`` = the store default,
+    #: goes to this many pool hosts (``None`` = the store default,
     #: min(2, pool size)). A durability knob — reuse is deterministic
     #: either way — so it stays out of the durable-sweep fingerprint.
     cache_replicas: Optional[int] = None
@@ -402,8 +401,12 @@ def run_trial(task: TrialTask) -> TrialOutcome:
     and a private trajectory log, and drives the agent for the task's
     sample budget. Module-level so it pickles by reference.
     """
+    if task.server_cache and task.backend is None:
+        raise ExecutorError(
+            f"trial {task.source}: the server cache tier rides the "
+            "backend's pool, but the task has no backend"
+        )
     env = task.env_factory()
-    server_store = None
     try:
         if task.cache is True:
             if not env.cache_enabled:  # keep a larger pre-configured cache
@@ -417,26 +420,14 @@ def run_trial(task: TrialTask) -> TrialOutcome:
             from repro.core.cache_store import SharedCacheStore
 
             env.attach_shared_cache(SharedCacheStore(task.shared_cache_dir))
-        elif task.server_cache_url is not None:
+        elif task.server_cache:
             from repro.core.cache_store import ServerCacheStore
 
-            # The pool's hosts become the store's replica chain behind
-            # the designated cache host (the store dedupes the primary
-            # itself), under the task's retry/timeout policy: writes
-            # fan out to ``cache_replicas`` of them, and if the cache
-            # host's transport dies mid-sweep reads fail over to a
-            # replica instead of abandoning its entries. A task that
-            # evaluates in-process uses the cache host alone under the
-            # default policy.
-            spec = task.backend or BackendSpec((task.server_cache_url,))
-            server_store = ServerCacheStore(
-                task.server_cache_url,
-                fallbacks=spec.service_urls,
-                replicas=task.cache_replicas,
-                timeout_s=spec.timeout_s,
-                retries=spec.retries,
+            # On the backend's pool, a host found dead by either kind
+            # of traffic stays quarantined for both, across trials.
+            env.attach_shared_cache(
+                ServerCacheStore(remote.pool, replicas=task.cache_replicas)
             )
-            env.attach_shared_cache(server_store)
         dataset: Optional[ArchGymDataset] = None
         if task.collect:
             dataset = ArchGymDataset(env.env_id)
@@ -474,8 +465,6 @@ def run_trial(task: TrialTask) -> TrialOutcome:
         )
     finally:
         env.close()
-        if server_store is not None:
-            server_store.close()
 
 
 def _check_picklable(tasks: Sequence[TrialTask]) -> None:

@@ -45,6 +45,10 @@ simulator's speed; :class:`HostPool` points a sweep at N of them:
   server rejoins automatically). Only when that last sweep finds no
   living host does the call raise, with a per-host error inventory;
   the executor layer wraps it with the failing trial's name.
+- **The shared cache tier.** :meth:`HostPool.cache_read` and
+  :meth:`HostPool.cache_write` carry a
+  :class:`~repro.core.cache_store.ServerCacheStore`'s ``/cache``
+  traffic under the same quarantine, revival and backfill.
 
 Server-produced errors (HTTP 4xx/5xx bodies — unknown env, cost-model
 crash) are **not** failover events: they are deterministic and would
@@ -967,6 +971,42 @@ class HostPool:
             with state_lock:
                 stop[0] = True
         self._local.last_host = last_host
+
+    # -- the surface ServerCacheStore uses ----------------------------------------
+
+    def cache_read(self, op: str, *args: Any) -> Any:
+        """Run the ``/cache`` read ``op`` (a :class:`ServiceClient`
+        method) on the first living host in URL order, the shared
+        tier's primary, with :meth:`cache_write`'s failover."""
+        return self.cache_write(op, 1, *args)[0]
+
+    def cache_write(self, op: str, copies: int, *args: Any) -> List[Any]:
+        """Run the ``/cache`` call ``op`` on the first ``copies`` living
+        hosts in URL order, one after another; returns their answers.
+        A host whose transport dies is quarantined (for evaluation
+        dispatch too) and the next living host takes its turn; if none
+        answers, one revival sweep precedes :class:`ServiceTransportError`.
+        Credits no ``evals`` and leaves :attr:`last_host` alone."""
+        revived = False
+        while True:
+            with self._lock:
+                living = [h for h in self._hosts if h.alive]
+            answers: List[Any] = []
+            for host in living:
+                if len(answers) == copies:
+                    break
+                try:
+                    answers.append(self._try_host(host, op, 0, *args))
+                except ServiceTransportError:
+                    pass  # quarantined: the next living host takes its turn
+            if answers:
+                return answers
+            if revived or not self._revive_sweep():
+                raise ServiceTransportError(
+                    f"shared-cache {op} failed on every replica host: "
+                    f"{self._error_inventory()}"
+                )
+            revived = True
 
     def close(self) -> None:
         """Release every transport resource the pool holds: each host's

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.agents.base import SearchResult
+from repro.agents.base import SearchResult, check_proxy_knobs
 from repro.agents.hyperparams import HYPERPARAM_GRIDS, sample_hyperparams
 from repro.core.dataset import ArchGymDataset
 from repro.core.env import ArchGymEnv
@@ -312,11 +312,15 @@ def validate_sweep_args(
     out_dir: Optional[Union[str, Path]] = None,
     shared_cache: bool = False,
     service_url: Optional[Union[str, Sequence[str]]] = None,
+    proxy_screen: bool = False, proxy_oversample: int = 4,
+    proxy_topk: Optional[int] = None, proxy_refresh: float = 0.1,
+    proxy_min_corpus: int = 64,
 ) -> None:
     """Reject a sweep's or a collection's arguments before anything
     runs or is written — above all before an ``out_dir`` records a
     manifest for a sweep that could never run, which would then refuse
-    the corrected rerun as a different sweep."""
+    the corrected rerun as a different sweep. The proxy knobs are
+    checked as :func:`~repro.agents.base.run_agent` checks them."""
     validate_agent_names(agents)
     if n_samples < 1:
         raise ArchGymError(f"n_samples must be >= 1, got {n_samples}")
@@ -329,6 +333,8 @@ def validate_sweep_args(
             "shared_cache requires an out_dir (--out-dir) or a "
             "service_url (--service-url)"
         )
+    check_proxy_knobs(proxy_screen, proxy_oversample, proxy_topk,
+                      proxy_refresh, proxy_min_corpus)
 
 
 def run_lottery_sweep(
@@ -437,13 +443,14 @@ def run_lottery_sweep(
         timing and the ``remote_evals`` counters in the footer — for
         any number of hosts. Like ``workers``, this is a wall-clock
         knob and does not participate in the durable-sweep
-        fingerprint. With ``shared_cache=True`` the *first* service's
-        ``/cache`` endpoints (not a file under ``out_dir``) provide the
-        shared tier, so sweeps on *different machines* reuse each
-        other's design points; if that host's transport dies
-        mid-sweep, the store fails over to the next pool host (its
-        ``/cache`` map plus the local memo) — only when every host is
-        gone do trials fail loudly rather than silently re-simulating.
+        fingerprint. With ``shared_cache=True`` the hosts' ``/cache``
+        endpoints (not a file under ``out_dir``) provide the shared
+        tier on each trial's pool, so sweeps on *different machines*
+        reuse each other's design points; a host whose transport dies
+        is quarantined for cache and evaluation traffic alike, beyond
+        its trial, and reads fail over to the next living host — only
+        when every host is gone do trials fail loudly rather than
+        silently re-simulating.
     service_timeout_s, service_retries:
         Override the service client's per-attempt socket timeout and
         transport-retry count (defaults: the
@@ -478,7 +485,7 @@ def run_lottery_sweep(
         stays outside the durable-sweep fingerprint.
     cache_replicas:
         Replication factor of the server-backed shared cache tier:
-        every ``put`` fans out to this many pool hosts (default
+        every ``put`` goes to this many living pool hosts (default
         min(2, pool size)), so a dying cache host costs nothing — reads
         fail over to a replica and revived hosts are backfilled.
         Requires ``shared_cache=True`` with ``service_url``. A
@@ -517,6 +524,9 @@ def run_lottery_sweep(
     validate_sweep_args(
         agents, n_samples, workers, resume=resume, out_dir=out_dir,
         shared_cache=shared_cache, service_url=service_url,
+        proxy_screen=proxy_screen, proxy_oversample=proxy_oversample,
+        proxy_topk=proxy_topk, proxy_refresh=proxy_refresh,
+        proxy_min_corpus=proxy_min_corpus,
     )
     rng = np.random.default_rng(seed)
     probe = env_factory()
@@ -525,7 +535,7 @@ def run_lottery_sweep(
     finally:
         probe.close()
 
-    backend, server_cache_url, shared_cache_dir = resolve_execution_backend(
+    backend, server_cache, shared_cache_dir = resolve_execution_backend(
         service_url,
         shared_cache,
         out_dir,
@@ -556,7 +566,7 @@ def run_lottery_sweep(
                     cache=cache,
                     shared_cache_dir=shared_cache_dir,
                     backend=backend,
-                    server_cache_url=server_cache_url,
+                    server_cache=server_cache,
                     cache_replicas=cache_replicas,
                     pipeline=pipeline,
                     proxy_screen=proxy_screen,

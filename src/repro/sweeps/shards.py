@@ -83,7 +83,7 @@ FINGERPRINT_EXEMPT = {
     "service_url": "CLI spelling of the remote backend",
     "service_timeout": "client transport policy",
     "service_retries": "client transport policy",
-    "server_cache_url": "server-side memo tier; deterministic reuse only",
+    "server_cache": "server-side memo tier; deterministic reuse only",
     "cache_replicas": "shared-cache write-through fan-out; deterministic reuse only",
     "auto_weights": "observed-rate host weighting; dispatch placement only",
     "pipeline": "streaming dispatch with stealing, same results",

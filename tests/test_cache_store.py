@@ -25,6 +25,7 @@ from repro.core.errors import (
     ServiceTransportError,
 )
 from repro.service import EvaluationService
+from repro.sweeps import HostPool
 
 
 def _key(i):
@@ -289,17 +290,29 @@ class TestSharedCacheStoreContract(CacheStoreContract):
         return lambda store: store.io_calls
 
 
+def _pool(closing, *urls, **policy):
+    """A closed-at-teardown pool over ``urls`` (fast failure policy by
+    default) — what a trial's backend hands its server cache tier."""
+    policy = {"timeout_s": 1.0, "retries": 0, "backoff_s": 0.01, **policy}
+    return closing(HostPool(list(urls), **policy))
+
+
+def _requests(pool):
+    """Round trips the pool's hosts have been sent, host by host."""
+    return [h.client.requests_sent for h in pool._hosts]
+
+
 class TestServerCacheStoreContract(CacheStoreContract):
     @pytest.fixture()
     def make_store(self, closing):
         with EvaluationService() as svc:
-            yield lambda: closing(ServerCacheStore(
-                svc.url, timeout_s=10.0, retries=1, backoff_s=0.01
-            ))
+            yield lambda: ServerCacheStore(
+                _pool(closing, svc.url, timeout_s=10.0, retries=1)
+            )
 
     @pytest.fixture()
     def io_calls(self):
-        return lambda store: sum(h.client.requests_sent for h in store._hosts)
+        return lambda store: sum(_requests(store.pool))
 
 
 # -- SharedCacheStore specifics --------------------------------------------------
@@ -459,15 +472,9 @@ class TestCorruptionTolerance:
 
 
 class TestServerStoreSpecifics:
-    def test_unreachable_server_fails_loudly(self):
-        import socket
-
-        with socket.socket() as s:
-            s.bind(("127.0.0.1", 0))
-            port = s.getsockname()[1]
-        store = ServerCacheStore(
-            f"http://127.0.0.1:{port}", timeout_s=1.0, retries=0, backoff_s=0.01
-        )
+    def test_unreachable_server_fails_loudly(self, closing):
+        (dead,) = _dead_urls(1)
+        store = ServerCacheStore(_pool(closing, dead))
         with pytest.raises(ServiceError):
             store.get(_key(1))
         with pytest.raises(ServiceError):
@@ -475,59 +482,35 @@ class TestServerStoreSpecifics:
 
 
 class TestServerStoreReplication:
-    """Write-through fan-out and read fail-over across the chain."""
+    """Write-through fan-out and read fail-over across the pool."""
 
-    def test_default_replication_factor_is_min_two(self):
-        solo = ServerCacheStore("http://127.0.0.1:1", timeout_s=1.0, retries=0)
+    def test_default_replication_factor_is_min_two(self, closing):
+        solo = ServerCacheStore(_pool(closing, "http://127.0.0.1:1"))
         assert solo.replicas == 1
-        trio = ServerCacheStore(
-            "http://127.0.0.1:1",
-            fallbacks=("http://127.0.0.1:2", "http://127.0.0.1:3"),
-            timeout_s=1.0, retries=0,
-        )
+        trio = ServerCacheStore(_pool(
+            closing, "http://127.0.0.1:1", "http://127.0.0.1:2",
+            "http://127.0.0.1:3",
+        ))
         assert trio.replicas == 2
 
-    def test_replication_factor_clamped_to_chain_length(self):
+    def test_replication_factor_clamped_to_chain_length(self, closing):
         store = ServerCacheStore(
-            "http://127.0.0.1:1", fallbacks=("http://127.0.0.1:2",),
-            replicas=5, timeout_s=1.0, retries=0,
+            _pool(closing, "http://127.0.0.1:1", "http://127.0.0.1:2"),
+            replicas=5,
         )
         assert store.replicas == 2
 
-    def test_bad_replication_factor_rejected(self):
+    def test_bad_replication_factor_rejected(self, closing):
+        pool = _pool(closing, "http://127.0.0.1:1")
         for bad in (0, -1, True, 1.5, "2"):
             with pytest.raises(CacheStoreError, match="replicas"):
-                ServerCacheStore(
-                    "http://127.0.0.1:1", replicas=bad,
-                    timeout_s=1.0, retries=0,
-                )
-
-    def test_fallback_urls_normalized_and_deduped(self):
-        """Regression: a trailing-slash variant or repeated fallback
-        URL used to stay in the chain, so one dead host was probed
-        once per duplicate before advancing."""
-        store = ServerCacheStore(
-            "http://127.0.0.1:1",
-            fallbacks=(
-                "http://127.0.0.1:1/",  # the primary, slash variant
-                "http://127.0.0.1:2",
-                "http://127.0.0.1:2/",  # slash-variant duplicate
-                "http://127.0.0.1:2",   # exact duplicate
-                "http://127.0.0.1:3",
-            ),
-            timeout_s=1.0, retries=0,
-        )
-        assert store.replica_urls == [
-            "http://127.0.0.1:1",
-            "http://127.0.0.1:2",
-            "http://127.0.0.1:3",
-        ]
+                ServerCacheStore(pool, replicas=bad)
 
     def test_put_fans_out_to_replicas(self, closing):
         with EvaluationService() as a, EvaluationService() as b:
-            store = closing(ServerCacheStore(
-                a.url, fallbacks=(b.url,), timeout_s=10.0, retries=0
-            ))
+            store = ServerCacheStore(
+                _pool(closing, a.url, b.url, timeout_s=10.0)
+            )
             for i in range(3):
                 store.put(_key(i), {"cost": float(i)})
             assert a.cache_size() == 3
@@ -535,10 +518,9 @@ class TestServerStoreReplication:
 
     def test_replication_factor_one_writes_primary_only(self, closing):
         with EvaluationService() as a, EvaluationService() as b:
-            store = closing(ServerCacheStore(
-                a.url, fallbacks=(b.url,), replicas=1,
-                timeout_s=10.0, retries=0,
-            ))
+            store = ServerCacheStore(
+                _pool(closing, a.url, b.url, timeout_s=10.0), replicas=1
+            )
             store.put(_key(1), {"cost": 1.0})
             assert a.cache_size() == 1
             assert b.cache_size() == 0
@@ -551,16 +533,14 @@ class TestServerStoreReplication:
         a.start()
         try:
             with EvaluationService() as b:
-                writer = closing(ServerCacheStore(
-                    a.url, fallbacks=(b.url,),
-                    timeout_s=2.0, retries=0, backoff_s=0.01,
-                ))
+                writer = ServerCacheStore(
+                    _pool(closing, a.url, b.url, timeout_s=2.0)
+                )
                 writer.put(_key(1), {"cost": 1.0})
                 writer.put(_key(2), {"cost": 2.0})
-                reader = closing(ServerCacheStore(
-                    a.url, fallbacks=(b.url,),
-                    timeout_s=2.0, retries=0, backoff_s=0.01,
-                ))
+                reader = ServerCacheStore(
+                    _pool(closing, a.url, b.url, timeout_s=2.0)
+                )
                 a.stop()
                 assert reader.get(_key(1)) == {"cost": 1.0}
                 assert reader.get(_key(2)) == {"cost": 2.0}
@@ -568,19 +548,8 @@ class TestServerStoreReplication:
         finally:
             a.stop()
 
-    def test_exhausted_chain_raises_transport_error(self):
-        import socket
-
-        ports = []
-        for _ in range(2):
-            with socket.socket() as s:
-                s.bind(("127.0.0.1", 0))
-                ports.append(s.getsockname()[1])
-        store = ServerCacheStore(
-            f"http://127.0.0.1:{ports[0]}",
-            fallbacks=(f"http://127.0.0.1:{ports[1]}",),
-            timeout_s=1.0, retries=0, backoff_s=0.01,
-        )
+    def test_exhausted_chain_raises_transport_error(self, closing):
+        store = ServerCacheStore(_pool(closing, *_dead_urls(2)))
         with pytest.raises(ServiceError):
             store.get(_key(1))
         with pytest.raises(ServiceError):
@@ -588,45 +557,49 @@ class TestServerStoreReplication:
 
     def test_put_many_fans_out_to_replicas(self, closing):
         """One bulk write per replica, to the first ``replicas`` hosts
-        of the chain; the host past the factor gets nothing."""
+        of the pool; the host past the factor gets nothing."""
         with EvaluationService() as a, EvaluationService() as b, \
                 EvaluationService() as c:
-            store = closing(ServerCacheStore(
-                a.url, fallbacks=(b.url, c.url), replicas=2,
-                timeout_s=10.0, retries=0,
-            ))
+            pool = _pool(closing, a.url, b.url, c.url, timeout_s=10.0)
+            store = ServerCacheStore(pool, replicas=2)
             store.put_many([(_key(i), {"cost": float(i)}) for i in range(5)])
             assert [a.cache_size(), b.cache_size(), c.cache_size()] == [5, 5, 0]
-            assert [h.client.requests_sent for h in store._hosts] == [1, 1, 0]
+            assert _requests(pool) == [1, 1, 0]
+
+    def test_put_many_skips_a_dead_replica(self, closing):
+        """The write rule: the first ``replicas`` *living* hosts in URL
+        order. A dead middle host is quarantined and the copy it would
+        have held goes to the next living host."""
+        with EvaluationService() as a, EvaluationService() as c:
+            (dead_b,) = _dead_urls(1)
+            pool = _pool(closing, a.url, dead_b, c.url)
+            store = ServerCacheStore(pool, replicas=2)
+            store.put_many([(_key(i), {"cost": float(i)}) for i in range(3)])
+            assert [a.cache_size(), c.cache_size()] == [3, 3]
+            assert pool.quarantined_urls == [dead_b]
 
     def test_get_many_fails_over_after_primary_death(self, closing):
         a = EvaluationService()
         a.start()
         try:
             with EvaluationService() as b:
-                writer = closing(ServerCacheStore(
-                    a.url, fallbacks=(b.url,),
-                    timeout_s=2.0, retries=0, backoff_s=0.01,
-                ))
+                writer = ServerCacheStore(
+                    _pool(closing, a.url, b.url, timeout_s=2.0)
+                )
                 entries = [(_key(i), {"cost": float(i)}) for i in range(4)]
                 writer.put_many(entries)
-                reader = closing(ServerCacheStore(
-                    a.url, fallbacks=(b.url,),
-                    timeout_s=2.0, retries=0, backoff_s=0.01,
-                ))
+                url_a = a.url
+                pool = _pool(closing, url_a, b.url, timeout_s=2.0)
+                reader = ServerCacheStore(pool)
                 a.stop()
                 keys = [k for k, _ in entries] + [_key(9)]
                 assert reader.get_many(keys) == dict(entries)
-                assert not reader._hosts[0].alive
+                assert pool.quarantined_urls == [url_a]
         finally:
             a.stop()
 
-    def test_put_many_without_a_landed_copy_raises(self):
-        primary, fallback = _dead_urls(2)
-        store = ServerCacheStore(
-            primary, fallbacks=(fallback,),
-            timeout_s=1.0, retries=0, backoff_s=0.01,
-        )
+    def test_put_many_without_a_landed_copy_raises(self, closing):
+        store = ServerCacheStore(_pool(closing, *_dead_urls(2)))
         with pytest.raises(ServiceTransportError, match="every replica"):
             store.put_many([(_key(1), {"cost": 1.0})])
         # nothing landed, so nothing is memoized: the retry is re-sent
@@ -639,14 +612,15 @@ class TestServerStoreReplication:
         Both paths now share one ``{k: float(v)}`` cleaner and the
         re-put short-circuits."""
         with EvaluationService() as svc:
-            closing(ServerCacheStore(svc.url, timeout_s=10.0, retries=0)).put(
+            ServerCacheStore(_pool(closing, svc.url, timeout_s=10.0)).put(
                 _key(5), {"cost": 2.0}
             )
-            reader = closing(ServerCacheStore(svc.url, timeout_s=10.0, retries=0))
+            pool = _pool(closing, svc.url, timeout_s=10.0)
+            reader = ServerCacheStore(pool)
             assert reader.get(_key(5)) == {"cost": 2.0}
-            sent_before = reader._hosts[0].client.requests_sent
+            sent_before = _requests(pool)
             reader.put(_key(5), {"cost": 2})  # int-valued, equal cleaned
-            assert reader._hosts[0].client.requests_sent == sent_before
+            assert _requests(pool) == sent_before
 
 
 class TestKeyEncoding:

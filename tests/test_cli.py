@@ -228,6 +228,22 @@ class TestDurableCommands:
                          "--service-url", "http://127.0.0.1:9/=3"]),
             ("sweep", ["--service-url", "http://127.0.0.1:9=2",
                        "--service-url", "http://127.0.0.1:9/=3"]),
+        ] + [
+            (command, bad)
+            for command in ("collect", "sweep")
+            for bad in (
+                # proxy knobs a screened trial would refuse
+                ["--shared-cache", "--proxy-screen", "--proxy-oversample", "0"],
+                ["--shared-cache", "--proxy-screen", "--proxy-topk", "0"],
+                ["--shared-cache", "--proxy-screen", "--proxy-refresh", "1.5"],
+                ["--shared-cache", "--proxy-screen", "--proxy-min-corpus", "4"],
+                # a client policy no pool could run under
+                ["--service-url", "http://127.0.0.1:9", "--service-timeout", "0"],
+                ["--service-url", "http://127.0.0.1:9",
+                 "--service-timeout", "nan"],
+                ["--service-url", "http://127.0.0.1:9",
+                 "--service-retries", "-1"],
+            )
         ],
     )
     def test_rejected_arguments_leave_no_manifest(self, tmp_path, command, bad):

@@ -445,20 +445,20 @@ class TestBackendSpec:
         from repro.sweeps import resolve_execution_backend
 
         # no service: no backend; shared cache falls back to the out-dir
-        backend, cache_url, cache_dir = resolve_execution_backend(
+        backend, server_cache, cache_dir = resolve_execution_backend(
             None, True, "/tmp/run"
         )
-        assert backend is None and cache_url is None
+        assert backend is None and server_cache is False
         assert cache_dir.endswith("shared-cache")
         # service + shared cache: the service hosts the cache, even
         # when an out-dir is also present (cross-machine reuse wins)
-        backend, cache_url, cache_dir = resolve_execution_backend(
+        backend, server_cache, cache_dir = resolve_execution_backend(
             "http://127.0.0.1:1", True, "/tmp/run",
             env_kwargs={"workload": "stream"},
         )
         assert backend.service_urls == ("http://127.0.0.1:1",)
         assert backend.env_kwargs == {"workload": "stream"}
-        assert cache_url == "http://127.0.0.1:1" and cache_dir is None
+        assert server_cache is True and cache_dir is None
 
     def test_resolve_execution_backend_policy_overrides(self):
         from repro.sweeps import resolve_execution_backend
@@ -481,11 +481,21 @@ class TestBackendSpec:
         task = TrialTask(
             index=0, agent="rw", hyperparams={}, agent_seed=1, run_seed=1,
             n_samples=5, env_factory=CountingEnv, backend=spec,
-            server_cache_url="http://127.0.0.1:1",
+            server_cache=True,
         )
         clone = pickle.loads(pickle.dumps(task))
         assert clone.backend == spec
-        assert clone.server_cache_url == "http://127.0.0.1:1"
+        assert clone.server_cache is True
+
+    def test_server_cache_without_backend_rejected(self):
+        """The server tier rides the trial's backend pool; a task
+        without one is refused instead of building a private client."""
+        task = TrialTask(
+            index=0, agent="rw", hyperparams={}, agent_seed=1, run_seed=1,
+            n_samples=5, env_factory=CountingEnv, server_cache=True,
+        )
+        with pytest.raises(ExecutorError, match="no backend"):
+            run_trial(task)
 
 
 class TestFailFastShutdown:

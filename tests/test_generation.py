@@ -371,6 +371,32 @@ class TestStepBatchParity:
         assert env.evaluations == 0
         assert env.stats.total_steps == 0
 
+    @pytest.mark.parametrize("skew", [-1, 1])
+    def test_wrong_length_answer_rejected_before_any_bookkeeping(self, skew):
+        """A backend answering one metric object too few or too many
+        for a batch's 4 misses is refused before anything is charged.
+        The short answer used to be applied to 3 points before an
+        ``IndexError``; the long one was accepted."""
+        model = SvcCountingEnv()
+
+        class SkewedBackend:
+            def evaluate_batch(self, env_id, actions):
+                answers = [model.evaluate(action) for action in actions]
+                return answers[:skew] if skew < 0 else answers + answers[:skew]
+
+        env = _env()
+        env.enable_cache()
+        dataset = ArchGymDataset(env.env_id)
+        env.attach_dataset(dataset, source="skewed")
+        env.attach_backend(SkewedBackend())
+        before = _counters(env)
+        with pytest.raises(EnvironmentError_, match="4 design point"):
+            env.step_batch(ACTIONS)
+        assert _counters(env) == before
+        assert env.stats.remote_evals_by_host == {}
+        assert len(env._eval_cache) == 0
+        assert len(dataset) == 0
+
     def test_needs_reset_guard(self):
         env = SvcCountingEnv()
         with pytest.raises(EnvironmentError_, match="reset"):
@@ -851,10 +877,9 @@ class TestGenerationScatter:
 class TestServerCacheFailover:
     def test_store_fails_over_to_next_pool_host(self, two_counting_services, closing):
         a, b = two_counting_services
-        store = closing(ServerCacheStore(
-            a.url, fallbacks=(b.url,), timeout_s=1.0, retries=0,
-            backoff_s=0.01,
-        ))
+        store = ServerCacheStore(closing(HostPool(
+            [a.url, b.url], timeout_s=1.0, retries=0, backoff_s=0.01,
+        )))
         key_known = (("m", "a"), ("x", 1))
         store.put(key_known, {"cost": 4.3})  # replicated to A and B
         a.stop()
@@ -869,22 +894,14 @@ class TestServerCacheFailover:
         assert len(store) == 2
         assert store.get(key_known) == {"cost": 4.3}
 
-    def test_exhausted_fallbacks_raise_transport_error(self):
+    def test_exhausted_fallbacks_raise_transport_error(self, closing):
         dead_a = f"http://127.0.0.1:{_free_port()}"
         dead_b = f"http://127.0.0.1:{_free_port()}"
-        store = ServerCacheStore(
-            dead_a, fallbacks=(dead_b,), timeout_s=0.3, retries=0,
-            backoff_s=0.01,
-        )
+        store = ServerCacheStore(closing(HostPool(
+            [dead_a, dead_b], timeout_s=0.3, retries=0, backoff_s=0.01,
+        )))
         with pytest.raises(ServiceTransportError):
             store.get((("x", 1),))
-
-    def test_fallbacks_exclude_the_primary(self, two_counting_services):
-        a, _ = two_counting_services
-        store = ServerCacheStore(
-            a.url, fallbacks=(a.url, a.url + "/"), timeout_s=1.0, retries=0
-        )
-        assert store.replica_urls == [a.url]
 
 
 class TestHyperparamTagStability:

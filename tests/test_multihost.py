@@ -25,11 +25,12 @@ Five batteries:
    (including exited dispatch threads') and every scatter worker, and
    repeated scatters reuse one socket per host.
 
-The replicated shared-cache tier rides along: a generation costs it
-one bulk lookup plus one bulk write per replica (a point-by-point
-``env.step``, the same per miss, with one ``/evaluate_batch``), the
-anti-entropy backfill writes each listed page with one bulk request,
-and trial teardown closes the store's own clients. So does the
+The replicated shared-cache tier rides along on the same pool: a
+generation costs it one bulk lookup plus one bulk write per replica (a
+point-by-point ``env.step``, the same per miss, with one
+``/evaluate_batch``), a hung cache primary costs one timeout per sweep,
+the anti-entropy backfill writes each listed page with one bulk
+request, and trial teardown leaves no cache socket open. So does the
 ``timeloop-pool`` benchmark's setting: a GA+ACO TimeloopGym sweep over
 two hosts with the server-backed shared cache, cold and warm, matches
 the serial reference once shared hits are folded into misses.
@@ -38,6 +39,7 @@ the serial reference once shared hits are folded into misses.
 import functools
 import gc
 import json
+import socket
 import sys
 import threading
 import time
@@ -415,6 +417,48 @@ class TestCachePrimaryFailover:
             **self.KW,
         )
 
+    def test_hung_primary_costs_one_timeout_per_sweep(self):
+        """A cache primary that accepts connections and never answers
+        is found dead once per sweep, not once per trial: the shared
+        tier rides the trial's pool, whose quarantine outlives the
+        trial. (Each trial used to build its own cache clients and
+        wait out the timeout again: 5 connections in 4 trials.)"""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(16)
+        listener.settimeout(0.05)
+        held, stop = [], threading.Event()
+
+        def hold_connections():
+            while not stop.is_set():
+                try:
+                    held.append(listener.accept()[0])
+                except OSError:  # the accept timeout: look at stop
+                    pass
+
+        holder = threading.Thread(target=hold_connections, daemon=True)
+        holder.start()
+        live = _service()
+        try:
+            report = run_lottery_sweep(
+                SvcCountingEnv,
+                service_url=[
+                    f"http://127.0.0.1:{listener.getsockname()[1]}", live.url,
+                ],
+                shared_cache=True, service_timeout_s=0.5, service_retries=0,
+                agents=("ga",), n_trials=4, n_samples=12, seed=3,
+            )
+        finally:
+            stop.set()
+            holder.join()
+            for conn in held:
+                conn.close()
+            listener.close()
+            live.stop()
+            clear_backend_cache()
+        assert len(held) == 1
+        assert report.remote_evals == live.evaluations > 0
+
     def test_cache_primary_killed_mid_sweep_no_resimulation(self):
         # Clean reference: same 2-host replicated-cache sweep, nobody
         # dies.
@@ -477,16 +521,16 @@ class TestBulkCacheTraffic:
         for svc in hosts:
             svc.stop()
 
-    def _step_generation(self, urls):
+    def _step_generation(self, urls, sent):
         """One 64-point GA generation through ``step_batch`` from a
-        fresh env and store handle: (outcome, env, /cache requests)."""
+        fresh env and store handle, the store on the backend's pool:
+        (outcome, env, /cache requests counted in ``sent``)."""
+        before = sent["POST", "/cache"] + sent["PUT", "/cache"]
         env = repro.make(self.ENV)
         env.enable_cache()
-        env.attach_backend(RemoteBackend(urls, timeout_s=10.0, retries=0))
-        store = ServerCacheStore(
-            urls[0], fallbacks=urls[1:], replicas=2, timeout_s=10.0, retries=0
-        )
-        env.attach_shared_cache(store)
+        backend = RemoteBackend(urls, timeout_s=10.0, retries=0)
+        env.attach_backend(backend)
+        env.attach_shared_cache(ServerCacheStore(backend.pool, replicas=2))
         env.reset(seed=0)
         generation = GAAgent(
             env.action_space, seed=0, population_size=64
@@ -495,22 +539,23 @@ class TestBulkCacheTraffic:
             results = env.step_batch(generation)
         finally:
             env.detach_backend().close()
-            store.close()
         outcome = [(r[1], r[4]["metrics"]) for r in results]
-        return outcome, env, sum(h.client.requests_sent for h in store._hosts)
+        requests = sent["POST", "/cache"] + sent["PUT", "/cache"] - before
+        return outcome, env, requests
 
     def test_generation_costs_one_lookup_and_one_write_per_replica(
-        self, hosts
+        self, hosts, monkeypatch
     ):
+        sent = _count_requests(monkeypatch)
         urls = [svc.url for svc in hosts]
-        cold, cold_env, cold_requests = self._step_generation(urls)
+        cold, cold_env, cold_requests = self._step_generation(urls, sent)
         assert cold_env.stats.cache_misses == 64
         assert cold_requests == 3  # 1 lookup + 2 replica writes
         assert [svc.cache_size() for svc in hosts] == [64, 64]
         evaluations = sum(svc.evaluations for svc in hosts)
         assert evaluations == 64
 
-        warm, warm_env, warm_requests = self._step_generation(urls)
+        warm, warm_env, warm_requests = self._step_generation(urls, sent)
         assert warm_requests == 1  # the lookup answers every point
         assert sum(svc.evaluations for svc in hosts) == evaluations
         assert warm_env.stats.shared_cache_hits == 64
@@ -527,11 +572,9 @@ class TestBulkCacheTraffic:
         urls = [svc.url for svc in hosts]
         env = repro.make(self.ENV)
         env.enable_cache()
-        env.attach_backend(RemoteBackend(urls, timeout_s=10.0, retries=0))
-        store = ServerCacheStore(
-            urls[0], fallbacks=urls[1:], replicas=2, timeout_s=10.0, retries=0
-        )
-        env.attach_shared_cache(store)
+        backend = RemoteBackend(urls, timeout_s=10.0, retries=0)
+        env.attach_backend(backend)
+        env.attach_shared_cache(ServerCacheStore(backend.pool, replicas=2))
         env.reset(seed=0)
         generation = GAAgent(
             env.action_space, seed=0, population_size=16
@@ -543,7 +586,6 @@ class TestBulkCacheTraffic:
                     env.reset()
         finally:
             env.detach_backend().close()
-            store.close()
 
         misses = env.stats.cache_misses
         assert misses > 0
@@ -825,9 +867,9 @@ class TestTransportTeardown:
 
 
     def test_trial_teardown_closes_shared_cache_sockets(self, two_services):
-        """A trial whose server-backed shared cache built its own
-        clients (a multi-host pool has no single client to reuse) must
-        close them at teardown: nothing left for the garbage collector
+        """A trial's server-backed shared cache rides the backend's
+        pool, so the teardown that closes the pool closes the cache
+        traffic's sockets too: nothing left for the garbage collector
         to find open."""
         a, b = two_services
         gc.collect()  # earlier tests' garbage is not this test's

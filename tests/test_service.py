@@ -1091,8 +1091,11 @@ class TestFaultInjection:
             ServiceClient("ftp://example.com")
 
     def test_bad_retry_config_rejected(self):
-        with pytest.raises(ServiceError):
-            ServiceClient("http://127.0.0.1:1", timeout_s=0)
+        # An inf or nan timeout would otherwise fail only on the first
+        # request, and not as a ServiceError a pool could fail over on.
+        for timeout_s in (0, float("inf"), float("nan")):
+            with pytest.raises(ServiceError):
+                ServiceClient("http://127.0.0.1:1", timeout_s=timeout_s)
         with pytest.raises(ServiceError):
             ServiceClient("http://127.0.0.1:1", retries=-1)
 

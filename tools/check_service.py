@@ -240,7 +240,9 @@ def generation_cache_microbench(
 ) -> None:
     """A GA generation's ``/cache`` traffic: per-point steps vs one
     ``env.step_batch`` over the pool, with the replicated shared-cache
-    tier (``ServerCacheStore``, 2 replicas) on the same hosts.
+    tier (``ServerCacheStore``, 2 replicas) riding the backend's pool,
+    as in a sweep. Only ``/cache`` round trips are counted; the
+    pool's evaluation requests are not.
 
     Per point, ``env.step`` is a one-point batch: it looks each design
     point up (one ``POST /cache``) and writes each miss to both
@@ -259,20 +261,25 @@ def generation_cache_microbench(
     import repro
     from repro.agents.ga import GAAgent
     from repro.core.cache_store import ServerCacheStore
-    from repro.service import RemoteBackend
+    from repro.service import RemoteBackend, ServiceClient
 
     urls = list(urls)
+    send = ServiceClient._send
+    cache_requests = [0]
+
+    def counting_send(client, method, path, body):
+        if path == "/cache":  # the bulk lookup and write routes
+            cache_requests[0] += 1
+        return send(client, method, path, body)
 
     def step_generation(seed: int, batched: bool):
         env = repro.make(env_id)
         env.enable_cache()
         backend = RemoteBackend(urls, timeout_s=30.0, retries=0)
         env.attach_backend(backend)
-        store = ServerCacheStore(
-            urls[0], fallbacks=urls[1:], replicas=2, timeout_s=30.0, retries=0
-        )
-        env.attach_shared_cache(store)
+        env.attach_shared_cache(ServerCacheStore(backend.pool, replicas=2))
         env.reset(seed=0)
+        before = cache_requests[0]
         generation = GAAgent(
             env.action_space, seed=seed, population_size=population
         ).propose_batch()
@@ -287,20 +294,22 @@ def generation_cache_microbench(
                         env.reset()
         finally:
             backend.close()
-            store.close()
             env.close()
         rewards = [result[1] for result in results]
-        requests = sum(h.client.requests_sent for h in store._hosts)
-        return rewards, env.stats, requests
+        return rewards, env.stats, cache_requests[0] - before
 
     def host_evaluations() -> int:
         return sum(healthz(url)["evaluations"] for url in urls)
 
-    _, per_point, per_point_rt = step_generation(seed=1, batched=False)
-    cold_rewards, cold, cold_rt = step_generation(seed=0, batched=True)
-    before = host_evaluations()
-    warm_rewards, warm, warm_rt = step_generation(seed=0, batched=True)
-    warm_evals = host_evaluations() - before
+    ServiceClient._send = counting_send
+    try:
+        _, per_point, per_point_rt = step_generation(seed=1, batched=False)
+        cold_rewards, cold, cold_rt = step_generation(seed=0, batched=True)
+        before = host_evaluations()
+        warm_rewards, warm, warm_rt = step_generation(seed=0, batched=True)
+        warm_evals = host_evaluations() - before
+    finally:
+        ServiceClient._send = send
     rt_ratio = per_point_rt / max(cold_rt, 1)
     print(
         f"generation cache microbench ({env_id}, population {population}, "
