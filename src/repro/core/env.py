@@ -269,13 +269,24 @@ class ArchGymEnv:
         backend without an ``evaluate_batch_stream`` hook — or no
         backend at all — degenerates to a single blocking whole-batch
         chunk, so callers never need to care what transport they got.
+        A chunk that starts below 0, runs past the batch or covers an
+        already answered point is refused before anything is charged.
         """
         stream_fn = getattr(self._backend, "evaluate_batch_stream", None)
         if self._backend is None or stream_fn is None:
             yield 0, self._dispatch_evaluate_batch(actions)
             return
         by_host = self.stats.remote_evals_by_host
+        answered = [False] * len(actions)
         for start, metrics_list, host in stream_fn(self.env_id, list(actions)):
+            end = start + len(metrics_list)
+            if start < 0 or end > len(actions) or any(answered[start:end]):
+                raise EnvironmentError_(
+                    f"backend streamed a chunk for design points "
+                    f"[{start}, {end}) of a batch of {len(actions)}: it runs "
+                    f"outside the batch or repeats a point already answered"
+                )
+            answered[start:end] = [True] * len(metrics_list)
             self.stats.remote_evals += len(metrics_list)
             if host is not None:
                 by_host[host] = by_host.get(host, 0) + len(metrics_list)

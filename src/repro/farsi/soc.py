@@ -9,6 +9,7 @@ heterogeneity FARSI's DSE is about.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Tuple
 
@@ -80,12 +81,23 @@ class SoCConfig:
         for s in self.slots:
             if s not in SLOT_OPTIONS:
                 raise SimulationError(f"unknown slot option {s!r}; valid: {SLOT_OPTIONS}")
-        if self.noc_bus_width_bits < 8:
-            raise SimulationError("noc_bus_width_bits must be >= 8")
-        if self.noc_freq_ghz <= 0 or self.mem_freq_ghz <= 0:
-            raise SimulationError("frequencies must be positive")
-        if self.mem_channels < 1:
-            raise SimulationError("mem_channels must be >= 1")
+        # every check refuses NaN and infinity, which would otherwise
+        # pass a plain comparison and reach the schedule
+        width = self.noc_bus_width_bits
+        if not (math.isfinite(width) and width >= 8):
+            raise SimulationError(
+                f"noc_bus_width_bits must be finite and >= 8, got {width!r}"
+            )
+        for freq in (self.noc_freq_ghz, self.mem_freq_ghz):
+            if not (math.isfinite(freq) and freq > 0):
+                raise SimulationError(
+                    f"frequencies must be finite and positive, got {freq!r}"
+                )
+        channels = self.mem_channels
+        if not (math.isfinite(channels) and channels >= 1):
+            raise SimulationError(
+                f"mem_channels must be finite and >= 1, got {channels!r}"
+            )
 
     # -- derived hardware properties ------------------------------------------------
 

@@ -4,18 +4,24 @@ FARSI models an AR/VR application as a DAG of tasks; each task carries a
 compute demand (mega-operations) and a *kind* that determines which IPs
 can accelerate it; each edge carries the data volume (KiB) the consumer
 reads from the producer.
+
+A graph hands the simulator a :class:`GraphPlan`: its tasks in
+topological order with index-addressed predecessors. The plan is built
+on first use and dropped by every ``add_task``/``add_edge``, so a call
+that follows a change plans again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import networkx as nx
 
 from repro.core.errors import SimulationError
 
-__all__ = ["Task", "TaskGraph", "TASK_KINDS"]
+__all__ = ["Task", "TaskGraph", "GraphPlan", "TASK_KINDS"]
 
 #: Task kinds; accelerator IPs advertise speedups per kind.
 TASK_KINDS = ("generic", "dsp", "imaging", "crypto")
@@ -30,13 +36,29 @@ class Task:
     kind: str = "generic"
 
     def __post_init__(self) -> None:
-        if self.mops <= 0:
-            raise SimulationError(f"task {self.name!r} needs mops > 0")
+        if not (math.isfinite(self.mops) and self.mops > 0):
+            raise SimulationError(
+                f"task {self.name!r} needs a finite mops > 0, got {self.mops!r}"
+            )
         if self.kind not in TASK_KINDS:
             raise SimulationError(
                 f"task {self.name!r} has unknown kind {self.kind!r}; "
                 f"valid: {TASK_KINDS}"
             )
+
+
+class GraphPlan(NamedTuple):
+    """A task graph's structure, flattened for the list scheduler.
+
+    Entry ``i`` of each tuple describes the ``i``-th task in
+    ``nx.topological_sort`` order; ``preds[i]`` lists its producers as
+    ``(index, kib)`` pairs in ``graph.predecessors`` order.
+    """
+
+    names: Tuple[str, ...]
+    mops: Tuple[float, ...]
+    kinds: Tuple[str, ...]
+    preds: Tuple[Tuple[Tuple[int, float], ...], ...]
 
 
 class TaskGraph:
@@ -46,12 +68,14 @@ class TaskGraph:
         self.name = name
         self._graph = nx.DiGraph()
         self._tasks: Dict[str, Task] = {}
+        self._plan: Optional[GraphPlan] = None
 
     # -- construction -------------------------------------------------------------
 
     def add_task(self, task: Task) -> None:
         if task.name in self._tasks:
             raise SimulationError(f"duplicate task {task.name!r}")
+        self._plan = None
         self._tasks[task.name] = task
         self._graph.add_node(task.name)
 
@@ -60,8 +84,11 @@ class TaskGraph:
         for name in (producer, consumer):
             if name not in self._tasks:
                 raise SimulationError(f"unknown task {name!r}")
-        if kib < 0:
-            raise SimulationError("edge data volume must be >= 0")
+        if not (math.isfinite(kib) and kib >= 0):
+            raise SimulationError(
+                f"edge data volume must be finite and >= 0, got {kib!r}"
+            )
+        self._plan = None
         self._graph.add_edge(producer, consumer, kib=float(kib))
         if not nx.is_directed_acyclic_graph(self._graph):
             self._graph.remove_edge(producer, consumer)
@@ -93,6 +120,32 @@ class TaskGraph:
             (self._tasks[p], self._graph.edges[p, name]["kib"])
             for p in self._graph.predecessors(name)
         ]
+
+    def plan(self) -> GraphPlan:
+        """The graph's :class:`GraphPlan`, built on first use after any
+        change."""
+        plan = self._plan
+        if plan is None:
+            order = list(nx.topological_sort(self._graph))
+            index = {name: i for i, name in enumerate(order)}
+            edges = self._graph.edges
+            tasks = [self._tasks[name] for name in order]
+            plan = GraphPlan(
+                names=tuple(order),
+                mops=tuple(t.mops for t in tasks),
+                kinds=tuple(t.kind for t in tasks),
+                preds=tuple(
+                    tuple(
+                        (index[p], edges[p, name]["kib"])
+                        for p in self._graph.predecessors(name)
+                    )
+                    for name in order
+                ),
+            )
+            # Published whole: threads that share a graph may each
+            # build it, and both builds are equal.
+            self._plan = plan
+        return plan
 
     def edges(self) -> Iterable[Tuple[str, str, float]]:
         for u, v, data in self._graph.edges(data=True):

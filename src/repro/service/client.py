@@ -85,7 +85,8 @@ class ServiceClient:
         server that stalls longer fails the attempt instead of hanging
         the sweep.
     retries:
-        Extra attempts after the first, for transport-level failures.
+        Extra attempts after the first, for transport-level failures:
+        an ``int >= 0`` (not a bool).
     backoff_s:
         First retry delay; doubles per subsequent retry.
     backoff_cap_s:
@@ -109,8 +110,10 @@ class ServiceClient:
             raise ServiceError(
                 f"timeout_s must be a finite number > 0, got {timeout_s!r}"
             )
-        if retries < 0:
-            raise ServiceError(f"retries must be >= 0, got {retries}")
+        if not isinstance(retries, int) or isinstance(retries, bool) or retries < 0:
+            raise ServiceError(
+                f"retries must be an integer >= 0, got {retries!r}"
+            )
         if backoff_cap_s < 0:
             raise ServiceError(f"backoff_cap_s must be >= 0, got {backoff_cap_s}")
         split = urlsplit(base_url)

@@ -474,6 +474,20 @@ class TestBackendSpec:
         assert defaulted.timeout_s == spec.timeout_s
         assert defaulted.retries == spec.retries
 
+    @pytest.mark.parametrize("retries", [1.5, True])
+    def test_non_integer_retries_rejected_before_manifest(self, tmp_path, retries):
+        """The CLI's ``--service-retries`` is int-typed; a library caller
+        is not, and used to get ``sweep.json`` written and then a bare
+        ``TypeError`` from the first trial's first request."""
+        out = tmp_path / "run"
+        with pytest.raises(ExecutorError, match="retries"):
+            run_lottery_sweep(
+                CountingEnv, agents=["rw"], n_trials=1, n_samples=4,
+                service_url="http://127.0.0.1:9", service_retries=retries,
+                out_dir=out,
+            )
+        assert not (out / "sweep.json").exists()
+
     def test_spec_and_task_pickle(self):
         """The whole point of a spec: it crosses the process boundary
         even though a live HTTP client would not."""

@@ -1,5 +1,7 @@
 """Unit + property tests for the FARSI SoC substrate."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,19 @@ class TestTaskGraph:
             Task("x", mops=0.0)
         with pytest.raises(SimulationError):
             Task("x", mops=1.0, kind="quantum")
+        # NaN passes a plain `<= 0` check and infinity is no demand
+        for mops in (math.nan, math.inf, -math.inf):
+            with pytest.raises(SimulationError, match="finite"):
+                Task("x", mops=mops)
+        g = TaskGraph("g")
+        g.add_task(Task("a", mops=1000.0))
+        g.add_task(Task("b", mops=1000.0))
+        # a NaN transfer used to vanish in max(): b ran on a second PE
+        # before its producer ended, and power came out NaN
+        for kib in (math.nan, math.inf, -1.0):
+            with pytest.raises(SimulationError, match="finite"):
+                g.add_edge("a", "b", kib=kib)
+        assert list(g.edges()) == []
 
     def test_workloads_are_dags_with_budgets(self):
         assert set(FARSI_WORKLOAD_NAMES) == {
@@ -118,6 +133,23 @@ class TestSoCConfig:
     def test_unknown_slot_option(self):
         with pytest.raises(SimulationError):
             SoCConfig(slots=("Quantum",) * N_SLOTS)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("noc_freq_ghz", math.nan),
+            ("noc_freq_ghz", math.inf),
+            ("mem_freq_ghz", math.nan),
+            ("mem_freq_ghz", math.inf),
+            ("noc_bus_width_bits", math.nan),
+            ("noc_bus_width_bits", math.inf),
+            ("mem_channels", math.nan),
+            ("mem_channels", math.inf),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(SimulationError, match="finite"):
+            SoCConfig(**{field: value})
 
     def test_bandwidths(self):
         cfg = SoCConfig(noc_bus_width_bits=64, noc_freq_ghz=1.0,

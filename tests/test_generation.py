@@ -397,6 +397,44 @@ class TestStepBatchParity:
         assert len(env._eval_cache) == 0
         assert len(dataset) == 0
 
+    @pytest.mark.parametrize(
+        "chunks, charged",
+        [
+            # repeats miss 2: it used to get miss 1's metrics, unnoticed
+            ([(0, [0, 1, 1]), (2, [2, 3])], 3),
+            # runs past the last of the 4 misses
+            ([(0, [0, 1]), (2, [2, 3, 3])], 2),
+            # starts below 0: its first metrics used to land on miss 3
+            ([(-1, [3, 0]), (1, [1, 2, 3])], 0),
+        ],
+    )
+    def test_stray_stream_chunk_rejected_before_it_is_charged(
+        self, chunks, charged
+    ):
+        """Each chunk of a streamed batch must land inside the batch on
+        points not yet answered; the first one that does not is refused
+        before its metrics are charged or written."""
+        model = SvcCountingEnv()
+
+        class StrayChunkBackend:
+            def evaluate_batch(self, env_id, actions):
+                raise AssertionError("the stream hook serves this batch")
+
+            def evaluate_batch_stream(self, env_id, actions):
+                answers = [model.evaluate(action) for action in actions]
+                for start, points in chunks:
+                    yield start, [answers[i] for i in points], "stray-host"
+
+        env = _env()
+        env.enable_cache()
+        env.attach_backend(StrayChunkBackend())
+        with pytest.raises(EnvironmentError_, match=r"batch of 4\b"):
+            list(env.step_batch_stream(ACTIONS))
+        assert env.stats.remote_evals == charged
+        assert env.stats.remote_evals_by_host == (
+            {"stray-host": charged} if charged else {}
+        )
+
     def test_needs_reset_guard(self):
         env = SvcCountingEnv()
         with pytest.raises(EnvironmentError_, match="reset"):

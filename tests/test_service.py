@@ -1096,8 +1096,11 @@ class TestFaultInjection:
         for timeout_s in (0, float("inf"), float("nan")):
             with pytest.raises(ServiceError):
                 ServiceClient("http://127.0.0.1:1", timeout_s=timeout_s)
-        with pytest.raises(ServiceError):
-            ServiceClient("http://127.0.0.1:1", retries=-1)
+        # A fractional or bool retry count would otherwise fail as a
+        # bare TypeError on the first request.
+        for retries in (-1, 1.5, True):
+            with pytest.raises(ServiceError, match="retries"):
+                ServiceClient("http://127.0.0.1:1", retries=retries)
 
     def test_mid_sweep_server_death_names_the_trial(self):
         """The server dies partway through trial rw/0: the sweep must
