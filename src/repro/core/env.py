@@ -471,7 +471,8 @@ class ArchGymEnv:
         the generator is closed). The shared tier gets the batch's
         misses in one write just before the last result is handed
         over, or — for a stream closed early — the misses replayed so
-        far when it is closed. Backends without streaming support
+        far when it is closed; a stream that raises (a refused chunk,
+        say) writes none. Backends without streaming support
         (including in-process evaluation) fall back to one whole-batch
         chunk, so this is always safe to call.
         """
@@ -563,8 +564,12 @@ class ArchGymEnv:
                     # must still leave the shared tier complete.
                     self._flush_shared(puts)
                 yield result
-        finally:
+        except GeneratorExit:
+            # The caller closed the stream early: the points it was
+            # handed are good. A replay that raises writes nothing, as
+            # a refused chunk may have answered earlier points wrongly.
             self._flush_shared(puts)
+            raise
 
     def _check_metrics(self, metrics: Mapping[str, float]) -> None:
         missing = [m for m in self.observation_metrics if m not in metrics]

@@ -7,7 +7,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.errors import ProxyModelError
-from repro.proxy.tree import DecisionTreeRegressor
+from repro.proxy.tree import DecisionTreeRegressor, _is_count
 
 __all__ = ["RandomForestRegressor"]
 
@@ -29,8 +29,16 @@ class RandomForestRegressor:
         bootstrap: bool = True,
         seed: int = 0,
     ) -> None:
-        if n_estimators < 1:
-            raise ProxyModelError("n_estimators must be >= 1")
+        if not _is_count(n_estimators):
+            raise ProxyModelError(
+                f"n_estimators must be an int >= 1, got {n_estimators!r}"
+            )
+        # the trees' settings are refused here, not at the first fit
+        DecisionTreeRegressor(
+            max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
+            max_features=max_features,
+        )
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf

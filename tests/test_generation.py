@@ -414,26 +414,29 @@ class TestStepBatchParity:
         """Each chunk of a streamed batch must land inside the batch on
         points not yet answered; the first one that does not is refused
         before its metrics are charged or written."""
-        model = SvcCountingEnv()
-
-        class StrayChunkBackend:
-            def evaluate_batch(self, env_id, actions):
-                raise AssertionError("the stream hook serves this batch")
-
-            def evaluate_batch_stream(self, env_id, actions):
-                answers = [model.evaluate(action) for action in actions]
-                for start, points in chunks:
-                    yield start, [answers[i] for i in points], "stray-host"
-
         env = _env()
         env.enable_cache()
-        env.attach_backend(StrayChunkBackend())
+        env.attach_backend(_StrayChunkBackend(chunks))
         with pytest.raises(EnvironmentError_, match=r"batch of 4\b"):
             list(env.step_batch_stream(ACTIONS))
         assert env.stats.remote_evals == charged
         assert env.stats.remote_evals_by_host == (
             {"stray-host": charged} if charged else {}
         )
+
+    def test_refused_stream_chunk_leaves_the_shared_tier_unwritten(
+        self, tmp_path
+    ):
+        """The first chunk answers miss 2 with miss 1's metrics before
+        the second chunk is refused. The points replayed by then used to
+        reach the shared tier anyway, so a fresh store returned
+        ``{'cost': 3.3}`` for ``{'x': 5, 'm': 'a'}`` (truly 1.3)."""
+        env = _env()
+        env.attach_shared_cache(SharedCacheStore(tmp_path / "tier"))
+        env.attach_backend(_StrayChunkBackend([(0, [0, 1, 1]), (2, [2, 3])]))
+        with pytest.raises(EnvironmentError_, match=r"batch of 4\b"):
+            list(env.step_batch_stream(ACTIONS))
+        assert len(SharedCacheStore(tmp_path / "tier")) == 0
 
     def test_needs_reset_guard(self):
         env = SvcCountingEnv()
@@ -472,6 +475,23 @@ class TestStepBatchParity:
         env.step_batch([ACTIONS[0]])  # a hit: no eviction
         assert lru.reads <= 1
         assert env.stats.cache_hits == 1
+
+
+class _StrayChunkBackend:
+    """Streams each batch as the given ``(start, miss indices)`` chunks
+    of its true answers, wherever they land."""
+
+    def __init__(self, chunks):
+        self.chunks = chunks
+        self.model = SvcCountingEnv()
+
+    def evaluate_batch(self, env_id, actions):
+        raise AssertionError("the stream hook serves this batch")
+
+    def evaluate_batch_stream(self, env_id, actions):
+        answers = [self.model.evaluate(action) for action in actions]
+        for start, points in self.chunks:
+            yield start, [answers[i] for i in points], "stray-host"
 
 
 class _CountingLRU(OrderedDict):

@@ -74,6 +74,14 @@ class TestTree:
             DecisionTreeRegressor(max_depth=0)
         with pytest.raises(ProxyModelError):
             DecisionTreeRegressor(min_samples_leaf=0)
+        # 2.5 used to grow depth 3, and a fractional leaf size failed
+        # inside fit with a bare TypeError
+        for name in ("max_depth", "min_samples_leaf"):
+            for bad in (2.5, 2.0, True, np.float64(3.0), "3", None):
+                with pytest.raises(ProxyModelError, match=name):
+                    DecisionTreeRegressor(**{name: bad})
+            for good in (1, 3, np.int64(3), np.uint8(2)):
+                DecisionTreeRegressor(**{name: good})
         for bad in ("log2", 0.5, 2.0, 0, -1, True, False):
             with pytest.raises(ProxyModelError):
                 DecisionTreeRegressor(max_features=bad)
@@ -113,6 +121,16 @@ class TestForest:
             RandomForestRegressor(n_estimators=0)
         with pytest.raises(ProxyModelError):
             RandomForestRegressor().predict(np.zeros((1, 2)))
+        # n_estimators=2.5 used to fail in fit with a bare TypeError, and
+        # True to grow one tree; the tree settings are refused up front
+        for name, bad in (
+            ("n_estimators", 2.5), ("n_estimators", True), ("n_estimators", "3"),
+            ("max_depth", 2.5), ("max_depth", False),
+            ("min_samples_leaf", 1.5), ("max_features", "log2"),
+        ):
+            with pytest.raises(ProxyModelError, match=name):
+                RandomForestRegressor(**{name: bad})
+        RandomForestRegressor(n_estimators=np.int64(2), max_depth=np.int32(4))
 
     def test_no_bootstrap_mode(self):
         X, y = toy_data(n=100)

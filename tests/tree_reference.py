@@ -1,11 +1,12 @@
 """The proxy forest's original CART grower, kept as the parity reference.
 
-``repro.proxy.tree`` grows each node with one batched scan over all of
-its candidate features. This module holds the per-feature scan it
-replaced, so ``tests/test_tree_parity.py`` can require that both grow
-the same tree node for node. ``_best_split`` and ``_grow`` are copied
-unchanged; ``ReferenceTree`` is a ``DecisionTreeRegressor`` whose
-``fit`` grows with them.
+``repro.proxy.tree`` grows a node with one batched numpy scan over all
+of its candidate features, or with a scalar scan when the node is
+small. This module holds the per-feature scan both replaced, so
+``tests/test_tree_parity.py`` can require that all of them grow the
+same tree node for node. ``_best_split``, ``_grow`` and
+``_feature_subset`` are copied unchanged; ``ReferenceTree`` is a
+``DecisionTreeRegressor`` whose ``fit`` grows with them.
 """
 
 from __future__ import annotations
@@ -63,7 +64,21 @@ def _best_split(
 
 
 class ReferenceTree(DecisionTreeRegressor):
-    """A ``DecisionTreeRegressor`` grown by the per-feature scan."""
+    """A ``DecisionTreeRegressor`` grown by the per-feature scan.
+
+    It draws its feature subsets with its own copy of the original
+    ``_feature_subset``, so a change to the production draw shows up as
+    a parity failure instead of reaching both trees.
+    """
+
+    def _feature_subset(self, d: int) -> np.ndarray:
+        if self.max_features is None:
+            return np.arange(d)
+        if self.max_features == "sqrt":
+            m = max(1, int(np.sqrt(d)))
+        else:
+            m = max(1, min(int(self.max_features), d))
+        return self.rng.choice(d, size=m, replace=False)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "ReferenceTree":
         X = np.asarray(X, dtype=np.float64)
