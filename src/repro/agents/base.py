@@ -40,7 +40,7 @@ from repro.core.env import ArchGymEnv
 from repro.core.errors import AgentError
 from repro.core.spaces import CompositeSpace
 
-__all__ = ["Agent", "SearchResult", "check_proxy_knobs", "run_agent"]
+__all__ = ["Agent", "SearchResult", "check_count", "check_proxy_knobs", "run_agent"]
 
 
 def _stable_value_fmt(value: Any, nested: bool = False) -> str:
@@ -279,6 +279,14 @@ class SearchResult:
         )
 
 
+def check_count(name: str, value: Any, error: type = AgentError) -> None:
+    """Reject a count (samples, trials, workers) that is not an int
+    >= 1: a float or a bool passes ``< 1`` and would fail, or run the
+    wrong budget, only after the sweep has started."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise error(f"{name} must be an int >= 1, got {value!r}")
+
+
 def check_proxy_knobs(
     proxy_screen: bool, proxy_oversample: int, proxy_topk: Optional[int],
     proxy_refresh: float, proxy_min_corpus: int,
@@ -369,8 +377,7 @@ def run_agent(
     proxy's gate, the driver falls back to plain dispatch —
     byte-identical to ``proxy_screen=False``.
     """
-    if n_samples < 1:
-        raise AgentError("n_samples must be >= 1")
+    check_count("n_samples", n_samples)
     check_proxy_knobs(proxy_screen, proxy_oversample, proxy_topk,
                       proxy_refresh, proxy_min_corpus)
     higher = env.reward_spec.higher_is_better

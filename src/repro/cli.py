@@ -31,10 +31,11 @@ out-dir so concurrent trials reuse each other's evaluations.
 ``--service-url URL[=WEIGHT]`` dispatches every cost-model call to a
 running ``repro serve`` instance instead of evaluating in-process —
 results stay bit-identical (same seeds, same trial order); repeat the
-flag to spread one sweep over several hosts (least-load scheduling,
+flag to spread one sweep over several hosts (round-robin scheduling,
 automatic failover when a host dies), with ``=WEIGHT`` declaring a
-host's relative capacity (or let ``--auto-weights`` tune the weights
-from each host's observed service rate). With ``--shared-cache`` the
+host's relative capacity, its share of a scattered generation (or let
+``--auto-weights`` tune the weights from each host's observed service
+rate). With ``--shared-cache`` the
 (first) service also hosts the shared design-point cache, so sweeps
 on different machines reuse each other's evaluations — writes are
 replicated to ``--cache-replicas`` pool hosts (default 2), reads
@@ -197,11 +198,11 @@ def _add_durability_args(parser: argparse.ArgumentParser) -> None:
                              "of running them in-process (results stay "
                              "bit-identical); repeat the flag to spread "
                              "the sweep over several hosts with "
-                             "least-load scheduling and failover. Append "
+                             "round-robin scheduling and failover. Append "
                              "=WEIGHT (default 1) to declare a host's "
                              "relative capacity: a weight-2 host takes "
-                             "twice the load and twice the share of "
-                             "every scattered generation")
+                             "twice the share of every scattered "
+                             "generation")
     parser.add_argument("--pipeline", action="store_true",
                         help="stream generations instead of scattering "
                              "behind a barrier: hosts pull work units as "

@@ -13,7 +13,7 @@ stay client-side, so a remote sweep is bit-identical to an in-process
 one except for the ``remote_evals`` counter and timing.
 
 The transport underneath is always a
-:class:`~repro.sweeps.hostpool.HostPool` (least-load scheduling with
+:class:`~repro.sweeps.hostpool.HostPool` (round-robin scheduling with
 failover) over the given URLs. One URL is a one-host pool: a batch is
 still one ``POST /evaluate_batch``, and a host whose transport dies is
 quarantined and gets one short ``/healthz`` revival probe before the
@@ -37,7 +37,7 @@ class RemoteBackend:
     service:
         A base URL (``"http://host:port"``) or a sequence of base URLs.
         Either way the backend drives a
-        :class:`~repro.sweeps.hostpool.HostPool` over them (least-load
+        :class:`~repro.sweeps.hostpool.HostPool` over them (round-robin
         scheduling with failover; one URL is a one-host pool).
     env_kwargs:
         Environment construction arguments (workload, objective, …)
@@ -45,8 +45,8 @@ class RemoteBackend:
         same environment the client built locally.
     weights:
         Per-host capacity weights aligned with ``service`` — forwarded
-        to the pool so least-load dispatch and generation scatter
-        divide work accordingly.
+        to the pool, where they size each host's share of a scattered
+        generation.
     auto_weights:
         Let the pool self-tune those weights from each host's observed
         service rate (``/healthz`` counters, EWMA-smoothed) — see
@@ -156,7 +156,7 @@ def RemoteEnv(  # noqa: N802 - constructor-style helper, returns the env
         env.close()                          # releases the pool's sockets
 
     ``service`` may also be a list of URLs — the evaluations then
-    spread over a least-load :class:`~repro.sweeps.hostpool.HostPool`
+    spread over a round-robin :class:`~repro.sweeps.hostpool.HostPool`
     with automatic failover. ``env_kwargs`` must mirror the
     construction arguments so the server evaluates the same
     environment configuration. The env owns the backend built here:

@@ -16,7 +16,7 @@ Layout:
   process pool; per-worker backend resolution.
 - :mod:`repro.sweeps.shards` — durable sweeps: atomic per-trial JSON
   shards, fingerprinted manifests, ``resume``.
-- :mod:`repro.sweeps.hostpool` — :class:`HostPool`: least-load
+- :mod:`repro.sweeps.hostpool` — :class:`HostPool`: round-robin
   dispatch, weighted scatter (:meth:`~HostPool.evaluate_batch_scatter`),
   streaming dispatch with work stealing
   (:meth:`~HostPool.evaluate_batch_stream`), quarantine/failover.

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.agents.base import SearchResult, run_agent
+from repro.agents.base import SearchResult, check_count, run_agent
 from repro.agents.hyperparams import make_agent
 from repro.core.dataset import ArchGymDataset, Transition
 from repro.core.env import ArchGymEnv
@@ -49,12 +49,11 @@ def parse_weighted_url(spec: str) -> Tuple[str, float]:
     """Split one ``URL`` / ``URL=WEIGHT`` service spec.
 
     ``--service-url http://h:8023=2`` declares host ``h:8023`` with
-    capacity weight 2 (twice the concurrent load and twice the share
-    of every scattered generation); a bare URL weighs 1. The text
-    after the last ``=`` must be a positive finite number — anything
-    else is rejected with a clear error rather than silently becoming
-    part of the URL. (A URL that itself contains ``=`` can always be
-    passed as ``URL=1``.)
+    capacity weight 2 (twice the share of every scattered generation);
+    a bare URL weighs 1. The text after the last ``=`` must be a
+    positive finite number — anything else is rejected with a clear
+    error rather than silently becoming part of the URL. (A URL that
+    itself contains ``=`` can always be passed as ``URL=1``.)
     """
     url, sep, tail = spec.rpartition("=")
     if not sep:
@@ -83,7 +82,7 @@ class BackendSpec:
 
     Tasks cross a pickle boundary, so a live backend object (holding
     HTTP clients) cannot ride on the task — this spec does, and each
-    worker builds its own backend from it: a least-load
+    worker builds its own backend from it: a round-robin
     :class:`~repro.sweeps.hostpool.HostPool` over ``service_urls``
     with automatic failover (one URL is a one-host pool). A task with
     no spec runs ``env.evaluate`` in the worker process.
@@ -93,7 +92,7 @@ class BackendSpec:
     retry/timeout policy.
     """
 
-    #: Every host of the pool, in tie-break order — also the shared
+    #: Every host of the pool, in round-robin order — also the shared
     #: cache tier's order: its first living host is the primary.
     service_urls: Tuple[str, ...]
     env_kwargs: Optional[Dict[str, Any]] = None
@@ -505,8 +504,7 @@ def execute_trials(
     terminated — otherwise they would keep burning CPU and block
     interpreter exit until their (possibly hour-long) trials finished.
     """
-    if workers < 1:
-        raise ExecutorError(f"workers must be >= 1, got {workers}")
+    check_count("workers", workers, ExecutorError)
     if not tasks:
         return []
 

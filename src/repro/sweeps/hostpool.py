@@ -6,10 +6,10 @@ simulator evaluations — makes the evaluation service the throughput
 ceiling of a sweep. One ``repro serve`` host saturates at one
 simulator's speed; :class:`HostPool` points a sweep at N of them:
 
-- **Least-load dispatch.** Every call picks the healthy host with the
-  fewest in-flight requests *per unit of capacity weight* (ties rotate
-  round-robin), so slow hosts shed load to fast ones automatically and
-  a host declared twice as big carries twice the concurrent load.
+- **Round-robin dispatch.** Every whole-batch call starts at the
+  living host after the one the previous call tried, so a serial
+  caller spreads its requests evenly over the fleet. Capacity weights
+  size scatter chunks only.
 - **Generation scatter.** :meth:`HostPool.evaluate_batch_scatter`
   splits one batch of design points across all living hosts in
   weight-proportional contiguous chunks, dispatches the chunks in
@@ -35,20 +35,23 @@ simulator's speed; :class:`HostPool` points a sweep at N of them:
   start the next generation on the idle hosts meanwhile.
 - **Health and failover.** A host whose transport fails (connection
   refused/reset, timeout, torn body — after the client's own retry
-  policy) is *quarantined* and the call fails over to a surviving
-  host. Evaluations are deterministic and idempotent, so a re-sent
-  design point can never produce a duplicate or divergent result —
-  which is what keeps a multi-host sweep bit-identical to a serial
-  in-process run.
-- **Revival.** When every host is quarantined the pool re-probes each
-  one via ``GET /healthz`` and revives any that answer (a restarted
-  server rejoins automatically). Only when that last sweep finds no
-  living host does the call raise, with a per-host error inventory;
-  the executor layer wraps it with the failing trial's name.
+  policy) is *quarantined* and the next living host takes its turn.
+  Evaluations are deterministic and idempotent, so a re-sent design
+  point can never produce a duplicate or divergent result — which is
+  what keeps a multi-host sweep bit-identical to a serial in-process
+  run.
+- **Revival.** A quarantined host that has rested ``revive_after_s``
+  is re-probed via ``GET /healthz`` at the next dispatch, and when
+  every host is quarantined the pool re-probes them all at once; a
+  host that answers is backfilled and rejoins (a restarted server
+  rejoins automatically). Only when that last sweep finds no living
+  host does the call raise, with a per-host error inventory; the
+  executor layer wraps it with the failing trial's name.
 - **The shared cache tier.** :meth:`HostPool.cache_read` and
   :meth:`HostPool.cache_write` carry a
   :class:`~repro.core.cache_store.ServerCacheStore`'s ``/cache``
-  traffic under the same quarantine, revival and backfill.
+  traffic through the same failover loop as whole-batch evaluation,
+  in URL order instead of round-robin.
 
 Server-produced errors (HTTP 4xx/5xx bodies — unknown env, cost-model
 crash) are **not** failover events: they are deterministic and would
@@ -69,7 +72,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from fractions import Fraction
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import ServiceError, ServiceTransportError
 from repro.service.client import ServiceClient
@@ -126,8 +129,8 @@ class _Host:
     """One evaluation service inside the pool."""
 
     __slots__ = (
-        "url", "client", "probe_client", "weight", "alive", "inflight",
-        "evals", "last_error", "quarantined_at", "auto_weight",
+        "url", "client", "probe_client", "weight", "alive", "evals",
+        "last_error", "quarantined_at", "auto_weight",
         "rate_ewma", "seen_evals", "seen_busy_s", "scatter_worker",
     )
 
@@ -141,16 +144,14 @@ class _Host:
         #: quarantined host — a probe of a still-dead host must cost
         #: seconds, not the full evaluation timeout × retries.
         self.probe_client = probe_client
-        #: Relative capacity: a weight-2 host takes twice the
-        #: concurrent load (least-load compares inflight/weight) and
-        #: twice the share of a scattered generation.
+        #: Relative capacity: a weight-2 host takes twice the share of
+        #: a scattered generation (weights size scatter chunks only).
         self.weight = weight
         self.alive = True
-        self.inflight = 0
         self.evals = 0  # design points this host answered
         self.last_error: Optional[str] = None
         self.quarantined_at = 0.0
-        #: Effective dispatch weight: equals ``weight`` until an
+        #: Effective scatter weight: equals ``weight`` until an
         #: auto-weights refresh blends in the observed service rate.
         self.auto_weight = weight
         #: EWMA of the observed service rate (design points per busy
@@ -168,10 +169,7 @@ class _Host:
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else f"quarantined ({self.last_error})"
-        return (
-            f"_Host({self.url!r}, {state}, weight={self.weight}, "
-            f"inflight={self.inflight})"
-        )
+        return f"_Host({self.url!r}, {state}, weight={self.weight})"
 
 
 class HostPool:
@@ -181,15 +179,17 @@ class HostPool:
     ----------
     urls:
         Base URLs of running evaluation services. Duplicates are
-        collapsed (one host, one health state). Order is the tie-break
-        for least-load dispatch.
+        collapsed (one host, one health state). Order is the
+        round-robin order of whole-batch calls and the replica order
+        of the shared cache tier (its first living host is the
+        primary).
     weights:
         Per-host capacity weights aligned with ``urls`` (``None`` =
-        all 1.0). A weight-W host carries W× the concurrent load under
-        least-load dispatch (load is counted as ``inflight / weight``)
-        and receives a W-proportional share of every scattered batch.
-        Weights must be positive and finite; duplicate URLs must agree
-        on their weight.
+        all 1.0). A weight-W host receives a W-proportional share of
+        every scattered batch; weights size scatter chunks only, and
+        whole-batch calls go round-robin regardless. Weights must be
+        positive and finite; duplicate URLs must agree on their
+        weight.
     timeout_s, retries, backoff_s:
         Per-host :class:`ServiceClient` policy — each host gets its own
         client (and with it its own keep-alive connections).
@@ -198,14 +198,13 @@ class HostPool:
         its ``/healthz`` (with a short-timeout, zero-retry probe) and
         revives it on success — so one transient failure costs a host
         at most this long, not the rest of the sweep. A failed probe
-        restarts the clock. ``0`` probes on every dispatch; ``None``
-        disables timed revival (the all-dead revival sweep still runs).
-        A revived host is first *backfilled*: the pool pages a living
+        restarts the clock. ``0`` probes on every dispatch. A revived
+        host is first *backfilled*: the pool pages a living
         replica's ``/cache`` map into it (the anti-entropy sweep), so
         a server that restarted empty rejoins with the fleet's shared
         entries instead of forcing re-simulation.
     auto_weights:
-        Self-tune the dispatch weights from observed service rates.
+        Self-tune the scatter weights from observed service rates.
         Every ``auto_weights_interval_s`` the pool reads each living
         host's ``/healthz`` counters (``evaluations`` and the server's
         ``busy_s`` accumulator), computes the per-window service rate
@@ -213,18 +212,20 @@ class HostPool:
         scales each host's static weight by its rate relative to the
         fastest host — clamped to a floor so a slow host keeps a
         trickle of work (and a *cold* host with no measurements keeps
-        its full static weight, never starved). Least-load dispatch
-        and generation scatter then rebalance a heterogeneous fleet
-        automatically. Purely a placement knob: evaluations are
-        deterministic, so results are byte-identical either way.
+        its full static weight, never starved). Generation scatter
+        then rebalances a heterogeneous fleet automatically. Purely a
+        placement knob: evaluations are deterministic, so results are
+        byte-identical either way.
     auto_weights_interval_s:
         Seconds between auto-weight refreshes (``0`` refreshes on
         every dispatch — useful in tests and microbenchmarks).
 
-    Thread-safe: the parallel executor may drive one pool from many
-    threads; host selection and in-flight accounting sit under one
-    lock, while the HTTP calls themselves run outside it. Scatters
-    from several threads queue behind each host's one scatter worker.
+    Thread-safe: host state (health, the round-robin cursor, the
+    counters) sits under one lock, while the HTTP calls themselves run
+    outside it. In a sweep one thread drives each trial process's pool,
+    but the pool's own scatter and stream workers dispatch through it
+    concurrently, and scatters from several threads queue behind each
+    host's one scatter worker.
     """
 
     def __init__(
@@ -233,7 +234,7 @@ class HostPool:
         timeout_s: float = 60.0,
         retries: int = 2,
         backoff_s: float = 0.05,
-        revive_after_s: Optional[float] = 30.0,
+        revive_after_s: float = 30.0,
         weights: Optional[Sequence[float]] = None,
         auto_weights: bool = False,
         auto_weights_interval_s: float = 5.0,
@@ -259,7 +260,7 @@ class HostPool:
         # Dedupe on the client-normalized base URL, not the raw string:
         # 'http://h:1' and 'http://h:1/' are one server, and two _Host
         # entries for it would split its quarantine state and double
-        # its share of least-load dispatch.
+        # its share of round-robin dispatch.
         self._hosts: List[_Host] = []
         seen: Dict[str, float] = {}
         for url, weight in zip(urls, weights):
@@ -290,7 +291,7 @@ class HostPool:
         self._weights_refreshed_at = float("-inf")
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._next = 0  # round-robin cursor for load ties
+        self._next = 0  # round-robin cursor: the host _call tries first
         #: Cumulative streaming-dispatch accounting (under ``_lock``):
         #: work units dispatched, units re-dispatched by an idle host
         #: stealing a straggler's in-flight work, and late duplicate
@@ -312,11 +313,6 @@ class HostPool:
         return [h.url for h in self._hosts]
 
     @property
-    def alive_urls(self) -> List[str]:
-        with self._lock:
-            return [h.url for h in self._hosts if h.alive]
-
-    @property
     def quarantined_urls(self) -> List[str]:
         with self._lock:
             return [h.url for h in self._hosts if not h.alive]
@@ -334,7 +330,7 @@ class HostPool:
 
     @property
     def effective_weights_by_host(self) -> Dict[str, float]:
-        """The weights dispatch actually uses right now: the static
+        """The weights the scatter actually uses right now: the static
         weights, scaled by observed service rates when
         ``auto_weights`` is on (identical to :attr:`weights_by_host`
         until the first refresh with rate data)."""
@@ -349,33 +345,11 @@ class HostPool:
         return getattr(self._local, "last_host", None)
 
     def __repr__(self) -> str:
-        return f"HostPool(hosts={self.urls}, alive={self.alive_urls})"
+        return (
+            f"HostPool(hosts={self.urls}, quarantined={self.quarantined_urls})"
+        )
 
     # -- health -------------------------------------------------------------------
-
-    def check_health(self) -> Dict[str, Optional[Dict[str, Any]]]:
-        """Probe every host's ``/healthz``; returns ``url -> health``
-        (``None`` for non-responders, which are quarantined). Raises
-        :class:`ServiceError` only if *no* host answers — a pool with
-        any survivor can still run the sweep."""
-        report: Dict[str, Optional[Dict[str, Any]]] = {}
-        for host in self._hosts:
-            with self._lock:
-                was_dead = not host.alive
-            try:
-                report[host.url] = host.client.healthz()
-            except ServiceError as exc:
-                report[host.url] = None
-                self._mark(host, alive=False, error=str(exc))
-                continue
-            if was_dead:
-                self._backfill_cache(host)
-            self._mark(host, alive=True)
-        if not any(v is not None for v in report.values()):
-            raise ServiceError(
-                f"no evaluation host is healthy: {self._error_inventory()}"
-            )
-        return report
 
     def _mark(self, host: _Host, alive: bool, error: Optional[str] = None) -> None:
         with self._lock:
@@ -384,57 +358,41 @@ class HostPool:
             if not alive:
                 host.quarantined_at = time.monotonic()
 
-    def _timed_revival(self) -> None:
-        """Re-probe quarantined hosts whose rest period has elapsed.
-
-        One short healthz per due host per ``revive_after_s`` window —
-        a failed probe restarts its clock, so a still-dead host costs
-        the dispatch path a bounded, occasional probe instead of the
-        full evaluation timeout on every trial.
-        """
-        if self.revive_after_s is None:
-            return
-        now = time.monotonic()
-        for host in self._hosts:
-            with self._lock:
-                due = (
-                    not host.alive
-                    and now - host.quarantined_at >= self.revive_after_s
-                )
-                if due:
-                    # Claim this probe slot: concurrent dispatchers —
-                    # and a failed probe — cannot double-probe.
-                    host.quarantined_at = now
-            if due:
-                self._probe_and_revive(host)
-
     def _error_inventory(self) -> str:
         with self._lock:
             return "; ".join(
                 f"{h.url}: {h.last_error or 'ok'}" for h in self._hosts
             )
 
-    def _revive_sweep(self) -> int:
-        """All hosts are quarantined: healthz-probe each one and revive
-        the responders. Returns how many came back."""
+    def _revive(self, rest_s: float) -> int:
+        """Probe each quarantined host that has rested at least
+        ``rest_s`` seconds; returns how many came back.
+
+        Timed revival passes ``revive_after_s``; the sweep that runs
+        when every host is dead passes 0. Each probe is one short
+        healthz, claimed by restarting its host's clock: concurrent
+        dispatchers cannot double-probe, and a still-dead host costs
+        the dispatch path a bounded, occasional probe instead of the
+        full evaluation timeout on every trial. A responder is
+        backfilled, then rejoins the pool.
+        """
         revived = 0
+        now = time.monotonic()
         for host in self._hosts:
             with self._lock:
-                dead = not host.alive
-            if dead and self._probe_and_revive(host):
-                revived += 1
+                due = not host.alive and now - host.quarantined_at >= rest_s
+                if due:
+                    host.quarantined_at = now
+            if not due:
+                continue
+            try:
+                host.probe_client.healthz()
+            except ServiceError:
+                continue
+            self._backfill_cache(host)
+            self._mark(host, alive=True)
+            revived += 1
         return revived
-
-    def _probe_and_revive(self, host: _Host) -> bool:
-        """Short healthz probe of a quarantined host; a responder is
-        backfilled, then rejoins the pool."""
-        try:
-            host.probe_client.healthz()
-        except ServiceError:
-            return False
-        self._backfill_cache(host)
-        self._mark(host, alive=True)
-        return True
 
     def _backfill_cache(self, revived: _Host) -> None:
         """Anti-entropy: page a living replica's cache into ``revived``.
@@ -473,7 +431,7 @@ class HostPool:
             return
 
     def _refresh_auto_weights(self) -> None:
-        """Blend observed service rates into the dispatch weights.
+        """Blend observed service rates into the scatter weights.
 
         Reads each living host's ``/healthz`` counters through the
         cheap probe client, turns the counter deltas since the last
@@ -533,7 +491,7 @@ class HostPool:
             )
 
     def _apply_auto_weights(self) -> None:
-        """Recompute the effective dispatch weights from the rate EWMAs
+        """Recompute the effective scatter weights from the rate EWMAs
         (a no-op — and no counted update — until at least one host has
         a measurement)."""
         with self._lock:
@@ -554,69 +512,83 @@ class HostPool:
 
     # -- dispatch -----------------------------------------------------------------
 
-    def _acquire(self) -> Optional[_Host]:
-        """Least-loaded living host (in-flight count bumped), or None.
+    def _try_host(
+        self, host: _Host, op: str, n_evals: int, *args: Any, **kwargs: Any
+    ) -> Any:
+        """One attempt pinned to ``host``, crediting it ``n_evals``
+        design points when it answers.
 
-        Load is in-flight requests *divided by effective capacity
-        weight* (the static weight, rate-scaled when auto-weights is
-        on), so a weight-2 host is only "as busy" as a weight-1 host
-        carrying half its requests. Load ties break round-robin, not
-        by position: a serial caller (whose in-flight count is always
-        zero at dispatch time) must still spread its requests over the
-        whole fleet instead of pinning the first host.
+        Transport death (after the client's own retries) quarantines
+        the host and re-raises so the caller can fail the work over:
+        the request is idempotent, so the next host re-runs it safely.
+        Server-produced errors propagate untouched.
         """
+        try:
+            result = getattr(host.client, op)(*args, **kwargs)
+        except ServiceTransportError as exc:
+            self._mark(host, alive=False, error=str(exc))
+            raise
         with self._lock:
-            living = [(i, h) for i, h in enumerate(self._hosts) if h.alive]
-            if not living:
-                return None
-            n = len(self._hosts)
-            start = self._next % n
-            index, host = min(
-                living,
-                key=lambda ih: (
-                    ih[1].inflight / ih[1].auto_weight, (ih[0] - start) % n
-                ),
-            )
-            self._next = index + 1
-            host.inflight += 1
-            return host
+            host.evals += n_evals
+        return result
 
-    def _release(self, host: _Host, n_evals: int, ok: bool) -> None:
-        with self._lock:
-            host.inflight -= 1
-            if ok:
-                host.evals += n_evals
+    def _failover(
+        self, op: str, n_evals: int, *args: Any,
+        copies: int, rotate: bool, failed: str, **kwargs: Any,
+    ) -> List[Tuple[_Host, Any]]:
+        """Run ``op`` on living hosts, one after another, until
+        ``copies`` of them answer; returns ``(host, answer)`` pairs.
+
+        With ``rotate`` the hosts are tried from the round-robin
+        cursor, which moves past every host tried; otherwise in URL
+        order. A host whose transport dies is quarantined and the next
+        living host takes its turn. If no host answers, one revival
+        sweep runs; if it revives none, or they fail too,
+        :class:`ServiceTransportError` carries ``failed`` and the
+        per-host error inventory.
+        """
+        n = len(self._hosts)
+        revived = False
+        while True:
+            tried: Set[int] = set()
+            answers: List[Tuple[_Host, Any]] = []
+            while len(answers) < copies:
+                with self._lock:
+                    start = self._next if rotate else 0
+                    ring = [(start + k) % n for k in range(n)]
+                    index = next(
+                        (i for i in ring if self._hosts[i].alive and i not in tried),
+                        None,
+                    )
+                    if index is None:
+                        break
+                    tried.add(index)
+                    if rotate:
+                        self._next = (index + 1) % n
+                host = self._hosts[index]
+                try:
+                    answer = self._try_host(host, op, n_evals, *args, **kwargs)
+                except ServiceTransportError:
+                    continue  # quarantined: the next living host takes its turn
+                answers.append((host, answer))
+            if answers:
+                return answers
+            if revived or not self._revive(0.0):
+                raise ServiceTransportError(f"{failed}: {self._error_inventory()}")
+            revived = True
 
     def _call(self, op: str, n_evals: int, *args: Any, **kwargs: Any) -> Any:
-        """Run ``op`` on the least-loaded host, failing over on
-        transport death; at most one all-dead revival sweep per call."""
-        self._timed_revival()
+        """Run ``op`` on one host, round-robin, through the failover
+        loop; due quarantined hosts are re-probed first."""
+        self._revive(self.revive_after_s)
         self._refresh_auto_weights()
-        revived_once = False
-        while True:
-            host = self._acquire()
-            if host is None:
-                if not revived_once and self._revive_sweep():
-                    revived_once = True
-                    continue
-                raise ServiceTransportError(
-                    f"all {len(self._hosts)} evaluation host(s) failed: "
-                    f"{self._error_inventory()}"
-                )
-            ok = False
-            try:
-                result = getattr(host.client, op)(*args, **kwargs)
-                ok = True
-            except ServiceTransportError as exc:
-                # The host is unreachable (after the client's own
-                # retries): quarantine it and fail over. The request is
-                # idempotent, so the next host re-runs it safely.
-                self._mark(host, alive=False, error=str(exc))
-                continue
-            finally:
-                self._release(host, n_evals, ok)
-            self._local.last_host = host.url
-            return result
+        [(host, result)] = self._failover(
+            op, n_evals, *args, copies=1, rotate=True,
+            failed=f"all {len(self._hosts)} evaluation host(s) failed",
+            **kwargs,
+        )
+        self._local.last_host = host.url
+        return result
 
     # -- the surface RemoteBackend uses -------------------------------------------
 
@@ -626,8 +598,8 @@ class HostPool:
         action: Dict[str, Any],
         env_kwargs: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, float]:
-        """Evaluate one design point on the best available host: a
-        one-action batch, with the same failover."""
+        """Evaluate one design point on the next host in round-robin
+        order: a one-action batch, with the same failover."""
         return self._call("evaluate_batch", 1, env, [action], env_kwargs=env_kwargs)[0]
 
     def evaluate_batch(
@@ -640,28 +612,6 @@ class HostPool:
         return self._call(
             "evaluate_batch", len(actions), env, actions, env_kwargs=env_kwargs
         )
-
-    def _try_host(
-        self, host: _Host, op: str, n_evals: int, *args: Any, **kwargs: Any
-    ) -> Any:
-        """One attempt pinned to ``host`` (in-flight accounted).
-
-        Transport death quarantines the host and re-raises so the
-        caller can fail the work over; server-produced errors
-        propagate untouched, like :meth:`_call`.
-        """
-        with self._lock:
-            host.inflight += 1
-        ok = False
-        try:
-            result = getattr(host.client, op)(*args, **kwargs)
-            ok = True
-            return result
-        except ServiceTransportError as exc:
-            self._mark(host, alive=False, error=str(exc))
-            raise
-        finally:
-            self._release(host, n_evals, ok)
 
     def evaluate_batch_scatter(
         self,
@@ -681,17 +631,17 @@ class HostPool:
         provenance :class:`~repro.core.env.ArchGymEnv` records).
 
         A chunk whose assigned host dies mid-flight is quarantined and
-        the chunk re-dispatched through the ordinary least-load
-        failover path (evaluations are idempotent, so a re-sent chunk
-        cannot diverge). A batch that would land on a single host —
-        one living host, or a batch too small to split — delegates to
-        the whole-batch path so tiny batches keep round-robin/
-        least-load placement instead of pinning the heaviest host.
+        the chunk re-dispatched through the round-robin failover path
+        (evaluations are idempotent, so a re-sent chunk cannot
+        diverge). A batch that would land on a single host — one
+        living host, or a batch too small to split — delegates to the
+        whole-batch path so tiny batches keep round-robin placement
+        instead of pinning the heaviest host.
         """
         actions = list(actions)
         if not actions:
             return [], []
-        self._timed_revival()
+        self._revive(self.revive_after_s)
         self._refresh_auto_weights()
         with self._lock:
             alive = [h for h in self._hosts if h.alive]
@@ -785,8 +735,8 @@ class HostPool:
         **No tail barrier.** The generator finishes when every unit's
         *result* is known, not when every request has returned: an
         abandoned straggler request may still be in flight while the
-        caller moves on (its eventual completion is discarded, its
-        in-flight slot released by the worker thread). That is the
+        caller moves on (its worker thread discards its eventual
+        completion). That is the
         pipelining hook — the driver can breed and dispatch the next
         generation to the idle hosts while the straggler chews on a
         stale request.
@@ -803,12 +753,12 @@ class HostPool:
 
         A batch with fewer than two work units — or a pool with fewer
         than two living hosts — delegates to the whole-batch
-        least-load path and yields a single chunk.
+        round-robin path and yields a single chunk.
         """
         actions = list(actions)
         if not actions:
             return
-        self._timed_revival()
+        self._revive(self.revive_after_s)
         self._refresh_auto_weights()
         with self._lock:
             alive = [h for h in self._hosts if h.alive]
@@ -839,8 +789,8 @@ class HostPool:
         with self._lock:
             self.stream_units += len(units)
 
-        def take_work(host: _Host) -> Optional[Tuple[int, bool]]:
-            """Next unit for ``host`` (bumping in-flight), or None."""
+        def take_work(host: _Host) -> Optional[int]:
+            """Next unit for ``host``, or None."""
             with state_lock:
                 if stop[0]:
                     return None
@@ -856,26 +806,22 @@ class HostPool:
                     uid = min(candidates, key=lambda u: (len(runners[u]), u))
                     stolen = True
                 runners.setdefault(uid, set()).add(host)
-            with self._lock:
-                host.inflight += 1
-                if stolen:
+            if stolen:
+                with self._lock:
                     self.stream_steals += 1
-            return uid, stolen
+            return uid
 
         def worker(host: _Host) -> None:
             try:
                 while True:
-                    work = take_work(host)
-                    if work is None:
+                    uid = take_work(host)
+                    if uid is None:
                         return
-                    uid, _ = work
                     start, sub = units[uid]
                     try:
                         got = host.client.evaluate_batch(env, sub, env_kwargs=env_kwargs)
                     except ServiceTransportError as exc:
                         self._mark(host, alive=False, error=str(exc))
-                        with self._lock:
-                            host.inflight -= 1
                         with state_lock:
                             crew = runners.get(uid)
                             if crew is not None:
@@ -888,8 +834,6 @@ class HostPool:
                     except BaseException as exc:
                         # Server-produced (deterministic) error: would
                         # fail identically on every host — surface it.
-                        with self._lock:
-                            host.inflight -= 1
                         with state_lock:
                             stop[0] = True
                             crew = runners.get(uid)
@@ -906,7 +850,6 @@ class HostPool:
                             done[uid] = True
                             won = True
                     with self._lock:
-                        host.inflight -= 1
                         if won:
                             host.evals += len(sub)
                         else:
@@ -953,7 +896,7 @@ class HostPool:
                         # includes a host whose worker merely ran out
                         # of stealable work before a straggler died
                         # and requeued its unit.
-                        if not revived_once and self._revive_sweep():
+                        if not revived_once and self._revive(0.0):
                             revived_once = True
                         with self._lock:
                             living = [h for h in self._hosts if h.alive]
@@ -982,31 +925,14 @@ class HostPool:
 
     def cache_write(self, op: str, copies: int, *args: Any) -> List[Any]:
         """Run the ``/cache`` call ``op`` on the first ``copies`` living
-        hosts in URL order, one after another; returns their answers.
-        A host whose transport dies is quarantined (for evaluation
-        dispatch too) and the next living host takes its turn; if none
-        answers, one revival sweep precedes :class:`ServiceTransportError`.
-        Credits no ``evals`` and leaves :attr:`last_host` alone."""
-        revived = False
-        while True:
-            with self._lock:
-                living = [h for h in self._hosts if h.alive]
-            answers: List[Any] = []
-            for host in living:
-                if len(answers) == copies:
-                    break
-                try:
-                    answers.append(self._try_host(host, op, 0, *args))
-                except ServiceTransportError:
-                    pass  # quarantined: the next living host takes its turn
-            if answers:
-                return answers
-            if revived or not self._revive_sweep():
-                raise ServiceTransportError(
-                    f"shared-cache {op} failed on every replica host: "
-                    f"{self._error_inventory()}"
-                )
-            revived = True
+        hosts in URL order through the failover loop of evaluation
+        dispatch; returns their answers. A host whose transport dies
+        is quarantined (for evaluation dispatch too). Credits no ``evals`` and leaves :attr:`last_host` alone."""
+        answers = self._failover(
+            op, 0, *args, copies=copies, rotate=False,
+            failed=f"shared-cache {op} failed on every replica host",
+        )
+        return [answer for _, answer in answers]
 
     def close(self) -> None:
         """Release every transport resource the pool holds: each host's

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.agents.base import SearchResult, check_proxy_knobs
+from repro.agents.base import SearchResult, check_count, check_proxy_knobs
 from repro.agents.hyperparams import HYPERPARAM_GRIDS, sample_hyperparams
 from repro.core.dataset import ArchGymDataset
 from repro.core.env import ArchGymEnv
@@ -322,10 +322,8 @@ def validate_sweep_args(
     the corrected rerun as a different sweep. The proxy knobs are
     checked as :func:`~repro.agents.base.run_agent` checks them."""
     validate_agent_names(agents)
-    if n_samples < 1:
-        raise ArchGymError(f"n_samples must be >= 1, got {n_samples}")
-    if workers < 1:
-        raise ExecutorError(f"workers must be >= 1, got {workers}")
+    check_count("n_samples", n_samples, ArchGymError)
+    check_count("workers", workers, ExecutorError)
     if resume and not out_dir:
         raise ArchGymError("resume requires an out_dir (--out-dir)")
     if shared_cache and not out_dir and not service_url:
@@ -429,16 +427,16 @@ def run_lottery_sweep(
         :class:`repro.service.EvaluationService` at this URL instead of
         running it in the worker process — one sweep can then saturate
         a remote simulator fleet. A *sequence* of URLs schedules the
-        sweep over a least-load multi-host
+        sweep over a round-robin multi-host
         :class:`~repro.sweeps.hostpool.HostPool`: a host that dies
         mid-sweep is quarantined (after the client retry policy) and
         its work fails over to the survivors, with per-host evaluation
         counts reported in ``remote_hosts``. Each URL may carry a
         capacity weight as ``URL=WEIGHT`` (default 1): a weight-2 host
-        takes twice the concurrent load and twice the share of every
-        scattered generation. Environments are still built locally
-        (agents need their spaces and reward specs), seeds and trial
-        order are unchanged, and metrics round-trip JSON exactly, so
+        takes twice the share of every scattered generation.
+        Environments are still built locally (agents need their spaces
+        and reward specs), seeds and trial order are unchanged, and
+        metrics round-trip JSON exactly, so
         the report is bit-identical to an in-process run apart from
         timing and the ``remote_evals`` counters in the footer — for
         any number of hosts. Like ``workers``, this is a wall-clock
@@ -517,8 +515,7 @@ def run_lottery_sweep(
         corpus holds this many points and validation RMSE clears the
         proxy's gate.
     """
-    if n_trials < 1:
-        raise ArchGymError(f"n_trials must be >= 1, got {n_trials}")
+    check_count("n_trials", n_trials, ArchGymError)
     if service_url is not None and not isinstance(service_url, str):
         service_url = tuple(service_url) or None  # empty list == no service
     validate_sweep_args(

@@ -126,6 +126,13 @@ class TestDriver:
         with pytest.raises(AgentError):
             run_agent(agent, env, n_samples=0)
 
+    @pytest.mark.parametrize("n_samples", [2.5, True])
+    def test_non_integer_sample_count(self, n_samples):
+        env = PeakEnv()
+        agent = make_agent("rw", env.action_space)
+        with pytest.raises(AgentError, match="n_samples"):
+            run_agent(agent, env, n_samples=n_samples)
+
 
 class TestConvergence:
     """Every agent should comfortably beat random's *median* draw on a

@@ -311,6 +311,11 @@ class TestExecutor:
         with pytest.raises(ExecutorError):
             execute_trials(self._tasks(), workers=0)
 
+    @pytest.mark.parametrize("workers", [1.5, True])
+    def test_non_integer_worker_count(self, workers):
+        with pytest.raises(ExecutorError, match="workers"):
+            execute_trials(self._tasks(), workers=workers)
+
     def test_unpicklable_factory_fails_fast(self):
         tasks = self._tasks(factory=lambda: CountingEnv())
         with pytest.raises(ExecutorError, match="pickl"):
@@ -657,6 +662,34 @@ class TestFailFastValidation:
             CountingEnv, agents=("gamma",), n_trials=1, n_samples=8
         )
         assert len(report.results["gamma"]) == 1
+
+    @pytest.mark.parametrize("count, error", [
+        ({"n_samples": 20.5}, ArchGymError),
+        ({"n_samples": True}, ArchGymError),
+        ({"n_trials": 1.5}, ArchGymError),
+        ({"workers": 1.5}, ExecutorError),
+        ({"workers": True}, ExecutorError),
+    ], ids=["n_samples-float", "n_samples-bool", "n_trials-float",
+            "workers-float", "workers-bool"])
+    def test_non_integer_counts_rejected_before_manifest(
+        self, tmp_path, count, error
+    ):
+        """The CLI's count flags are int-typed; a library caller is not.
+        A float ``n_samples`` used to get ``sweep.json`` written and then
+        a bare ``TypeError`` from the trial (so the corrected rerun was
+        refused as a different sweep), a float ``n_trials`` a bare
+        ``TypeError``, ``n_samples=True`` ran one sample, and a float or
+        bool ``workers`` was recorded as the report's worker count."""
+        from repro.cli import RegistryEnvFactory
+
+        out = tmp_path / "run"
+        kwargs = dict(
+            agents=("rw",), n_trials=1, n_samples=10, workers=1, out_dir=out
+        )
+        kwargs.update(count)
+        with pytest.raises(error, match=next(iter(count))):
+            run_lottery_sweep(RegistryEnvFactory("DRAMGym-v0"), **kwargs)
+        assert not (out / "sweep.json").exists()
 
 
 class TestDatasetMergeHelpers:

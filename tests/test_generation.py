@@ -19,9 +19,8 @@ Four batteries:
    byte-identical to the point-at-a-time reference driver
    (``tests/serial_reference.py``) for every built-in agent.
 4. **Weighted dispatch plumbing** — ``URL=WEIGHT`` parsing,
-   ``weighted_split`` apportioning, the pool's weight-aware least-load
-   and scatter, and ``ServerCacheStore`` failover to the next pool
-   host.
+   ``weighted_split`` apportioning, the pool's weight-sized scatter,
+   and ``ServerCacheStore`` failover to the next pool host.
 """
 
 import itertools
@@ -830,29 +829,6 @@ class TestWeightedHostPool:
             ["http://a:1", "http://b:1"], weights=[2.0, 1.0], timeout_s=1.0
         )
         assert pool.weights_by_host == {"http://a:1": 2.0, "http://b:1": 1.0}
-
-    def test_least_load_divides_by_weight(self, closing):
-        """A weight-4 host with 2 in-flight (load 0.5) must win over a
-        weight-1 host with 1 in-flight (load 1.0)."""
-        svc_a = EvaluationService()
-        svc_a.register("SvcCounting-v0", SvcCountingEnv)
-        svc_a.start()
-        svc_b = EvaluationService()
-        svc_b.register("SvcCounting-v0", SvcCountingEnv)
-        svc_b.start()
-        try:
-            pool = closing(HostPool(
-                [svc_a.url, svc_b.url], weights=[4.0, 1.0],
-                timeout_s=10.0, retries=0,
-            ))
-            pool._hosts[0].inflight = 2
-            pool._hosts[1].inflight = 1
-            for i in range(4):
-                pool.evaluate("SvcCounting-v0", {"x": i, "m": "a"})
-            assert svc_a.evaluations == 4 and svc_b.evaluations == 0
-        finally:
-            svc_a.stop()
-            svc_b.stop()
 
 
 @pytest.fixture()

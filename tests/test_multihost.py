@@ -2,9 +2,8 @@
 
 Five batteries:
 
-1. **Scheduling** — least-load dispatch with round-robin tie-breaks
-   (a serial caller spreads over the fleet), per-host accounting, and
-   health checks.
+1. **Scheduling** — round-robin dispatch (a serial caller spreads
+   over the fleet) and per-host accounting.
 2. **Fault injection** — a host killed mid-sweep fails over with no
    lost or duplicated trials; every host dead surfaces a
    :class:`ServiceError` naming the trial; a host returning torn batch
@@ -155,15 +154,6 @@ class TestHostPoolScheduling:
         assert a.evaluations == 4 and b.evaluations == 4
         assert pool.evals_by_host == {a.url: 4, b.url: 4}
 
-    def test_loaded_host_sheds_to_idle_one(self, two_services, closing):
-        a, b = two_services
-        pool = closing(HostPool([a.url, b.url], timeout_s=10.0, retries=0))
-        # Pin synthetic in-flight load on host a: every call must go b.
-        pool._hosts[0].inflight = 5
-        for i in range(4):
-            pool.evaluate("SvcCounting-v0", {"x": i, "m": "a"})
-        assert a.evaluations == 0 and b.evaluations == 4
-
     def test_last_host_tracks_the_answering_host(self, two_services, closing):
         a, b = two_services
         pool = closing(HostPool([a.url, b.url], timeout_s=10.0, retries=0))
@@ -171,26 +161,6 @@ class TestHostPoolScheduling:
         first = pool.last_host
         pool.evaluate("SvcCounting-v0", {"x": 2, "m": "a"})
         assert {first, pool.last_host} == {a.url, b.url}
-
-    def test_check_health_quarantines_non_responders(self, two_services, closing):
-        a, b = two_services
-        dead = f"http://127.0.0.1:{_free_port()}"
-        pool = closing(HostPool(
-            [a.url, dead, b.url], timeout_s=1.0, retries=0, backoff_s=0.01
-        ))
-        report = pool.check_health()
-        assert report[a.url]["status"] == "ok"
-        assert report[b.url]["status"] == "ok"
-        assert report[dead] is None
-        assert pool.quarantined_urls == [dead]
-
-    def test_check_health_all_dead_raises(self):
-        pool = HostPool(
-            [f"http://127.0.0.1:{_free_port()}" for _ in range(2)],
-            timeout_s=0.5, retries=0, backoff_s=0.01,
-        )
-        with pytest.raises(ServiceError, match="no evaluation host is healthy"):
-            pool.check_health()
 
 
 class TestHostPoolFailover:
@@ -615,13 +585,15 @@ class TestCacheBackfill:
         return client, entries
 
     def test_check_health_backfills_revived_host(self, two_services, closing):
-        """450 donor entries are three listing pages: the revived host
-        receives exactly one bulk write per page, and every entry."""
+        """450 donor entries are three listing pages: the host revived
+        by a dispatch receives exactly one bulk write per page, and
+        every entry."""
         a, b = two_services
         url_b, port_b = b.url, b.port
         client_a, seeded = self._seed(closing, a.url, 450)
         pool = closing(HostPool(
-            [a.url, url_b], timeout_s=1.0, retries=0, backoff_s=0.01
+            [a.url, url_b], timeout_s=1.0, retries=0, backoff_s=0.01,
+            revive_after_s=0.05,
         ))
         b.stop()
         for i in range(2):  # quarantine b via failed dispatch
@@ -635,14 +607,14 @@ class TestCacheBackfill:
             writes.append(len(entries)), real_put_many(entries)
         )
         try:
-            report = pool.check_health()
-            assert report[url_b]["status"] == "ok"
+            time.sleep(0.1)  # let the rest period elapse
+            pool.evaluate("SvcCounting-v0", {"x": 2, "m": "a"})
+            client_b = closing(ServiceClient(url_b, timeout_s=5.0, retries=0))
+            assert client_b.healthz()["status"] == "ok"
             assert pool.quarantined_urls == []
             assert pool.cache_backfills == donor_size
             assert writes == [200, 200, 50]
-            entries, total = closing(ServiceClient(
-                url_b, timeout_s=5.0, retries=0
-            )).cache_list(limit=1000)
+            entries, total = client_b.cache_list(limit=1000)
             assert total == donor_size
             got = dict(entries)
             for key_str, metrics in seeded.items():
@@ -948,8 +920,8 @@ class TestAutoWeights:
             [a.url, b.url], timeout_s=10.0, retries=0,
             auto_weights=True, auto_weights_interval_s=0.0,
         ))
-        pool._hosts[0].inflight = 5  # starve a: every call goes to b
-        for i in range(6):
+        pool._mark(pool._hosts[0], alive=False, error="kept cold")
+        for i in range(6):  # a is quarantined: every call goes to b
             pool.evaluate("SvcCounting-v0", {"x": i, "m": "a"})
         eff = pool.effective_weights_by_host
         assert eff[a.url] == pytest.approx(1.0)

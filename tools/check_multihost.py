@@ -20,7 +20,7 @@ over a two-host pool with a mid-sweep kill:
    DRAMGym's, so the entries it leaves behind can never answer the
    sweep below;
 3. starts a seeded sweep spread over both hosts (two ``--service-url``
-   flags — least-load scheduling with failover) with the replicated
+   flags — round-robin scheduling with failover) with the replicated
    shared-cache tier on (``--shared-cache --cache-replicas 2`` — host
    A, the first URL, is the cache *primary*) exporting its report;
 4. while the sweep runs, waits until host A has actually evaluated

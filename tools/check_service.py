@@ -155,7 +155,7 @@ def generation_microbench(
     One real GA generation (``population`` distinct-by-construction
     design points from ``GAAgent.propose_batch``) is evaluated two
     ways over the same multi-host pool: per point (a one-point
-    ``POST /evaluate_batch`` each, spread least-load/round-robin,
+    ``POST /evaluate_batch`` each, spread round-robin,
     checked on the hosts' ``/healthz`` ``batch_requests``) and
     scattered (``HostPool.evaluate_batch_scatter`` — one
     ``POST /evaluate_batch`` per host, in parallel). The scattered leg
