@@ -10,7 +10,8 @@ energy x devices-per-rank), so that total power lands in the realistic
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from repro.core.errors import SimulationError
 
@@ -23,6 +24,16 @@ __all__ = [
     "DDR3_1600",
     "LPDDR4_3200",
 ]
+
+
+def _require_finite(params) -> None:
+    """Refuse a NaN or infinite field of a timing or energy dataclass: the
+    simulator's clock never gets past a non-finite time, so the run would
+    not end, and a non-finite energy poisons every result."""
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if not math.isfinite(value):
+            raise SimulationError(f"{field.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,7 @@ class DramTimings:
     burst_length: int = 8
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.tck <= 0:
             raise SimulationError("tck must be positive")
         if self.trc < self.tras:
@@ -115,6 +127,7 @@ class DramEnergy:
     p_background_idle: float = 0.54     # W, all banks precharged
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         for name in ("e_act", "e_read", "e_write", "e_refresh"):
             if getattr(self, name) < 0:
                 raise SimulationError(f"{name} must be non-negative")

@@ -29,6 +29,8 @@ Modeled mechanisms — exactly the ones the controller parameters tune:
 from __future__ import annotations
 
 import heapq
+import math
+from bisect import insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -104,12 +106,19 @@ class DramSimulator:
         return _run(self.device, config, arrivals, requests)
 
     def _decode(self, trace: Trace) -> Tuple[Tuple[float, ...], Tuple[_Request, ...]]:
-        """Arrival times and decoded requests of ``trace``, memoized."""
+        """Arrival times and decoded requests of ``trace``, memoized.
+        Raises :class:`SimulationError` for a non-finite arrival time."""
         device = self.device
         memo = self._decoded
         if memo is not None and memo[0] is trace and memo[1] is device:
             return memo[2], memo[3]
         arrivals = tuple(r.arrival_ns for r in trace.requests)
+        for index, arrival in enumerate(arrivals):
+            if not math.isfinite(arrival):  # the clock would never pass it
+                raise SimulationError(
+                    f"request {index} of trace {trace.name!r} arrives at "
+                    f"{arrival}: arrival times must be finite"
+                )
         requests = tuple(
             (order, *device.map_address(r.address), r.is_write)
             for order, r in enumerate(trace.requests)
@@ -145,7 +154,13 @@ def _run(
     requests: Tuple[_Request, ...],
 ) -> SimResult:
     """One simulation execution. All mutable state is local; per-bank
-    state lives in six flat lists indexed by bank."""
+    state lives in six flat lists indexed by bank. Beside the scheduler
+    buffer, the ReadWrite and Bankwise organizations keep their views of
+    it up to date where a request is admitted and where one is served:
+    the reads and the writes, or each bank's requests plus the sorted
+    banks that have any, each in buffer order. The scheduler so sees the
+    same pool, in the same order, that filtering the whole buffer would
+    give, without a filter per request served."""
     t, e, nbanks, n = device.timings, device.energy, device.banks, len(requests)
     trc, trcd, trp, tras = t.trc, t.trcd, t.trp, t.tras
     tcl, tcwd, twr, twtr, trtw = t.tcl, t.tcwd, t.twr, t.twtr, t.trtw
@@ -214,10 +229,23 @@ def _run(
 
     next_idx = 0
     buffer: List[_Request] = []
+    # the views of the buffer (see the docstring)
+    pending_reads: List[_Request] = []
+    pending_writes: List[_Request] = []
+    bank_views: List[List[_Request]] = [[] for _ in range(nbanks)]
+    banks_with_work: List[int] = []
     while next_idx < n or buffer:
         # admit arrivals up to the request buffer capacity
         while next_idx < n and arrivals[next_idx] <= now and len(buffer) < cap:
-            buffer.append(requests[next_idx])
+            r = requests[next_idx]
+            buffer.append(r)
+            if read_write_buffer:
+                (pending_writes if r[3] else pending_reads).append(r)
+            elif bankwise_buffer:
+                view = bank_views[r[1]]
+                if not view:
+                    insort(banks_with_work, r[1])
+                view.append(r)
             next_idx += 1
 
         if not buffer:
@@ -263,7 +291,6 @@ def _run(
 
         # candidates: the scheduler-buffer organization, then the arbiter
         if read_write_buffer:
-            pending_writes = [r for r in buffer if r[3]]
             if draining_writes:
                 if len(pending_writes) <= drain_stop:
                     draining_writes = False
@@ -272,12 +299,11 @@ def _run(
             if draining_writes and pending_writes:
                 pool = pending_writes
             else:
-                pool = [r for r in buffer if not r[3]] or buffer
+                pool = pending_reads or buffer
         elif bankwise_buffer:
-            banks_with_work = sorted({r[1] for r in buffer})
             rr_bank = banks_with_work[bank_rr % len(banks_with_work)]
             bank_rr = (bank_rr + 1) % len(banks_with_work)
-            pool = [r for r in buffer if r[1] == rr_bank]
+            pool = bank_views[rr_bank]
         else:
             pool = buffer
         if window:
@@ -305,7 +331,16 @@ def _run(
                         break
         if entry is None:
             entry = pool[0]
+        # remove by value, not the head: FR-FCFS may serve a request that
+        # is not the oldest (entries are unique, ``order`` comes first)
         buffer.remove(entry)
+        if read_write_buffer:
+            (pending_writes if entry[3] else pending_reads).remove(entry)
+        elif bankwise_buffer:
+            view = bank_views[entry[1]]
+            view.remove(entry)
+            if not view:
+                banks_with_work.remove(entry[1])
 
         # per-access timing. A maximum written as ``x = a`` then
         # ``if b > x: x = b`` is ``max(a, b)`` exactly (the first of equal

@@ -10,7 +10,9 @@ code itself and flags:
 - a write / augmented write / mutating method call
   (``self.evals += 1``, ``self._registry[k] = v``,
   ``self._connections.add(c)``) on a guarded attribute outside any
-  lock, outside ``__init__`` (construction predates the threads);
+  lock, outside ``__init__`` (construction predates the threads).
+  Attributes written through a bare local name (``host.evals += n``)
+  are learned and checked the same way, keyed by that name;
 - nested lock acquisitions taken in inconsistent order anywhere in
   the file (A inside B here, B inside A there — a deadlock recipe).
 
@@ -63,17 +65,16 @@ def _lock_name(expr: ast.expr) -> str:
     return ""
 
 
-def _self_attr_target(node: ast.expr) -> str:
-    """The attribute name when ``node`` is a write target rooted at
-    bare ``self`` (``self.x``, ``self.x[k]``); "" otherwise."""
+def _attr_target(node: ast.expr) -> str:
+    """The key of a write target that is an attribute of a bare name:
+    ``x`` for ``self.x`` or ``self.x[k]``, ``host.x`` for ``host.x`` or
+    ``host.x[k]`` (state reached through a local name, such as a pool's
+    per-host records); "" otherwise."""
     if isinstance(node, ast.Subscript):
         node = node.value
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        base = node.value.id
+        return node.attr if base == "self" else f"{base}.{node.attr}"
     return ""
 
 
@@ -133,13 +134,13 @@ class _ClassScanner(ast.NodeVisitor):
         for target in node.targets:
             elts = target.elts if isinstance(target, ast.Tuple) else [target]
             for elt in elts:
-                attr = _self_attr_target(elt)
+                attr = _attr_target(elt)
                 if attr:
                     self._record(attr, node)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        attr = _self_attr_target(node.target)
+        attr = _attr_target(node.target)
         if attr:
             self._record(attr, node)
         self.generic_visit(node)
@@ -150,7 +151,7 @@ class _ClassScanner(ast.NodeVisitor):
             isinstance(func, ast.Attribute)
             and func.attr in MUTATING_METHODS
         ):
-            attr = _self_attr_target(func.value)
+            attr = _attr_target(func.value)
             if attr:
                 self._record(attr, node)
         self.generic_visit(node)

@@ -1,5 +1,7 @@
 """Unit + property tests for the DRAM substrate (repro.dramsys)."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,9 @@ from repro.dramsys import (
     controller_space,
     generate_trace,
 )
-from repro.dramsys.traces import TRACE_NAMES
+from repro.dramsys.traces import TRACE_NAMES, MemoryRequest
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 
 
 class TestDevice:
@@ -53,12 +57,22 @@ class TestDevice:
             DramTimings(trefi=100.0, trfc=200.0)
         with pytest.raises(SimulationError):
             DramTimings(burst_length=3)
+        # a non-finite time would keep the event loop's clock from
+        # advancing (NaN) or trap it in the refresh loop (inf)
+        for field in fields(DramTimings):
+            for value in NON_FINITE:
+                with pytest.raises(SimulationError, match=f"{field.name} must be finite"):
+                    DramTimings(**{field.name: value})
 
     def test_invalid_energy(self):
         with pytest.raises(SimulationError):
             DramEnergy(e_act=-1.0)
         with pytest.raises(SimulationError):
             DramEnergy(p_background_idle=1.0, p_background_active=0.5)
+        for field in fields(DramEnergy):
+            for value in NON_FINITE:
+                with pytest.raises(SimulationError, match=f"{field.name} must be finite"):
+                    DramEnergy(**{field.name: value})
 
     def test_invalid_banks(self):
         with pytest.raises(SimulationError):
@@ -186,6 +200,18 @@ class TestSimulator:
     def test_empty_trace_rejected(self):
         with pytest.raises(SimulationError):
             self.sim.simulate(ControllerConfig(), Trace("empty", ()))
+
+    @pytest.mark.parametrize("arrival", NON_FINITE)
+    def test_non_finite_arrival_rejected(self, arrival):
+        requests = list(generate_trace("stream", 20, seed=0).requests)
+        requests[7] = MemoryRequest(arrival, requests[7].address, requests[7].is_write)
+        trace = Trace("hand-built", tuple(requests))
+        simulator = DramSimulator()
+        with pytest.raises(SimulationError, match="request 7 of trace 'hand-built'"):
+            simulator.simulate(ControllerConfig(), trace)
+        # the refused trace is not memoized: a retry raises again
+        with pytest.raises(SimulationError, match="request 7"):
+            simulator.simulate(ControllerConfig(), trace)
 
     def test_stream_high_hit_rate_with_open_policy(self):
         trace = generate_trace("stream", 500, seed=1)

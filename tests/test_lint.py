@@ -124,6 +124,31 @@ class TestLockGuard:
         assert rules(result) == ["lock-guard"]
         assert "Pool.evals" in result.findings[0].message
 
+    def test_flags_unguarded_write_through_local_name(self, tmp_path):
+        # a per-host record reached through a local name, as HostPool
+        # writes ``host.evals``: guarded in one method, bare in another
+        result = lint_tree(tmp_path, {
+            "sweeps/hostpool.py": """
+                import threading
+
+                class Pool:
+                    def __init__(self, hosts):
+                        self._lock = threading.Lock()
+                        self._hosts = hosts
+
+                    def safe(self, host, n):
+                        with self._lock:
+                            host.evals += n
+
+                    def racy(self, host, n):
+                        host.evals += n
+                        host.alive = True
+            """,
+        }, "lock-guard")
+        assert rules(result) == ["lock-guard"]
+        assert "'Pool.host.evals'" in result.findings[0].message
+        assert result.findings[0].line == 14
+
     def test_flags_unguarded_mutating_call(self, tmp_path):
         result = lint_tree(tmp_path, {
             "service/server.py": """
