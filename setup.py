@@ -20,7 +20,7 @@ setup(
     long_description_content_type="text/markdown",
     license="Apache-2.0",
     author="ArchGym Reproduction Authors",
-    python_requires=">=3.10",
+    python_requires=">=3.9",
     install_requires=["numpy>=1.23", "scipy>=1.9", "networkx>=2.8"],
     extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
     package_dir={"": "src"},

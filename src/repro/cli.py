@@ -388,27 +388,16 @@ def _cmd_collect(args: argparse.Namespace) -> int:
             env_id = probe.env_id
         finally:
             probe.close()
-        # Two call sites on purpose: adding the proxy kwargs
-        # unconditionally would change every historical fingerprint and
-        # strand pre-existing --out-dir shards. Only proxy-screened
-        # collections carry the extra keys.
-        if args.proxy_screen:
-            fingerprint = sweep_fingerprint(
-                kind="collect", env_id=env_id,
-                env_signature=factory.fingerprint_signature,
-                agents=list(agents), n_samples=args.samples, seed=args.seed,
-                proxy_screen=args.proxy_screen,
-                proxy_oversample=args.proxy_oversample,
-                proxy_topk=args.proxy_topk,
-                proxy_refresh=args.proxy_refresh,
-                proxy_min_corpus=args.proxy_min_corpus,
-            )
-        else:
-            fingerprint = sweep_fingerprint(
-                kind="collect", env_id=env_id,
-                env_signature=factory.fingerprint_signature,
-                agents=list(agents), n_samples=args.samples, seed=args.seed,
-            )
+        fingerprint = sweep_fingerprint(
+            kind="collect", env_id=env_id,
+            env_signature=factory.fingerprint_signature,
+            agents=list(agents), n_samples=args.samples, seed=args.seed,
+            proxy_screen=args.proxy_screen,
+            proxy_oversample=args.proxy_oversample,
+            proxy_topk=args.proxy_topk,
+            proxy_refresh=args.proxy_refresh,
+            proxy_min_corpus=args.proxy_min_corpus,
+        )
         manifest = {
             "fingerprint": fingerprint, "kind": "collect", "env_id": env_id,
             "env_signature": factory.fingerprint_signature,

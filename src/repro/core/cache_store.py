@@ -10,11 +10,15 @@ that outlive any single environment or process, all sharing one
 ``get_many``/``put_many`` (one lookup and one write per generation):
 
 - :class:`SharedCacheStore` — a directory of append-only JSONL shard
-  files, for trials sharing a filesystem.
+  files, for trials sharing a filesystem; with ``directory=None``, an
+  in-memory map (a service's ``/cache`` without ``--cache-dir``).
 - :class:`ServerCacheStore` — the ``/cache`` endpoints of the hosts of
   a :class:`~repro.sweeps.hostpool.HostPool` (in a sweep, the trial's
   backend pool), for sweeps spread over machines that share only a
   network.
+
+Every tier pages its map in sorted-key order, and
+:func:`listing_pages` is the one loop that walks such a listing.
 
 ``SharedCacheStore`` design constraints, in order:
 
@@ -40,16 +44,17 @@ import math
 import os
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import CacheStoreError
 
 if TYPE_CHECKING:
     from repro.sweeps.hostpool import HostPool
 
-__all__ = ["SharedCacheStore", "ServerCacheStore", "encode_key"]
+__all__ = ["SharedCacheStore", "ServerCacheStore", "encode_key", "listing_pages"]
 
 ActionKey = Tuple[Tuple[str, Any], ...]
+Entries = List[Tuple[str, Dict[str, float]]]
 
 _FORMAT = "archgym-cache-v1"
 
@@ -62,6 +67,22 @@ def encode_key(key: ActionKey) -> str:
     stable cross-process identity.
     """
     return json.dumps(key, separators=(",", ":"))
+
+
+def listing_pages(
+    list_page: Callable[[int, int], Tuple[Entries, int]], limit: int
+) -> Iterator[Entries]:
+    """Each non-empty page of ``list_page(offset, limit) -> (entries,
+    total)`` — either store's ``list_encoded`` or a service client's
+    ``cache_list`` — until ``offset`` reaches ``total``. Tiers only add
+    keys, so a walk sees every entry that existed when it started."""
+    offset, total = 0, 1  # the first page is always asked for
+    while offset < total:
+        entries, total = list_page(offset, limit)
+        if not entries:
+            return
+        yield entries
+        offset += len(entries)
 
 
 def _finite_metrics(metrics: Dict[str, Any]) -> Dict[str, float]:
@@ -91,11 +112,15 @@ class SharedCacheStore:
     directory:
         Where the shard files live; created (with parents) on first
         use. Any number of processes may point a store at the same
-        directory concurrently.
+        directory concurrently. ``None`` keeps the entries in this
+        object only (no directory, meta or shard file, no encoded
+        line); every method answers as over a directory of its own.
     n_shards:
         How many append-only files entries are spread over by key
         hash. Must match across all processes sharing the directory
         (it is recorded in, and verified against, ``cache-meta.json``).
+        A store without a directory has no files to spread over and
+        keeps one shard.
     durable:
         ``fsync`` every appended entry before :meth:`put` returns. Off
         by default: the store is a *memo*, so the durability contract
@@ -107,15 +132,16 @@ class SharedCacheStore:
     """
 
     def __init__(
-        self, directory: str | Path, n_shards: int = 16, durable: bool = False
+        self, directory: str | Path | None, n_shards: int = 16, durable: bool = False
     ) -> None:
         if n_shards < 1:
             raise CacheStoreError(f"n_shards must be >= 1, got {n_shards}")
-        self.directory = Path(directory)
-        self.n_shards = n_shards
+        self.directory = None if directory is None else Path(directory)
+        self.n_shards = 1 if directory is None else n_shards
         self.durable = durable
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._check_meta()
+        if self.directory is not None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self._check_meta()
         # Per-shard in-process view: decoded entries + how far into the
         # file they reach. A miss re-tails the file before giving up.
         self._entries: List[Dict[str, Dict[str, float]]] = [
@@ -216,12 +242,13 @@ class SharedCacheStore:
             staged[key_str] = clean
             by_shard.setdefault(shard, []).append((key_str, clean))
         for shard, shard_entries in by_shard.items():
-            lines = "".join(
-                json.dumps({"k": key_str, "m": clean}, separators=(",", ":"))
-                + "\n"
-                for key_str, clean in shard_entries
-            )
-            self._append(shard, lines.encode("utf-8"))
+            if self.directory is not None:
+                lines = "".join(
+                    json.dumps({"k": key_str, "m": clean}, separators=(",", ":"))
+                    + "\n"
+                    for key_str, clean in shard_entries
+                )
+                self._append(shard, lines.encode("utf-8"))
             self._entries[shard].update(shard_entries)
 
     def __len__(self) -> int:
@@ -242,22 +269,20 @@ class SharedCacheStore:
         keys.sort()
         return keys
 
-    def list_encoded(
-        self, offset: int = 0, limit: int = 500
-    ) -> Tuple[List[Tuple[str, Dict[str, float]]], int]:
+    def list_encoded(self, offset: int = 0, limit: int = 500) -> Tuple[Entries, int]:
         """One page of the store in sorted-key order:
         ``([(key_str, metrics), ...], total)`` — the same paging
-        contract :meth:`ServerCacheStore.list_encoded` serves, so a
-        corpus harvester (e.g. the online proxy) can walk either tier
-        identically."""
+        contract :meth:`ServerCacheStore.list_encoded` serves, so
+        :func:`listing_pages` walks either tier identically."""
         keys = self.keys_encoded()
         window = keys[offset:offset + limit]
         found = self.get_many_encoded(window)
         return [(k, found[k]) for k in window if k in found], len(keys)
 
     def __repr__(self) -> str:
+        directory = None if self.directory is None else str(self.directory)
         return (
-            f"SharedCacheStore(directory={str(self.directory)!r}, "
+            f"SharedCacheStore(directory={directory!r}, "
             f"n_shards={self.n_shards})"
         )
 
@@ -283,6 +308,8 @@ class SharedCacheStore:
             os.close(fd)
 
     def _shard_index(self, key_str: str) -> int:
+        if self.n_shards == 1:
+            return 0
         digest = hashlib.sha256(key_str.encode("utf-8")).digest()
         return int.from_bytes(digest[:4], "big") % self.n_shards
 
@@ -322,6 +349,8 @@ class SharedCacheStore:
         a concurrent writer's in-flight line is picked up next time.
         A shard file (or directory) that does not exist contributes
         nothing — never an exception."""
+        if self.directory is None:
+            return
         path = self._shard_path(shard)
         try:
             with path.open("rb") as f:
@@ -466,9 +495,7 @@ class ServerCacheStore:
         """Distinct keys held by the primary."""
         return self.pool.cache_read("cache_size")
 
-    def list_encoded(
-        self, offset: int = 0, limit: int = 500
-    ) -> Tuple[List[Tuple[str, Dict[str, float]]], int]:
+    def list_encoded(self, offset: int = 0, limit: int = 500) -> Tuple[Entries, int]:
         """One page of the primary's ``GET /cache`` listing:
         ``([(key_str, metrics), ...], total)``."""
         return self.pool.cache_read("cache_list", offset, limit)

@@ -168,6 +168,9 @@ class DramDevice:
             raise SimulationError("banks must be a positive power of two")
         if self.lines_per_row < 1:
             raise SimulationError("lines_per_row must be positive")
+        line_bytes = self.line_bytes
+        if not isinstance(line_bytes, int) or isinstance(line_bytes, bool) or line_bytes < 1:
+            raise SimulationError(f"line_bytes must be an integer >= 1, got {line_bytes!r}")
         if self.address_mapping not in ADDRESS_MAPPINGS:
             raise SimulationError(
                 f"address_mapping must be one of {ADDRESS_MAPPINGS}"

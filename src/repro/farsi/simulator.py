@@ -22,11 +22,16 @@ that type) and each inbound edge's transfer time once per task, and
 keeps finish times and assignments in lists indexed like the plan.
 Nothing is cached across calls. Every float expression keeps the
 operands and order of the original per-call graph walk
-(``tests/farsi_reference.py``), so results are bit-identical to it.
+(``tests/farsi_reference.py``), so results are bit-identical to it,
+except that a schedule whose makespan or power is not finite (an edge
+volume so large that its transfer time overflows) raises
+:class:`~repro.core.errors.SimulationError` instead of being reported
+as feasible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -174,6 +179,11 @@ class FarsiSimulator:
         # mJ / ms = W; *1e3 -> mW
         dynamic_mw = dynamic_energy_mj * 1e3 / max(makespan, 1e-9) if makespan > 0 else 0.0
         power_mw = dynamic_mw + config.static_mw
+        if not (math.isfinite(makespan) and math.isfinite(power_mw)):
+            raise SimulationError(
+                f"schedule of {graph.name!r} is not finite: makespan "
+                f"{makespan!r} ms, power {power_mw!r} mW"
+            )
 
         return SocResult(
             makespan_ms=makespan,

@@ -41,6 +41,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.cache_store import encode_key, listing_pages
 from repro.core.errors import ArchGymError, ProxyModelError
 from repro.core.spaces import CompositeSpace
 from repro.proxy.trainer import ProxyCostModel
@@ -161,9 +162,7 @@ class OnlineProxy:
         from repro.core.env import canonical_action_key
 
         try:
-            key_str = json.dumps(
-                canonical_action_key(action), separators=(",", ":")
-            )
+            key_str = encode_key(canonical_action_key(action))
         except (TypeError, ValueError, KeyError):
             return False
         return self._add(key_str, action, metrics)
@@ -174,21 +173,15 @@ class OnlineProxy:
         ``store`` is anything serving the
         ``list_encoded(offset, limit) -> (entries, total)`` contract —
         both :class:`~repro.core.cache_store.SharedCacheStore` and
-        :class:`~repro.core.cache_store.ServerCacheStore`. Returns how
-        many new points were added.
+        :class:`~repro.core.cache_store.ServerCacheStore` — walked by
+        :func:`~repro.core.cache_store.listing_pages`. Returns how many
+        new points were added.
         """
         added = 0
-        offset = 0
-        while True:
-            entries, total = store.list_encoded(offset, limit=_HARVEST_PAGE)
-            if not entries:
-                break
+        for entries in listing_pages(store.list_encoded, _HARVEST_PAGE):
             for key_str, metrics in entries:
                 if self._ingest_entry(key_str, metrics):
                     added += 1
-            offset += len(entries)
-            if offset >= total:
-                break
         return added
 
     def harvest(self, store: Any) -> int:

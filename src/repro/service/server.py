@@ -23,16 +23,16 @@ separate process — or on a separate machine — behind these endpoints:
     client's cache tiers' job, never the server's.
 ``GET /cache``
     A ``canonical_action_key -> metrics`` map shared by every client —
-    the server-backed twin of the file-backed
-    :class:`~repro.core.cache_store.SharedCacheStore` (and the backing
-    for its drop-in variant ``ServerCacheStore``). ``GET /cache``
-    reports the entry count, and ``GET /cache?offset=N&limit=M`` pages
-    through the whole map in sorted-key order (``{"size": total,
-    "entries": [[key, metrics], ...]}``) — the listing the
-    :class:`~repro.sweeps.hostpool.HostPool` anti-entropy backfill
-    replays into a revived replica. With ``cache_dir`` the map is
-    durably file-backed (a ``SharedCacheStore`` the server owns);
-    otherwise it is in-memory.
+    one :class:`~repro.core.cache_store.SharedCacheStore` the server
+    owns, and the backing of the client-side ``ServerCacheStore``.
+    ``GET /cache`` reports the entry count, and
+    ``GET /cache?offset=N&limit=M`` pages through the whole map in
+    sorted-key order (``{"size": total, "entries": [[key, metrics],
+    ...]}``) — the listing the :class:`~repro.sweeps.hostpool.HostPool`
+    anti-entropy backfill replays into a revived replica. With
+    ``cache_dir`` the store keeps durable shard files there; without
+    it, the store has no directory and holds its entries in memory.
+    Both answer through the same code.
 ``POST /cache`` and ``PUT /cache``
     The map's lookup and write, one of each per step or generation.
     ``POST /cache`` with ``{"keys": [key, ...]}`` answers
@@ -103,10 +103,10 @@ class EvaluationService:
         read the bound address back from :attr:`url` after
         :meth:`start`.
     cache_dir:
-        Optional directory for the ``/cache`` map. When given, the map
-        is a file-backed :class:`SharedCacheStore` that survives server
-        restarts; otherwise entries live in memory for the server's
-        lifetime.
+        Directory of the ``/cache`` map's :class:`SharedCacheStore`.
+        When given, the map survives server restarts; ``None`` (the
+        default) builds the store without a directory, so entries live
+        in memory for the server's lifetime.
 
     Use as a context manager (``with EvaluationService() as svc:``) or
     call :meth:`start`/:meth:`stop` explicitly; :meth:`serve_forever`
@@ -127,15 +127,10 @@ class EvaluationService:
         self._state_lock = threading.Lock()
         # durable=True: a server-side store is a long-lived artifact
         # (the --cache-dir contract is "survives restarts"), so pay the
-        # fsync per append. The lock is required either way: the file
-        # store's offset bookkeeping is safe across *processes*, not
-        # across this server's handler threads.
-        self._cache_store: Optional[SharedCacheStore] = (
-            SharedCacheStore(cache_dir, durable=True)
-            if cache_dir is not None
-            else None
-        )
-        self._mem_cache: Dict[str, Dict[str, float]] = {}
+        # fsync per append; without a directory there is no append. The
+        # lock is required either way: the store's bookkeeping is safe
+        # across *processes*, not across this server's handler threads.
+        self._cache_store = SharedCacheStore(cache_dir, durable=True)
         self._cache_lock = threading.Lock()
         self.evaluations = 0
         #: ``/evaluate_batch`` requests served.
@@ -238,28 +233,18 @@ class EvaluationService:
         """``{key_str: metrics}`` for every held key of ``key_strs``
         (misses absent), under one lock hold."""
         with self._cache_lock:
-            if self._cache_store is not None:
-                return self._cache_store.get_many_encoded(key_strs)
-            return {
-                k: dict(self._mem_cache[k])
-                for k in key_strs if k in self._mem_cache
-            }
+            return self._cache_store.get_many_encoded(key_strs)
 
     def cache_put_many(self, entries: List[Tuple[str, Dict[str, float]]]) -> None:
         """Store every entry in order (last writer wins) under one lock
         hold; every metric is checked before anything is stored."""
         clean = [(key_str, clean_metrics(m)) for key_str, m in entries]
         with self._cache_lock:
-            if self._cache_store is not None:
-                self._cache_store.put_many_encoded(clean)
-            else:
-                self._mem_cache.update(clean)
+            self._cache_store.put_many_encoded(clean)
 
     def cache_size(self) -> int:
         with self._cache_lock:
-            if self._cache_store is not None:
-                return len(self._cache_store)
-            return len(self._mem_cache)
+            return len(self._cache_store)
 
     def cache_list(
         self, offset: int = 0, limit: int = DEFAULT_CACHE_PAGE
@@ -274,14 +259,8 @@ class EvaluationService:
         backfill pages through to rebuild a revived replica.
         """
         with self._cache_lock:
-            if self._cache_store is not None:
-                page, total = self._cache_store.list_encoded(offset, limit)
-                return total, page
-            keys = sorted(self._mem_cache)
-            return len(keys), [
-                (k, dict(self._mem_cache[k]))
-                for k in keys[offset:offset + limit]
-            ]
+            page, total = self._cache_store.list_encoded(offset, limit)
+        return total, page
 
     def health(self) -> Dict[str, Any]:
         # env_names and cache_size() take their own (non-reentrant)

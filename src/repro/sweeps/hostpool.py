@@ -74,6 +74,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from fractions import Fraction
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.core.cache_store import listing_pages
 from repro.core.errors import ServiceError, ServiceTransportError
 from repro.service.client import ServiceClient
 
@@ -411,17 +412,12 @@ class HostPool:
             donors = [h for h in self._hosts if h.alive and h is not revived]
         for donor in donors:
             copied = 0
-            offset = 0
             try:
-                while True:
-                    entries, total = donor.probe_client.cache_list(
-                        offset=offset, limit=_BACKFILL_PAGE
-                    )
+                for entries in listing_pages(
+                    donor.probe_client.cache_list, _BACKFILL_PAGE
+                ):
                     revived.probe_client.cache_put_many(entries)
                     copied += len(entries)
-                    offset += len(entries)
-                    if not entries or offset >= total:
-                        break
             except ServiceError:
                 with self._lock:
                     self.cache_backfills += copied

@@ -595,38 +595,24 @@ def run_lottery_sweep(
 
     if env_signature is None:
         env_signature = getattr(env_factory, "fingerprint_signature", None)
-    if proxy_screen:
-        # Screening changes which design points get simulated, so all
-        # five proxy knobs pin the fingerprint. The unscreened call
-        # below stays knob-free on purpose: every pre-existing shard
-        # directory keeps its historical fingerprint and remains
-        # resumable.
-        fingerprint = sweep_fingerprint(
-            kind="lottery-sweep",
-            env_id=env_id,
-            env_signature=env_signature,
-            agents=list(agents),
-            n_trials=n_trials,
-            n_samples=n_samples,
-            seed=seed,
-            collect=collect_dataset,
-            proxy_screen=proxy_screen,
-            proxy_oversample=proxy_oversample,
-            proxy_topk=proxy_topk,
-            proxy_refresh=proxy_refresh,
-            proxy_min_corpus=proxy_min_corpus,
-        )
-    else:
-        fingerprint = sweep_fingerprint(
-            kind="lottery-sweep",
-            env_id=env_id,
-            env_signature=env_signature,
-            agents=list(agents),
-            n_trials=n_trials,
-            n_samples=n_samples,
-            seed=seed,
-            collect=collect_dataset,
-        )
+    # Screening changes which design points get simulated, so the proxy
+    # knobs pin a screened sweep's fingerprint; sweep_fingerprint drops
+    # them from an unscreened one's.
+    fingerprint = sweep_fingerprint(
+        kind="lottery-sweep",
+        env_id=env_id,
+        env_signature=env_signature,
+        agents=list(agents),
+        n_trials=n_trials,
+        n_samples=n_samples,
+        seed=seed,
+        collect=collect_dataset,
+        proxy_screen=proxy_screen,
+        proxy_oversample=proxy_oversample,
+        proxy_topk=proxy_topk,
+        proxy_refresh=proxy_refresh,
+        proxy_min_corpus=proxy_min_corpus,
+    )
     manifest = {
         "fingerprint": fingerprint,
         "kind": "lottery-sweep",

@@ -60,8 +60,13 @@ def sweep_fingerprint(**fields: Any) -> str:
 
     Every keyword argument participates; pass exactly the fields that
     determine trial outcomes (env id, agents, counts, seed — *not*
-    ``workers`` or cache toggles, which are wall-clock knobs).
+    ``workers`` or cache toggles, which are wall-clock knobs). The
+    ``proxy_*`` fields count only when ``proxy_screen`` is truthy: an
+    unscreened sweep keeps the fingerprint it had before screening
+    existed, so its older ``--out-dir`` stays resumable.
     """
+    if not fields.get("proxy_screen"):
+        fields = {k: v for k, v in fields.items() if not k.startswith("proxy_")}
     payload = json.dumps(fields, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 

@@ -304,8 +304,13 @@ def _requests(pool):
 
 class TestServerCacheStoreContract(CacheStoreContract):
     @pytest.fixture()
-    def make_store(self, closing):
-        with EvaluationService() as svc:
+    def cache_dir(self):
+        """The service's ``--cache-dir``; ``None`` keeps its map in memory."""
+        return None
+
+    @pytest.fixture()
+    def make_store(self, closing, cache_dir):
+        with EvaluationService(cache_dir=cache_dir) as svc:
             yield lambda: ServerCacheStore(
                 _pool(closing, svc.url, timeout_s=10.0, retries=1)
             )
@@ -313,6 +318,14 @@ class TestServerCacheStoreContract(CacheStoreContract):
     @pytest.fixture()
     def io_calls(self):
         return lambda store: sum(_requests(store.pool))
+
+
+class TestServerCacheStoreContractOnDisk(TestServerCacheStoreContract):
+    """The same battery against a service whose map has a directory."""
+
+    @pytest.fixture()
+    def cache_dir(self, tmp_path):
+        return tmp_path / "srv-cache"
 
 
 # -- SharedCacheStore specifics --------------------------------------------------
@@ -344,6 +357,24 @@ class TestSharedStoreBasics:
         shutil.rmtree(tmp_path / "cache")
         store.put(_key(5), {"cost": 5.0})
         assert SharedCacheStore(tmp_path / "cache").get(_key(5)) == {"cost": 5.0}
+
+    def test_directoryless_store_makes_no_file(self, tmp_path, monkeypatch):
+        """``SharedCacheStore(None)`` holds its entries in the object: no
+        directory, meta file or shard file, not even a relative one."""
+        def no_open(*args, **kwargs):
+            raise AssertionError("a directory-less store opened a file")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("repro.core.cache_store.os.open", no_open)
+        store = SharedCacheStore(None, durable=True)
+        store.put_many([(_key(i), {"cost": float(i)}) for i in range(40)])
+        store.put(_key(3), {"cost": -3.0})
+        assert store.get(_key(3)) == {"cost": -3.0}
+        assert store.get(_key(99)) is None
+        assert len(store) == 40
+        assert store.list_encoded(0, 5)[1] == 40
+        assert list(tmp_path.iterdir()) == []
+        assert repr(store) == "SharedCacheStore(directory=None, n_shards=1)"
 
     def test_durable_put_fsyncs(self, tmp_path, monkeypatch):
         """Regression for the documented O_APPEND durability contract:

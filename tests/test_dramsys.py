@@ -82,6 +82,14 @@ class TestDevice:
         with pytest.raises(SimulationError):
             DramDevice(address_mapping="xor_sliced")
 
+    def test_invalid_line_bytes(self):
+        # 0 would divide by zero in map_address; -64 would simulate to a
+        # negative bandwidth
+        for value in (0, -64, 64.0, True, "64", None):
+            with pytest.raises(SimulationError, match="line_bytes must be an integer"):
+                DramDevice(line_bytes=value)
+        assert DramDevice(line_bytes=1).map_address(5) == (5, 0)
+
     def test_row_interleaved_keeps_stream_in_one_bank(self):
         dev = DramDevice(address_mapping="row_interleaved")
         banks = {

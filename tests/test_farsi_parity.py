@@ -7,8 +7,10 @@ zero-KiB edges, repeated demands that tie the EFT choice, edges added in
 any order) and any SoC (every slot option, none at all, repeated PE
 types, bus and memory settings on and off the action grid), on every
 packaged workload, and after the graph changes under a plan it has
-already built."""
+already built. Where the reference's makespan or power is not finite,
+``simulate`` must raise ``SimulationError`` instead."""
 
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -54,8 +56,16 @@ def exact(result):
 
 
 def assert_matches_reference(config, graph):
+    """The planned result, bit-equal to the reference's; ``None`` when
+    the reference's makespan or power is not finite, which the planned
+    simulator must refuse."""
+    want = ReferenceFarsiSimulator().simulate(config, graph)
+    if not (math.isfinite(want.makespan_ms) and math.isfinite(want.power_mw)):
+        with pytest.raises(SimulationError, match="not finite"):
+            FarsiSimulator().simulate(config, graph)
+        return None
     got = FarsiSimulator().simulate(config, graph)
-    assert exact(got) == exact(ReferenceFarsiSimulator().simulate(config, graph))
+    assert exact(got) == exact(want)
     return got
 
 
@@ -225,19 +235,21 @@ def test_bus_serializes_inputs_in_predecessor_order():
     assert late_first.makespan_ms > late_last.makespan_ms
 
 
-def test_overflowing_transfer_matches_reference():
+def test_overflowing_transfer_is_refused():
     """A volume so large that its transfer time overflows to infinity
-    leaves every PE infinitely late for ``c``: no PE wins the EFT
-    comparison, and both schedulers fall back to the last one."""
+    leaves every PE infinitely late for ``c``. The reference reports
+    that schedule as feasible with an infinite makespan and NaN power;
+    the planned simulator refuses it."""
     graph = TaskGraph("overflow")
     for name in ("a", "b", "c"):
         graph.add_task(Task(name, mops=1000.0))
     graph.add_edge("a", "c", kib=1e306)
     graph.add_edge("b", "c", kib=1e306)
     cores = SoCConfig(slots=("BigCore", "BigCore", "DSP") + ("None",) * (N_SLOTS - 3))
-    result = assert_matches_reference(cores, graph)
-    assert result.assignment["c"] == "DSP#2"
-    assert result.comm_ms == float("inf")
+    reference = ReferenceFarsiSimulator().simulate(cores, graph)
+    assert reference.feasible and reference.comm_ms == math.inf
+    assert reference.makespan_ms == math.inf and math.isnan(reference.power_mw)
+    assert assert_matches_reference(cores, graph) is None
 
 
 def test_empty_graph_and_no_pe_match_reference():

@@ -93,8 +93,14 @@ class MultiMetricEnv(SvcCountingEnv):
 
 
 @pytest.fixture()
-def service():
-    svc = EvaluationService()
+def cache_dir():
+    """The service's ``--cache-dir``; ``None`` keeps its map in memory."""
+    return None
+
+
+@pytest.fixture()
+def service(cache_dir):
+    svc = EvaluationService(cache_dir=cache_dir)
     svc.register("SvcCounting-v0", SvcCountingEnv)
     svc.register("Crashing-v0", CrashingEnv)
     svc.register("MultiMetric-v0", MultiMetricEnv)
@@ -338,20 +344,6 @@ class TestCacheListing:
         page, total = client.cache_list()
         assert page == [] and total == 0
 
-    def test_listing_matches_file_backed_store(self, tmp_path, closing):
-        """The durable (``--cache-dir``) server must page identically
-        to the in-memory one."""
-        svc = EvaluationService(cache_dir=tmp_path / "srv-cache")
-        svc.start()
-        try:
-            client = closing(ServiceClient(svc.url, timeout_s=10.0, retries=0))
-            entries = self._fill(client, 4)
-            page, total = client.cache_list(limit=10)
-            assert total == 4
-            assert dict(page) == entries
-        finally:
-            svc.stop()
-
     def test_bad_query_parameters_rejected(self, client):
         for query in ("offset=-1", "limit=0", "offset=x", "page=3"):
             with pytest.raises(ServiceError):
@@ -362,7 +354,15 @@ class TestCacheListing:
         assert client.cache_size() == 2
 
 
-class TestBulkCacheEndpoints:
+class TestCacheListingOnDisk(TestCacheListing):
+    """The same listing from a service whose map has a directory."""
+
+    @pytest.fixture()
+    def cache_dir(self, tmp_path):
+        return tmp_path / "srv-cache"
+
+
+class BulkCacheEndpoints:
     """``POST /cache`` (bulk lookup) and ``PUT /cache`` (bulk write):
     one round trip for a generation's worth of keys or entries."""
 
@@ -384,21 +384,6 @@ class TestBulkCacheEndpoints:
         assert client.cache_get_many([]) == {}
         client.cache_put_many([])
         assert client.requests_sent == 0
-
-    def test_file_backed_server_serves_the_bulk_forms(self, tmp_path, closing):
-        svc = EvaluationService(cache_dir=tmp_path / "srv-cache")
-        svc.start()
-        try:
-            client = closing(ServiceClient(svc.url, timeout_s=10.0, retries=0))
-            entries = [(f"key-{i}", {"cost": float(i)}) for i in range(6)]
-            client.cache_put_many(entries)
-            assert client.cache_get_many([k for k, _ in entries]) == dict(entries)
-        finally:
-            svc.stop()
-        restarted = EvaluationService(cache_dir=tmp_path / "srv-cache")
-        assert restarted.cache_get_many(["key-0", "key-9"]) == {
-            "key-0": {"cost": 0.0}
-        }
 
     def test_malformed_bulk_bodies_are_400_and_keep_the_socket(self, client):
         bad = [
@@ -440,6 +425,31 @@ class TestBulkCacheEndpoints:
         assert client.requests_sent - sent == 2
         assert found == dict(entries)
         assert client.cache_size() == len(entries)
+
+
+class TestBulkCacheEndpoints(BulkCacheEndpoints):
+    def test_file_backed_server_serves_the_bulk_forms(self, tmp_path, closing):
+        svc = EvaluationService(cache_dir=tmp_path / "srv-cache")
+        svc.start()
+        try:
+            client = closing(ServiceClient(svc.url, timeout_s=10.0, retries=0))
+            entries = [(f"key-{i}", {"cost": float(i)}) for i in range(6)]
+            client.cache_put_many(entries)
+            assert client.cache_get_many([k for k, _ in entries]) == dict(entries)
+        finally:
+            svc.stop()
+        restarted = EvaluationService(cache_dir=tmp_path / "srv-cache")
+        assert restarted.cache_get_many(["key-0", "key-9"]) == {
+            "key-0": {"cost": 0.0}
+        }
+
+
+class TestBulkCacheEndpointsOnDisk(BulkCacheEndpoints):
+    """The same bulk forms from a service whose map has a directory."""
+
+    @pytest.fixture()
+    def cache_dir(self, tmp_path):
+        return tmp_path / "srv-cache"
 
 
 class TestBatchEndpoint:

@@ -87,6 +87,43 @@ class TestFingerprint:
         assert sweep_fingerprint(**base) != sweep_fingerprint(**{**base, **override})
 
 
+class TestPinnedFingerprints:
+    """The ``sweep.json`` fingerprints of four small durable runs, as
+    literals: a run whose fingerprint changes can no longer resume any
+    ``--out-dir`` written before the change."""
+
+    SCREEN = dict(proxy_screen=True, proxy_min_corpus=8)
+
+    @pytest.mark.parametrize(
+        "screened, pinned",
+        [(False, "2c9f5158fcd6387b"), (True, "07f8f71ef8e384e7")],
+    )
+    def test_lottery_sweep(self, tmp_path, screened, pinned):
+        run_lottery_sweep(
+            TinyEnv, out_dir=tmp_path / "s", agents=("rw",), n_trials=1,
+            n_samples=6, seed=0, shared_cache=True,
+            **(self.SCREEN if screened else {}),
+        )
+        assert load_manifest(tmp_path / "s")["fingerprint"] == pinned
+
+    @pytest.mark.parametrize(
+        "screened, pinned",
+        [(False, "066229b2dfbd767e"), (True, "08a299d30fad7be8")],
+    )
+    def test_collect(self, tmp_path, screened, pinned):
+        from repro.cli import main
+
+        args = [
+            "collect", "--env", "MaestroGym-v0", "--agents", "rw",
+            "--samples", "4", "--seed", "0", "--shared-cache",
+            "--out", str(tmp_path / "d.jsonl"), "--out-dir", str(tmp_path / "s"),
+        ]
+        if screened:
+            args += ["--proxy-screen", "--proxy-min-corpus", "8"]
+        assert main(args) == 0
+        assert load_manifest(tmp_path / "s")["fingerprint"] == pinned
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=6)
     | st.floats(allow_nan=False, allow_infinity=False),
