@@ -288,8 +288,8 @@ def check_count(name: str, value: Any, error: type = AgentError) -> None:
 
 
 def check_proxy_knobs(
-    proxy_screen: bool, proxy_oversample: int, proxy_topk: Optional[int],
-    proxy_refresh: float, proxy_min_corpus: int,
+    proxy_screen: bool, proxy_oversample: int, proxy_refresh: float,
+    proxy_min_corpus: int,
 ) -> None:
     """Reject bad proxy-screening knobs (only when ``proxy_screen`` is
     on): the one check behind :func:`run_agent` and
@@ -302,8 +302,6 @@ def check_proxy_knobs(
         raise AgentError(
             f"proxy_oversample must be >= 1, got {proxy_oversample}"
         )
-    if proxy_topk is not None and proxy_topk < 1:
-        raise AgentError(f"proxy_topk must be >= 1, got {proxy_topk}")
     if not 0.0 <= proxy_refresh <= 1.0:
         raise AgentError(
             f"proxy_refresh must be in [0, 1], got {proxy_refresh}"
@@ -324,7 +322,6 @@ def run_agent(
     pipeline: bool = False,
     proxy_screen: bool = False,
     proxy_oversample: int = 4,
-    proxy_topk: Optional[int] = None,
     proxy_refresh: float = 0.1,
     proxy_min_corpus: int = 64,
 ) -> SearchResult:
@@ -363,8 +360,7 @@ def run_agent(
     front of real evaluation: an
     :class:`~repro.proxy.online.OnlineProxy` trained from the shared
     cache's accumulated corpus scores every proposed generation, and
-    only the top ``proxy_topk`` points (default
-    ``ceil(generation / proxy_oversample)``) go to
+    only the top ``ceil(generation / proxy_oversample)`` points go to
     ``step_batch``/``step_batch_stream`` — so ``n_samples`` buys
     ``proxy_oversample×`` more *candidate* generations for the same
     simulator budget. A ``proxy_refresh`` fraction of every top-k is
@@ -375,11 +371,14 @@ def run_agent(
     ever see real evaluations). Until the corpus reaches
     ``proxy_min_corpus`` points *and* validation RMSE clears the
     proxy's gate, the driver falls back to plain dispatch —
-    byte-identical to ``proxy_screen=False``.
+    byte-identical to ``proxy_screen=False``. Both are one loop: per
+    generation one ``step_batch`` call and one ``observe_batch`` call,
+    and only the choice of the simulated points (and what the agent
+    hears for the rest) differs.
     """
     check_count("n_samples", n_samples)
-    check_proxy_knobs(proxy_screen, proxy_oversample, proxy_topk,
-                      proxy_refresh, proxy_min_corpus)
+    check_proxy_knobs(proxy_screen, proxy_oversample, proxy_refresh,
+                      proxy_min_corpus)
     higher = env.reward_spec.higher_is_better
     if env.dataset is not None:
         env.set_source(source_tag or agent.hyperparam_tag())
@@ -408,24 +407,6 @@ def run_agent(
     reward_history: List[float] = []
     best_history: List[float] = []
 
-    def absorb(action: Mapping[str, Any], reward: float,
-               info: Mapping[str, Any]) -> float:
-        """The per-point bookkeeping of plain and screened dispatch —
-        one copy, so the two paths cannot drift apart and break the
-        byte-parity guarantee. Returns the fitness."""
-        nonlocal best_fitness, best_action, best_reward, best_metrics
-        nonlocal target_met
-        fitness = reward if higher else -reward
-        reward_history.append(reward)
-        if fitness > best_fitness:
-            best_fitness = fitness
-            best_action = dict(action)
-            best_reward = reward
-            best_metrics = dict(info["metrics"])
-        best_history.append(best_fitness)
-        target_met = target_met or bool(info.get("target_met"))
-        return fitness
-
     proxy = None
     refresh_rng: Optional[np.random.Generator] = None
     if proxy_screen:
@@ -446,10 +427,6 @@ def run_agent(
         )
         refresh_rng = np.random.default_rng(proxy_seed + 1000003)
 
-    def predicted_fitness(metrics: Mapping[str, float]) -> float:
-        reward = env.reward_spec.compute(metrics)
-        return reward if higher else -reward
-
     remaining = n_samples
     while remaining > 0:
         proposals = agent.propose_batch()
@@ -469,84 +446,74 @@ def run_agent(
             proxy.maybe_refit()
             screen = proxy.ready and len(proposals) > 1
 
-        if not screen:
-            # Plain dispatch (no proxy, or cold start).
-            # A generation larger than the remaining budget is cut to
-            # it — a point-at-a-time loop would have stopped
-            # mid-generation at exactly this point.
-            proposals = proposals[:remaining]
-            fitnesses: List[float] = []
-            metrics_list: List[Dict[str, float]] = []
-            terminated = truncated = False
-            for action, step_result in zip(proposals, step_batch(proposals)):
-                __, reward, terminated, truncated, info = step_result
-                fitnesses.append(absorb(action, reward, info))
-                metrics_list.append(info["metrics"])
-                if proxy is not None:
-                    proxy.observe(action, info["metrics"])
-            agent.observe_batch(proposals, fitnesses, metrics_list)
-            remaining -= len(proposals)
-
-            # step_batch resets mid-batch episode ends itself; a batch
-            # whose *final* point closed an episode leaves the reset to
-            # the driver, exactly like step().
-            if terminated or truncated:
-                env.reset()
-            continue
-
-        # -- oversample-and-rank ----------------------------------
-        # The whole proposed generation is the candidate pool; only
-        # the proxy's top-k (plus the honesty-refresh slice) is
-        # really simulated, so each unit of sample budget screens
-        # ``oversample×`` candidates.
-        pool = proposals
-        k = (
-            proxy_topk if proxy_topk is not None
-            else max(1, math.ceil(len(pool) / proxy_oversample))
-        )
-        k = min(k, len(pool))
-        predictions = proxy.predict_batch(pool)
-        pred_fitness = [predicted_fitness(m) for m in predictions]
-        # Best-first by predicted fitness; ties break by proposal
-        # index so the ranking is deterministic.
-        order = sorted(
-            range(len(pool)), key=lambda i: (-pred_fitness[i], i)
-        )
-        accepted = set(order[:k])
-        rejected = [i for i in range(len(pool)) if i not in accepted]
-        refresh: set = set()
-        if rejected and proxy_refresh > 0.0:
-            n_refresh = min(len(rejected), math.ceil(proxy_refresh * k))
-            picks = refresh_rng.choice(
-                len(rejected), size=n_refresh, replace=False
+        if screen:
+            # Oversample-and-rank: the whole generation is the
+            # candidate pool; only the proxy's top-k (plus the honesty-
+            # refresh slice) is really simulated, so each unit of sample
+            # budget screens ``oversample×`` candidates. The agent hears
+            # the surrogate's prediction for every other point.
+            k = math.ceil(len(proposals) / proxy_oversample)
+            metrics_list = proxy.predict_batch(proposals)
+            fitnesses = [
+                r if higher else -r
+                for r in map(env.reward_spec.compute, metrics_list)
+            ]
+            # Best-first by predicted fitness; ties break by proposal
+            # index so the ranking is deterministic.
+            order = sorted(
+                range(len(proposals)), key=lambda i: (-fitnesses[i], i)
             )
-            refresh = {rejected[int(j)] for j in picks}
-        eval_idx = sorted(accepted | refresh)[:remaining]
-        eval_actions = [pool[i] for i in eval_idx]
-        real: Dict[int, Any] = {}
+            accepted = set(order[:k])
+            rejected = [i for i in range(len(proposals)) if i not in accepted]
+            refresh: set = set()
+            if rejected and proxy_refresh > 0.0:
+                n_refresh = min(len(rejected), math.ceil(proxy_refresh * k))
+                picks = refresh_rng.choice(
+                    len(rejected), size=n_refresh, replace=False
+                )
+                refresh = {rejected[int(j)] for j in picks}
+            eval_idx = sorted(accepted | refresh)[:remaining]
+            env.stats.proxy_screened += len(proposals)
+            env.stats.proxy_accepted += len(eval_idx)
+            env.stats.proxy_refresh_evals += sum(
+                1 for i in eval_idx if i in refresh
+            )
+            env.stats.proxy_last_rmse = proxy.last_rmse
+        else:
+            # Plain dispatch (no proxy, or cold start). A generation
+            # larger than the remaining budget is cut to it — a point-
+            # at-a-time loop would have stopped mid-generation at
+            # exactly this point.
+            proposals = proposals[:remaining]
+            eval_idx = range(len(proposals))
+            fitnesses = [0.0] * len(proposals)
+            metrics_list = [None] * len(proposals)
+
+        # The incumbent, reward history and dataset only ever see real
+        # evaluations, in proposal order.
         terminated = truncated = False
-        for i, step_result in zip(eval_idx, step_batch(eval_actions)):
+        evaluated = step_batch([proposals[i] for i in eval_idx])
+        for i, step_result in zip(eval_idx, evaluated):
             __, reward, terminated, truncated, info = step_result
-            real[i] = (absorb(pool[i], reward, info), dict(info["metrics"]))
-            proxy.observe(pool[i], info["metrics"])
-        env.stats.proxy_screened += len(pool)
-        env.stats.proxy_accepted += len(eval_idx)
-        env.stats.proxy_refresh_evals += sum(
-            1 for i in eval_idx if i in refresh
-        )
-        env.stats.proxy_last_rmse = proxy.last_rmse
-        # The agent observes the full generation in proposal order:
-        # ground truth where simulated, the surrogate's prediction
-        # elsewhere. The incumbent/result bookkeeping (absorb) only
-        # ever saw real evaluations.
-        fitnesses = []
-        metrics_list = []
-        for i in range(len(pool)):
-            fitness, metrics = real.get(i, (pred_fitness[i], predictions[i]))
-            fitnesses.append(fitness)
-            metrics_list.append(metrics)
-        agent.observe_batch(pool, fitnesses, metrics_list)
+            fitness = reward if higher else -reward
+            reward_history.append(reward)
+            if fitness > best_fitness:
+                best_fitness = fitness
+                best_action = dict(proposals[i])
+                best_reward = reward
+                best_metrics = dict(info["metrics"])
+            best_history.append(best_fitness)
+            target_met = target_met or bool(info.get("target_met"))
+            fitnesses[i] = fitness
+            metrics_list[i] = info["metrics"]
+            if proxy is not None:
+                proxy.observe(proposals[i], info["metrics"])
+        agent.observe_batch(proposals, fitnesses, metrics_list)
         remaining -= len(eval_idx)
+
+        # step_batch resets mid-batch episode ends itself; a batch
+        # whose *final* point closed an episode leaves the reset to the
+        # driver, exactly like step().
         if terminated or truncated:
             env.reset()
 

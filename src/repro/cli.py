@@ -38,15 +38,15 @@ host's relative capacity, its share of a scattered generation (or let
 rate). With ``--shared-cache`` the
 (first) service also hosts the shared design-point cache, so sweeps
 on different machines reuse each other's evaluations — writes are
-replicated to ``--cache-replicas`` pool hosts (default 2), reads
-fail over to a replica if the cache host dies, and revived hosts are
-backfilled, so no entry is ever lost. Population-based agents
-(GA/ACO) evaluate whole generations per round trip, scattered across
-the host pool by weight. ``--pipeline`` upgrades that scatter to
-streaming dispatch with work stealing: hosts pull work units as they
-finish, idle hosts steal a straggler's remainder, and the next
-generation starts while the straggler's abandoned request drains
-(results stay byte-identical).
+replicated to the first two living pool hosts (one on a one-host
+pool), reads fail over to a replica if the cache host dies, and
+revived hosts are backfilled, so no entry is ever lost.
+Population-based agents (GA/ACO) evaluate whole generations per round
+trip, scattered across the host pool by weight. ``--pipeline``
+upgrades that scatter to streaming dispatch with work stealing: hosts
+pull work units as they finish, idle hosts steal a straggler's
+remainder, and the next generation starts while the straggler's
+abandoned request drains (results stay byte-identical).
 """
 
 from __future__ import annotations
@@ -218,14 +218,6 @@ def _add_durability_args(parser: argparse.ArgumentParser) -> None:
                              "heterogeneous fleets rebalance "
                              "automatically (results stay "
                              "byte-identical); requires --service-url")
-    parser.add_argument("--cache-replicas", type=int, default=None,
-                        metavar="N",
-                        help="with --shared-cache and --service-url: "
-                             "replicate every shared-cache write to N "
-                             "pool hosts (default: min(2, pool size)) "
-                             "so a dying cache host loses no entries — "
-                             "reads fail over to a replica and revived "
-                             "hosts are backfilled")
     parser.add_argument("--proxy-screen", action="store_true",
                         help="pre-screen generations with an online "
                              "surrogate trained from the shared cache: "
@@ -239,11 +231,6 @@ def _add_durability_args(parser: argparse.ArgumentParser) -> None:
                         help="with --proxy-screen: evaluate roughly 1/X "
                              "of each generation for real, the surrogate "
                              "answers the rest (default: 4)")
-    parser.add_argument("--proxy-topk", type=int, default=None,
-                        metavar="K",
-                        help="with --proxy-screen: simulate exactly the "
-                             "K best-predicted proposals per generation "
-                             "(overrides --proxy-oversample)")
     parser.add_argument("--proxy-refresh", type=float, default=0.1,
                         metavar="FRAC",
                         help="with --proxy-screen: always ground-truth a "
@@ -325,10 +312,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         service_retries=args.service_retries,
         pipeline=args.pipeline,
         auto_weights=args.auto_weights,
-        cache_replicas=args.cache_replicas,
         proxy_screen=args.proxy_screen,
         proxy_oversample=args.proxy_oversample,
-        proxy_topk=args.proxy_topk,
         proxy_refresh=args.proxy_refresh,
         proxy_min_corpus=args.proxy_min_corpus,
     )
@@ -350,7 +335,7 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         agents, args.samples, args.workers, resume=args.resume,
         out_dir=args.out_dir, shared_cache=args.shared_cache,
         service_url=args.service_url, proxy_screen=args.proxy_screen,
-        proxy_oversample=args.proxy_oversample, proxy_topk=args.proxy_topk,
+        proxy_oversample=args.proxy_oversample,
         proxy_refresh=args.proxy_refresh, proxy_min_corpus=args.proxy_min_corpus,
     )
     factory = RegistryEnvFactory(args.env, **_env_kwargs(args))
@@ -359,7 +344,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         env_kwargs=factory.env_kwargs,
         timeout_s=args.service_timeout, retries=args.service_retries,
         auto_weights=args.auto_weights,
-        cache_replicas=args.cache_replicas,
         proxy_screen=args.proxy_screen,
     )
     tasks = [
@@ -370,11 +354,9 @@ def _cmd_collect(args: argparse.Namespace) -> int:
             collect=True, cache=False if args.no_cache else None,
             shared_cache_dir=shared_cache_dir,
             backend=backend, server_cache=server_cache,
-            cache_replicas=args.cache_replicas,
             pipeline=args.pipeline,
             proxy_screen=args.proxy_screen,
             proxy_oversample=args.proxy_oversample,
-            proxy_topk=args.proxy_topk,
             proxy_refresh=args.proxy_refresh,
             proxy_min_corpus=args.proxy_min_corpus,
         )
@@ -394,7 +376,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
             agents=list(agents), n_samples=args.samples, seed=args.seed,
             proxy_screen=args.proxy_screen,
             proxy_oversample=args.proxy_oversample,
-            proxy_topk=args.proxy_topk,
             proxy_refresh=args.proxy_refresh,
             proxy_min_corpus=args.proxy_min_corpus,
         )

@@ -86,7 +86,10 @@ def listing_pages(
 
 
 def _finite_metrics(metrics: Dict[str, Any]) -> Dict[str, float]:
-    """Normalize metrics to ``{str: float}`` and reject non-finite values.
+    """Normalize metrics to ``{str: float}``, raising
+    :class:`CacheStoreError` for a value that is not a finite number
+    (the evaluation service answers a ``PUT /cache`` body with one
+    with a 400).
 
     ``json.dumps`` would happily emit NaN/±Infinity as the non-standard
     ``NaN``/``Infinity`` tokens — bytes strict JSON parsers reject and
@@ -94,7 +97,12 @@ def _finite_metrics(metrics: Dict[str, Any]) -> Dict[str, float]:
     non-finite metric is a caller bug surfaced at put time, not an
     entry to store.
     """
-    clean = {str(k): float(v) for k, v in metrics.items()}
+    try:
+        clean = {str(k): float(v) for k, v in metrics.items()}
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise CacheStoreError(
+            f"metrics are not a name->float mapping: {metrics!r}"
+        ) from exc
     for name, value in clean.items():
         if not math.isfinite(value):
             raise CacheStoreError(
@@ -400,33 +408,20 @@ class ServerCacheStore:
     pool:
         Carries every request, and its owner closes the sockets. Reads
         go to its first living host in URL order (the primary), writes
-        to the first ``replicas`` living hosts, under the pool's
-        quarantine, revival and backfill
-        (:meth:`~repro.sweeps.hostpool.HostPool.cache_write`). With no
-        host left the call raises
+        to the first two living hosts (the one host of a one-host
+        pool), under the pool's quarantine, revival and backfill
+        (:meth:`~repro.sweeps.hostpool.HostPool.cache_write`). So the
+        death of any one host of a larger pool loses no entries: reads
+        fail over to the surviving copy instead of re-simulating. With
+        no host left the call raises
         :class:`~repro.core.errors.ServiceTransportError`: the sweep
         fails loudly rather than silently re-simulating.
-    replicas:
-        Write-through replication factor: the death of any
-        ``replicas - 1`` hosts loses no entries — reads fail over to a
-        surviving replica instead of re-simulating. ``None`` (the
-        default) means ``min(2, pool size)``; larger values are clamped
-        to the pool size. The entries are a deterministic memo
-        (last-writer-wins, every copy identical), so the factor is
-        purely a durability knob — it can never change results.
     """
 
-    def __init__(self, pool: "HostPool", replicas: Optional[int] = None) -> None:
-        n_hosts = len(pool.urls)
-        if replicas is None:
-            replicas = min(2, n_hosts)
-        if not isinstance(replicas, int) or isinstance(replicas, bool) or replicas < 1:
-            raise CacheStoreError(
-                f"replicas must be an integer >= 1, got {replicas!r}"
-            )
+    def __init__(self, pool: "HostPool") -> None:
         self.pool = pool
-        #: Effective write-through replication factor.
-        self.replicas = min(replicas, n_hosts)
+        #: Write-through replication factor: ``min(2, pool size)``.
+        self.replicas = min(2, len(pool.urls))
         self._local: Dict[str, Dict[str, float]] = {}
 
     # -- public API ---------------------------------------------------------------
@@ -459,15 +454,13 @@ class ServerCacheStore:
             else:
                 ask[key_str] = key
         if ask:
+            # The client's response parser has already checked every
+            # answer and normalized it to {str: float}.
             answers = self.pool.cache_read("cache_get_many", list(ask))
             for key_str, metrics in answers.items():
                 if key_str in ask:
-                    # The one normalizer both directions keep local
-                    # copies through, so a later put of an equal but
-                    # int-valued dict short-circuits.
-                    clean = _finite_metrics(metrics)
-                    self._local[key_str] = clean
-                    found[ask[key_str]] = dict(clean)
+                    self._local[key_str] = metrics
+                    found[ask[key_str]] = dict(metrics)
         return found
 
     def put_many(

@@ -94,6 +94,10 @@ class DramTimings:
             raise SimulationError("trefi must exceed trfc")
         if self.burst_length not in (4, 8, 16):
             raise SimulationError("burst_length must be 4, 8 or 16")
+        for name in ("burst_time", "row_miss_penalty", "row_conflict_penalty"):
+            value = getattr(self, name)
+            if not math.isfinite(value):  # finite fields can overflow
+                raise SimulationError(f"{name} must be finite, got {value}")
 
     @property
     def burst_time(self) -> float:

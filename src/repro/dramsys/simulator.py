@@ -45,6 +45,13 @@ __all__ = ["SimResult", "DramSimulator"]
 #: is its index in the trace.
 _Request = Tuple[int, int, int, bool]
 
+#: How many refresh intervals the clock may run past the due refresh
+#: before a run is refused. Catching up takes one loop trip per
+#: interval, so a far-future arrival, or a timing so large that one
+#: burst moves the clock by ~1e297 intervals, would hang the run. The
+#: longest generated trace spans ~3,500 PerBank intervals in all.
+_MAX_REFRESH_LAG = 1_000_000
+
 
 @dataclass(frozen=True)
 class SimResult:
@@ -213,6 +220,7 @@ def _run(
     bus_free = 0.0
     bus_last_write: Optional[bool] = None
     refresh_due = interval
+    max_lag = _MAX_REFRESH_LAG * interval
     refresh_debt = 0
     refresh_credit = 0
     inflight: List[float] = []      # min-heap of finish times
@@ -265,6 +273,13 @@ def _run(
 
         # refresh postpone / pull-in policy at the current time
         while now >= refresh_due:
+            if not now - refresh_due < max_lag:  # NaN and inf lags too
+                raise SimulationError(
+                    f"the clock reached {now} ns, at least "
+                    f"{_MAX_REFRESH_LAG} refresh intervals of {interval} ns "
+                    f"past the refresh due at {refresh_due} ns: an arrival "
+                    "time or a timing is too large to simulate"
+                )
             if refresh_credit > 0:
                 # a pulled-in refresh already covered this interval
                 refresh_credit -= 1

@@ -266,15 +266,6 @@ class OnlineProxy:
 
     # -- inference ----------------------------------------------------------------
 
-    def predict_metrics(self, action: Dict[str, Any]) -> Dict[str, float]:
-        """Predict all target metrics for one action dict."""
-        if self._model is None:
-            raise ProxyModelError(
-                "online proxy has no fitted model yet (corpus "
-                f"{self.corpus_size}/{self.min_corpus})"
-            )
-        return self._model.predict_metrics(action)
-
     def predict_batch(
         self, actions: Sequence[Dict[str, Any]]
     ) -> List[Dict[str, float]]:

@@ -65,7 +65,7 @@ from urllib.parse import urlsplit
 
 from repro.core.cache_store import SharedCacheStore
 from repro.core.env import ArchGymEnv
-from repro.core.errors import ServiceError
+from repro.core.errors import CacheStoreError, ServiceError
 from repro.service.wire import (
     DEFAULT_CACHE_PAGE,
     WIRE_FORMAT,
@@ -237,10 +237,11 @@ class EvaluationService:
 
     def cache_put_many(self, entries: List[Tuple[str, Dict[str, float]]]) -> None:
         """Store every entry in order (last writer wins) under one lock
-        hold; every metric is checked before anything is stored."""
-        clean = [(key_str, clean_metrics(m)) for key_str, m in entries]
+        hold. The store checks every metric before anything is stored
+        and raises :class:`~repro.core.errors.CacheStoreError` for one
+        that is not a finite number (a 400 on the wire)."""
         with self._cache_lock:
-            self._cache_store.put_many_encoded(clean)
+            self._cache_store.put_many_encoded(entries)
 
     def cache_size(self) -> int:
         with self._cache_lock:
@@ -618,7 +619,11 @@ class _Handler(BaseHTTPRequestHandler):
         def handle() -> None:
             if self.path == "/cache":
                 entries = parse_cache_write(self._read_json())
-                self.service.cache_put_many(entries)
+                try:
+                    self.service.cache_put_many(entries)
+                except CacheStoreError as exc:  # a metric the store refuses
+                    self._reply(400, {"error": str(exc)})
+                    return
                 self._reply(200, {"stored": len(entries)})
             else:
                 self._reply(404, {"error": f"no route {self.path!r}"})

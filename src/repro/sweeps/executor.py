@@ -206,7 +206,6 @@ def resolve_execution_backend(
     timeout_s: Optional[float] = None,
     retries: Optional[int] = None,
     auto_weights: bool = False,
-    cache_replicas: Optional[int] = None,
     proxy_screen: bool = False,
 ) -> Tuple[Optional[BackendSpec], bool, Optional[str]]:
     """Derive a task batch's ``(backend, server_cache,
@@ -245,20 +244,6 @@ def resolve_execution_backend(
             "its surrogate from the shared cache's accumulated corpus and "
             "therefore requires shared_cache=True (--shared-cache)"
         )
-    if cache_replicas is not None:
-        if not isinstance(cache_replicas, int) or isinstance(
-            cache_replicas, bool
-        ) or cache_replicas < 1:
-            raise ExecutorError(
-                f"cache_replicas must be a positive integer, got "
-                f"{cache_replicas!r}"
-            )
-        if not shared_cache or service_url is None:
-            raise ExecutorError(
-                "cache_replicas (--cache-replicas) configures the "
-                "server-backed shared cache tier and therefore requires "
-                "shared_cache=True with a service_url"
-            )
     overrides: Dict[str, Any] = {}
     if timeout_s is not None:
         overrides["timeout_s"] = timeout_s
@@ -349,11 +334,6 @@ class TrialTask:
     #: *machine* sibling of ``shared_cache_dir``, which takes
     #: precedence if both are set. Requires ``backend``.
     server_cache: bool = False
-    #: Replication factor of that server-backed tier: every ``put``
-    #: goes to this many pool hosts (``None`` = the store default,
-    #: min(2, pool size)). A durability knob — reuse is deterministic
-    #: either way — so it stays out of the durable-sweep fingerprint.
-    cache_replicas: Optional[int] = None
     #: Stream each generation through
     #: :meth:`~repro.core.env.ArchGymEnv.step_batch_stream` (work-unit
     #: dispatch with work stealing on a multi-host pool) instead of
@@ -363,11 +343,10 @@ class TrialTask:
     #: Online-proxy screening (oversample-and-rank in front of real
     #: evaluation). Unlike the dispatch knobs above these CHANGE the
     #: search results — which points get simulated depends on the
-    #: surrogate — so all five participate in the durable-sweep
+    #: surrogate — so all four participate in the durable-sweep
     #: fingerprint whenever ``proxy_screen`` is on.
     proxy_screen: bool = False
     proxy_oversample: int = 4
-    proxy_topk: Optional[int] = None
     proxy_refresh: float = 0.1
     proxy_min_corpus: int = 64
 
@@ -424,9 +403,7 @@ def run_trial(task: TrialTask) -> TrialOutcome:
 
             # On the backend's pool, a host found dead by either kind
             # of traffic stays quarantined for both, across trials.
-            env.attach_shared_cache(
-                ServerCacheStore(remote.pool, replicas=task.cache_replicas)
-            )
+            env.attach_shared_cache(ServerCacheStore(remote.pool))
         dataset: Optional[ArchGymDataset] = None
         if task.collect:
             dataset = ArchGymDataset(env.env_id)
@@ -444,7 +421,6 @@ def run_trial(task: TrialTask) -> TrialOutcome:
                 pipeline=task.pipeline,
                 proxy_screen=task.proxy_screen,
                 proxy_oversample=task.proxy_oversample,
-                proxy_topk=task.proxy_topk,
                 proxy_refresh=task.proxy_refresh,
                 proxy_min_corpus=task.proxy_min_corpus,
             )

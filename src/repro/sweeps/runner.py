@@ -313,8 +313,7 @@ def validate_sweep_args(
     shared_cache: bool = False,
     service_url: Optional[Union[str, Sequence[str]]] = None,
     proxy_screen: bool = False, proxy_oversample: int = 4,
-    proxy_topk: Optional[int] = None, proxy_refresh: float = 0.1,
-    proxy_min_corpus: int = 64,
+    proxy_refresh: float = 0.1, proxy_min_corpus: int = 64,
 ) -> None:
     """Reject a sweep's or a collection's arguments before anything
     runs or is written — above all before an ``out_dir`` records a
@@ -331,8 +330,8 @@ def validate_sweep_args(
             "shared_cache requires an out_dir (--out-dir) or a "
             "service_url (--service-url)"
         )
-    check_proxy_knobs(proxy_screen, proxy_oversample, proxy_topk,
-                      proxy_refresh, proxy_min_corpus)
+    check_proxy_knobs(proxy_screen, proxy_oversample, proxy_refresh,
+                      proxy_min_corpus)
 
 
 def run_lottery_sweep(
@@ -354,10 +353,8 @@ def run_lottery_sweep(
     generation_dispatch: bool = False,
     pipeline: bool = False,
     auto_weights: bool = False,
-    cache_replicas: Optional[int] = None,
     proxy_screen: bool = False,
     proxy_oversample: int = 4,
-    proxy_topk: Optional[int] = None,
     proxy_refresh: float = 0.1,
     proxy_min_corpus: int = 64,
 ) -> SweepReport:
@@ -481,13 +478,6 @@ def run_lottery_sweep(
         fleets rebalance automatically. Requires ``service_url``. A
         placement knob: results are byte-identical either way, so it
         stays outside the durable-sweep fingerprint.
-    cache_replicas:
-        Replication factor of the server-backed shared cache tier:
-        every ``put`` goes to this many living pool hosts (default
-        min(2, pool size)), so a dying cache host costs nothing — reads
-        fail over to a replica and revived hosts are backfilled.
-        Requires ``shared_cache=True`` with ``service_url``. A
-        durability knob, outside the durable-sweep fingerprint.
     proxy_screen:
         Online surrogate pre-screening: every trial trains an
         :class:`~repro.proxy.online.OnlineProxy` from the shared cache
@@ -495,16 +485,13 @@ def run_lottery_sweep(
         picks of each proposed generation (plus a ``proxy_refresh``
         honesty slice) — see :func:`repro.agents.base.run_agent`.
         Requires ``shared_cache=True``. Unlike the dispatch knobs this
-        **changes the search results**, so it and the four knobs below
+        **changes the search results**, so it and the three knobs below
         participate in the durable-sweep fingerprint whenever it is
         on (an unscreened sweep keeps its historical fingerprint).
     proxy_oversample:
         Oversampling factor: of each proposed generation only
         ``ceil(generation / proxy_oversample)`` points are really
-        simulated (unless ``proxy_topk`` pins the count directly).
-    proxy_topk:
-        Exact number of real evaluations per screened generation
-        (overrides the ``proxy_oversample``-derived default).
+        simulated.
     proxy_refresh:
         Fraction (of top-k) of additional ground-truth evaluations
         drawn from the *rejected* points by a seeded RNG every
@@ -522,8 +509,7 @@ def run_lottery_sweep(
         agents, n_samples, workers, resume=resume, out_dir=out_dir,
         shared_cache=shared_cache, service_url=service_url,
         proxy_screen=proxy_screen, proxy_oversample=proxy_oversample,
-        proxy_topk=proxy_topk, proxy_refresh=proxy_refresh,
-        proxy_min_corpus=proxy_min_corpus,
+        proxy_refresh=proxy_refresh, proxy_min_corpus=proxy_min_corpus,
     )
     rng = np.random.default_rng(seed)
     probe = env_factory()
@@ -540,7 +526,6 @@ def run_lottery_sweep(
         timeout_s=service_timeout_s,
         retries=service_retries,
         auto_weights=auto_weights,
-        cache_replicas=cache_replicas,
         proxy_screen=proxy_screen,
     )
 
@@ -564,11 +549,9 @@ def run_lottery_sweep(
                     shared_cache_dir=shared_cache_dir,
                     backend=backend,
                     server_cache=server_cache,
-                    cache_replicas=cache_replicas,
                     pipeline=pipeline,
                     proxy_screen=proxy_screen,
                     proxy_oversample=proxy_oversample,
-                    proxy_topk=proxy_topk,
                     proxy_refresh=proxy_refresh,
                     proxy_min_corpus=proxy_min_corpus,
                 )
@@ -609,7 +592,6 @@ def run_lottery_sweep(
         collect=collect_dataset,
         proxy_screen=proxy_screen,
         proxy_oversample=proxy_oversample,
-        proxy_topk=proxy_topk,
         proxy_refresh=proxy_refresh,
         proxy_min_corpus=proxy_min_corpus,
     )
@@ -630,7 +612,6 @@ def run_lottery_sweep(
         manifest.update(
             proxy_screen=proxy_screen,
             proxy_oversample=proxy_oversample,
-            proxy_topk=proxy_topk,
             proxy_refresh=proxy_refresh,
             proxy_min_corpus=proxy_min_corpus,
         )

@@ -67,6 +67,12 @@ def sweep_fingerprint(**fields: Any) -> str:
     """
     if not fields.get("proxy_screen"):
         fields = {k: v for k, v in fields.items() if not k.startswith("proxy_")}
+    else:
+        # Screened sweeps fingerprinted ``proxy_topk``, an exact top-k
+        # count that was null unless set, until the option was deleted.
+        # Its null entry keeps the fingerprint of every screened sweep
+        # that left it unset, so their ``--out-dir``s stay resumable.
+        fields = {"proxy_topk": None, **fields}
     payload = json.dumps(fields, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
@@ -89,7 +95,6 @@ FINGERPRINT_EXEMPT = {
     "service_timeout": "client transport policy",
     "service_retries": "client transport policy",
     "server_cache": "server-side memo tier; deterministic reuse only",
-    "cache_replicas": "shared-cache write-through fan-out; deterministic reuse only",
     "auto_weights": "observed-rate host weighting; dispatch placement only",
     "pipeline": "streaming dispatch with stealing, same results",
     "out_dir": "names the shard directory itself",

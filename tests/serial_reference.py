@@ -19,10 +19,18 @@ and history bookkeeping — so the parity batteries can hold every
 dispatch mode to a genuinely serial run. It takes ``run_agent``'s
 arguments, so :func:`serial_sweeps` can stand it in where
 ``repro.sweeps.executor`` looks ``run_agent`` up.
+
+``run_agent_reference`` is the generation driver as it stood with two
+bodies, plain dispatch and oversample-and-rank, sharing their per-point
+bookkeeping through an ``absorb`` closure (an exact top-k count, the
+option since deleted, fixed at its default of none). The screening
+property in ``tests/test_proxy_online.py`` holds ``run_agent``'s one
+body to it.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Any, Dict, List, Mapping, Optional
 from unittest import mock
@@ -30,7 +38,7 @@ from unittest import mock
 import numpy as np
 
 import repro.sweeps.executor as executor
-from repro.agents.base import Agent, SearchResult
+from repro.agents.base import Agent, SearchResult, check_count, check_proxy_knobs
 from repro.core.dataset import Transition
 from repro.core.env import ArchGymEnv, StepResult, canonical_action_key
 from repro.core.errors import AgentError, EnvironmentError_, InvalidActionError
@@ -206,6 +214,218 @@ def run_agent_serial(
             if count - hosts_0.get(host, 0) > 0
         },
         proxy_last_rmse=float(stats.proxy_last_rmse),
+    )
+
+
+def run_agent_reference(
+    agent: Agent,
+    env: ArchGymEnv,
+    n_samples: int,
+    seed: Optional[int] = None,
+    source_tag: Optional[str] = None,
+    pipeline: bool = False,
+    proxy_screen: bool = False,
+    proxy_oversample: int = 4,
+    proxy_refresh: float = 0.1,
+    proxy_min_corpus: int = 64,
+) -> SearchResult:
+    """The two-body generation driver (see the module docstring)."""
+    check_count("n_samples", n_samples)
+    check_proxy_knobs(proxy_screen, proxy_oversample,
+                      proxy_refresh, proxy_min_corpus)
+    higher = env.reward_spec.higher_is_better
+    if env.dataset is not None:
+        env.set_source(source_tag or agent.hyperparam_tag())
+    step_batch = env.step_batch_stream if pipeline else env.step_batch
+
+    # Snapshot counters so a shared environment (e.g. the CLI's collect
+    # command) attributes only this run's simulator cost to the result.
+    sim_time_0 = env.stats.total_sim_time
+    hits_0 = env.stats.cache_hits
+    misses_0 = env.stats.cache_misses
+    shared_0 = env.stats.shared_cache_hits
+    remote_0 = env.stats.remote_evals
+    hosts_0 = dict(env.stats.remote_evals_by_host)
+    screened_0 = env.stats.proxy_screened
+    accepted_0 = env.stats.proxy_accepted
+    refresh_0 = env.stats.proxy_refresh_evals
+
+    start = time.perf_counter()
+    env.reset(seed=seed)
+
+    best_fitness = -np.inf
+    best_action: Dict[str, Any] = {}
+    best_reward = 0.0
+    best_metrics: Dict[str, float] = {}
+    target_met = False
+    reward_history: List[float] = []
+    best_history: List[float] = []
+
+    def absorb(action: Mapping[str, Any], reward: float,
+               info: Mapping[str, Any]) -> float:
+        """The per-point bookkeeping of plain and screened dispatch —
+        one copy, so the two paths cannot drift apart and break the
+        byte-parity guarantee. Returns the fitness."""
+        nonlocal best_fitness, best_action, best_reward, best_metrics
+        nonlocal target_met
+        fitness = reward if higher else -reward
+        reward_history.append(reward)
+        if fitness > best_fitness:
+            best_fitness = fitness
+            best_action = dict(action)
+            best_reward = reward
+            best_metrics = dict(info["metrics"])
+        best_history.append(best_fitness)
+        target_met = target_met or bool(info.get("target_met"))
+        return fitness
+
+    proxy = None
+    refresh_rng: Optional[np.random.Generator] = None
+    if proxy_screen:
+        # Imported lazily, so importing agents or running unscreened
+        # never loads the proxy package.
+        from repro.proxy.online import OnlineProxy
+
+        proxy_seed = 0 if seed is None else int(seed)
+        proxy = OnlineProxy(
+            env.action_space,
+            env.observation_metrics,
+            min_corpus=proxy_min_corpus,
+            seed=proxy_seed,
+            # An intentionally unreachable min_corpus (pinning the
+            # run to the cold path) must not trip the ctor's
+            # max_fit_samples >= min_corpus invariant.
+            max_fit_samples=max(2048, proxy_min_corpus),
+        )
+        refresh_rng = np.random.default_rng(proxy_seed + 1000003)
+
+    def predicted_fitness(metrics: Mapping[str, float]) -> float:
+        reward = env.reward_spec.compute(metrics)
+        return reward if higher else -reward
+
+    remaining = n_samples
+    while remaining > 0:
+        proposals = agent.propose_batch()
+        if not proposals:
+            raise AgentError(
+                f"{agent.name}.propose_batch() returned no proposals"
+            )
+        screen = False
+        if proxy is not None:
+            # Harvest whatever corpus the shared tier has accumulated
+            # (other trials' points included) and refit if warranted.
+            # Pure reads plus the proxy's own seeded RNG: while the
+            # cold-start gate stays shut the run remains byte-
+            # identical to an unscreened one.
+            if env.shared_cache is not None:
+                proxy.harvest(env.shared_cache)
+            proxy.maybe_refit()
+            screen = proxy.ready and len(proposals) > 1
+
+        if not screen:
+            # Plain dispatch (no proxy, or cold start).
+            # A generation larger than the remaining budget is cut to
+            # it — a point-at-a-time loop would have stopped
+            # mid-generation at exactly this point.
+            proposals = proposals[:remaining]
+            fitnesses: List[float] = []
+            metrics_list: List[Dict[str, float]] = []
+            terminated = truncated = False
+            for action, step_result in zip(proposals, step_batch(proposals)):
+                __, reward, terminated, truncated, info = step_result
+                fitnesses.append(absorb(action, reward, info))
+                metrics_list.append(info["metrics"])
+                if proxy is not None:
+                    proxy.observe(action, info["metrics"])
+            agent.observe_batch(proposals, fitnesses, metrics_list)
+            remaining -= len(proposals)
+
+            # step_batch resets mid-batch episode ends itself; a batch
+            # whose *final* point closed an episode leaves the reset to
+            # the driver, exactly like step().
+            if terminated or truncated:
+                env.reset()
+            continue
+
+        # -- oversample-and-rank ----------------------------------
+        # The whole proposed generation is the candidate pool; only
+        # the proxy's top-k (plus the honesty-refresh slice) is
+        # really simulated, so each unit of sample budget screens
+        # ``oversample×`` candidates.
+        pool = proposals
+        k = max(1, math.ceil(len(pool) / proxy_oversample))
+        k = min(k, len(pool))
+        predictions = proxy.predict_batch(pool)
+        pred_fitness = [predicted_fitness(m) for m in predictions]
+        # Best-first by predicted fitness; ties break by proposal
+        # index so the ranking is deterministic.
+        order = sorted(
+            range(len(pool)), key=lambda i: (-pred_fitness[i], i)
+        )
+        accepted = set(order[:k])
+        rejected = [i for i in range(len(pool)) if i not in accepted]
+        refresh: set = set()
+        if rejected and proxy_refresh > 0.0:
+            n_refresh = min(len(rejected), math.ceil(proxy_refresh * k))
+            picks = refresh_rng.choice(
+                len(rejected), size=n_refresh, replace=False
+            )
+            refresh = {rejected[int(j)] for j in picks}
+        eval_idx = sorted(accepted | refresh)[:remaining]
+        eval_actions = [pool[i] for i in eval_idx]
+        real: Dict[int, Any] = {}
+        terminated = truncated = False
+        for i, step_result in zip(eval_idx, step_batch(eval_actions)):
+            __, reward, terminated, truncated, info = step_result
+            real[i] = (absorb(pool[i], reward, info), dict(info["metrics"]))
+            proxy.observe(pool[i], info["metrics"])
+        env.stats.proxy_screened += len(pool)
+        env.stats.proxy_accepted += len(eval_idx)
+        env.stats.proxy_refresh_evals += sum(
+            1 for i in eval_idx if i in refresh
+        )
+        env.stats.proxy_last_rmse = proxy.last_rmse
+        # The agent observes the full generation in proposal order:
+        # ground truth where simulated, the surrogate's prediction
+        # elsewhere. The incumbent/result bookkeeping (absorb) only
+        # ever saw real evaluations.
+        fitnesses = []
+        metrics_list = []
+        for i in range(len(pool)):
+            fitness, metrics = real.get(i, (pred_fitness[i], predictions[i]))
+            fitnesses.append(fitness)
+            metrics_list.append(metrics)
+        agent.observe_batch(pool, fitnesses, metrics_list)
+        remaining -= len(eval_idx)
+        if terminated or truncated:
+            env.reset()
+
+    return SearchResult(
+        agent=agent.name,
+        hyperparameters=agent.hyperparameters,
+        n_samples=n_samples,
+        best_action=best_action,
+        best_fitness=float(best_fitness),
+        best_reward=float(best_reward),
+        best_metrics=best_metrics,
+        reward_history=reward_history,
+        best_fitness_history=best_history,
+        target_met=target_met,
+        wall_time_s=time.perf_counter() - start,
+        sim_time_s=env.stats.total_sim_time - sim_time_0,
+        cache_hits=env.stats.cache_hits - hits_0,
+        cache_misses=env.stats.cache_misses - misses_0,
+        shared_cache_hits=env.stats.shared_cache_hits - shared_0,
+        remote_evals=env.stats.remote_evals - remote_0,
+        remote_hosts={
+            host: count - hosts_0.get(host, 0)
+            for host, count in env.stats.remote_evals_by_host.items()
+            if count - hosts_0.get(host, 0) > 0
+        },
+        proxy_screened=env.stats.proxy_screened - screened_0,
+        proxy_accepted=env.stats.proxy_accepted - accepted_0,
+        proxy_refresh_evals=env.stats.proxy_refresh_evals - refresh_0,
+        proxy_last_rmse=float(env.stats.proxy_last_rmse),
     )
 
 

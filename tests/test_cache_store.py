@@ -524,19 +524,6 @@ class TestServerStoreReplication:
         ))
         assert trio.replicas == 2
 
-    def test_replication_factor_clamped_to_chain_length(self, closing):
-        store = ServerCacheStore(
-            _pool(closing, "http://127.0.0.1:1", "http://127.0.0.1:2"),
-            replicas=5,
-        )
-        assert store.replicas == 2
-
-    def test_bad_replication_factor_rejected(self, closing):
-        pool = _pool(closing, "http://127.0.0.1:1")
-        for bad in (0, -1, True, 1.5, "2"):
-            with pytest.raises(CacheStoreError, match="replicas"):
-                ServerCacheStore(pool, replicas=bad)
-
     def test_put_fans_out_to_replicas(self, closing):
         with EvaluationService() as a, EvaluationService() as b:
             store = ServerCacheStore(
@@ -546,15 +533,6 @@ class TestServerStoreReplication:
                 store.put(_key(i), {"cost": float(i)})
             assert a.cache_size() == 3
             assert b.cache_size() == 3
-
-    def test_replication_factor_one_writes_primary_only(self, closing):
-        with EvaluationService() as a, EvaluationService() as b:
-            store = ServerCacheStore(
-                _pool(closing, a.url, b.url, timeout_s=10.0), replicas=1
-            )
-            store.put(_key(1), {"cost": 1.0})
-            assert a.cache_size() == 1
-            assert b.cache_size() == 0
 
     def test_read_fails_over_to_replica_after_primary_death(self, closing):
         """The entries of a dead cache host are *not* lost: a reader
@@ -587,24 +565,24 @@ class TestServerStoreReplication:
             store.put(_key(1), {"cost": 1.0})
 
     def test_put_many_fans_out_to_replicas(self, closing):
-        """One bulk write per replica, to the first ``replicas`` hosts
-        of the pool; the host past the factor gets nothing."""
+        """One bulk write per replica, to the first two hosts of the
+        pool; the host past them gets nothing."""
         with EvaluationService() as a, EvaluationService() as b, \
                 EvaluationService() as c:
             pool = _pool(closing, a.url, b.url, c.url, timeout_s=10.0)
-            store = ServerCacheStore(pool, replicas=2)
+            store = ServerCacheStore(pool)
             store.put_many([(_key(i), {"cost": float(i)}) for i in range(5)])
             assert [a.cache_size(), b.cache_size(), c.cache_size()] == [5, 5, 0]
             assert _requests(pool) == [1, 1, 0]
 
     def test_put_many_skips_a_dead_replica(self, closing):
-        """The write rule: the first ``replicas`` *living* hosts in URL
-        order. A dead middle host is quarantined and the copy it would
-        have held goes to the next living host."""
+        """The write rule: the first two *living* hosts in URL order. A
+        dead middle host is quarantined and the copy it would have held
+        goes to the next living host."""
         with EvaluationService() as a, EvaluationService() as c:
             (dead_b,) = _dead_urls(1)
             pool = _pool(closing, a.url, dead_b, c.url)
-            store = ServerCacheStore(pool, replicas=2)
+            store = ServerCacheStore(pool)
             store.put_many([(_key(i), {"cost": float(i)}) for i in range(3)])
             assert [a.cache_size(), c.cache_size()] == [3, 3]
             assert pool.quarantined_urls == [dead_b]

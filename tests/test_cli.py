@@ -234,7 +234,7 @@ class TestDurableCommands:
             for bad in (
                 # proxy knobs a screened trial would refuse
                 ["--shared-cache", "--proxy-screen", "--proxy-oversample", "0"],
-                ["--shared-cache", "--proxy-screen", "--proxy-topk", "0"],
+                ["--shared-cache", "--proxy-screen", "--proxy-refresh", "-0.5"],
                 ["--shared-cache", "--proxy-screen", "--proxy-refresh", "1.5"],
                 ["--shared-cache", "--proxy-screen", "--proxy-min-corpus", "4"],
                 # a client policy no pool could run under

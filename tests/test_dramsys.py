@@ -1,12 +1,17 @@
 """Unit + property tests for the DRAM substrate (repro.dramsys)."""
 
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.errors import SimulationError
 from repro.dramsys import (
     DDR3_1600,
@@ -63,6 +68,9 @@ class TestDevice:
             for value in NON_FINITE:
                 with pytest.raises(SimulationError, match=f"{field.name} must be finite"):
                     DramTimings(**{field.name: value})
+        # finite fields whose derived time overflows
+        with pytest.raises(SimulationError, match="row_conflict_penalty must be finite"):
+            DramTimings(trp=1e308, trcd=1e308)
 
     def test_invalid_energy(self):
         with pytest.raises(SimulationError):
@@ -220,6 +228,58 @@ class TestSimulator:
         # the refused trace is not memoized: a retry raises again
         with pytest.raises(SimulationError, match="request 7"):
             simulator.simulate(ControllerConfig(), trace)
+
+    #: Each case hung ``simulate`` until it was refused: a far-future
+    #: arrival, a clock period whose ``burst_time`` overflows to inf,
+    #: one whose every time is finite but whose first burst jumps the
+    #: clock ~1e297 refresh intervals, and a zero refresh interval. Run
+    #: in a child process with a timeout, so that a regression fails
+    #: instead of hanging the suite.
+    HANG_SCRIPT = """
+import json
+import sys
+from repro.core.errors import SimulationError
+from repro.dramsys import (
+    ControllerConfig, DramDevice, DramSimulator, DramTimings, Trace,
+    generate_trace,
+)
+from repro.dramsys.traces import MemoryRequest
+
+trace = generate_trace("stream", 50, seed=0)
+try:
+    if sys.argv[1] == "arrival":
+        far = MemoryRequest(1.7e308, 0, False)
+        trace = Trace("far", trace.requests + (far,))
+        simulator = DramSimulator()
+    else:
+        timings = DramTimings(**json.loads(sys.argv[1]))
+        simulator = DramSimulator(DramDevice(timings=timings))
+    simulator.simulate(ControllerConfig(), trace)
+except SimulationError as exc:
+    print("refused:", exc)
+"""
+
+    @pytest.mark.parametrize(
+        "case, refusal",
+        [
+            ("arrival", "refresh intervals of 7800.0 ns"),
+            ('{"tck": 1e308}', "burst_time must be finite, got inf"),
+            ('{"tck": 1e300}', "refresh intervals of 7800.0 ns"),
+            ('{"trfc": -10.0, "trefi": 0.0}', "refresh intervals of 0.0 ns"),
+        ],
+        ids=["far-arrival", "tck-1e308", "tck-1e300", "zero-interval"],
+    )
+    def test_input_that_would_hang_is_refused(self, case, refusal):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.HANG_SCRIPT, case],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("refused:") and refusal in proc.stdout
 
     def test_stream_high_hit_rate_with_open_policy(self):
         trace = generate_trace("stream", 500, seed=1)

@@ -867,8 +867,8 @@ class TestGenerationScatter:
     def test_singleton_batch_keeps_round_robin_placement(
         self, two_counting_services, closing
     ):
-        """A 1-point batch must not pin the heaviest host: it delegates
-        to the least-load/round-robin path."""
+        """A 1-point batch must not pin the heaviest host: it is one
+        whole-batch call, placed round-robin like any other."""
         a, b = two_counting_services
         pool = closing(HostPool(
             [a.url, b.url], weights=[2.0, 1.0], timeout_s=10.0, retries=0

@@ -382,7 +382,7 @@ class TestCachePrimaryFailover:
         return run_lottery_sweep(
             SvcCountingEnv,
             service_url=list(urls),
-            shared_cache=True, cache_replicas=2,
+            shared_cache=True,
             service_timeout_s=5.0, service_retries=1,
             **self.KW,
         )
@@ -500,7 +500,7 @@ class TestBulkCacheTraffic:
         env.enable_cache()
         backend = RemoteBackend(urls, timeout_s=10.0, retries=0)
         env.attach_backend(backend)
-        env.attach_shared_cache(ServerCacheStore(backend.pool, replicas=2))
+        env.attach_shared_cache(ServerCacheStore(backend.pool))
         env.reset(seed=0)
         generation = GAAgent(
             env.action_space, seed=0, population_size=64
@@ -544,7 +544,7 @@ class TestBulkCacheTraffic:
         env.enable_cache()
         backend = RemoteBackend(urls, timeout_s=10.0, retries=0)
         env.attach_backend(backend)
-        env.attach_shared_cache(ServerCacheStore(backend.pool, replicas=2))
+        env.attach_shared_cache(ServerCacheStore(backend.pool))
         env.reset(seed=0)
         generation = GAAgent(
             env.action_space, seed=0, population_size=16

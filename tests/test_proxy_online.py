@@ -4,12 +4,16 @@ screened generation path, and the correctness fixes that ride along
 
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.agents.hyperparams import make_agent
 from repro.core.cache_store import SharedCacheStore, encode_key
+from repro.core.dataset import ArchGymDataset
 from repro.core.env import ArchGymEnv
 from repro.core.errors import (
     AgentError,
@@ -26,6 +30,7 @@ from repro.proxy.trainer import ProxyCostModel
 from repro.service.wire import clean_metrics
 from repro.sweeps import run_lottery_sweep
 from repro.sweeps.executor import resolve_execution_backend
+from serial_reference import run_agent_reference
 
 
 class RidgeEnv(ArchGymEnv):
@@ -117,7 +122,7 @@ class TestOnlineProxy:
         assert proxy.ready is True  # smooth surface: RMSE clears 0.35
         assert 0.0 < proxy.last_rmse <= 0.35
         # the optimum predicts well below the surface's ~6.2 mean cost
-        pred = proxy.predict_metrics({"x": 20, "y": 9, "m": "b"})
+        (pred,) = proxy.predict_batch([{"x": 20, "y": 9, "m": "b"}])
         assert pred["cost"] < 5.0
 
     def test_refit_policy_amortizes(self, tmp_path):
@@ -158,8 +163,6 @@ class TestOnlineProxy:
 
     def test_predict_before_fit_raises(self):
         proxy = OnlineProxy(_space(), ["cost"], min_corpus=8)
-        with pytest.raises(ProxyModelError, match="no fitted model"):
-            proxy.predict_metrics({"x": 1, "y": 1, "m": "a"})
         with pytest.raises(ProxyModelError, match="no fitted model"):
             proxy.predict_batch([{"x": 1, "y": 1, "m": "a"}])
 
@@ -312,7 +315,6 @@ class TestScreenedSweeps:
         agent = make_agent("ga", env.action_space, seed=0)
         for kw in (
             dict(proxy_oversample=0),
-            dict(proxy_topk=0),
             dict(proxy_refresh=1.5),
         ):
             with pytest.raises(AgentError):
@@ -400,3 +402,63 @@ class TestScreenedSweeps:
                 RidgeEnv, out_dir=out, resume=True,
                 proxy_screen=True, proxy_min_corpus=8, **kw
             )
+
+
+def _driven(driver, agent_name, seed, n_samples, knobs, store_dir):
+    """One screened run of ``driver`` on a fresh RidgeEnv with a file
+    tier and a dataset: everything the run decides, timing zeroed."""
+    env = RidgeEnv()
+    env.attach_shared_cache(SharedCacheStore(store_dir))
+    dataset = ArchGymDataset(env.env_id)
+    env.attach_dataset(dataset, source="prop")
+    agent = make_agent(agent_name, env.action_space, seed=seed)
+    result = driver(agent, env, n_samples=n_samples, seed=seed,
+                    proxy_screen=True, **knobs)
+    record = result.to_record()
+    record["wall_time_s"] = record["sim_time_s"] = 0.0
+    stats = env.stats
+    return {
+        "record": record,
+        "rows": [t.to_record() for t in dataset],
+        "proxy": (stats.proxy_screened, stats.proxy_accepted,
+                  stats.proxy_refresh_evals, stats.proxy_last_rmse),
+        "rng": agent.rng.bit_generator.state,
+    }
+
+
+def test_prop_one_body_matches_the_two_body_driver():
+    """``run_agent``'s one generation body against the two-body driver
+    it replaced (``serial_reference.run_agent_reference``): agents
+    rw, ga, aco and rl; budgets that cut a generation; a corpus gate
+    low enough to open mid-run, so one run takes both branches."""
+    reached = set()
+
+    @given(
+        agent_name=st.sampled_from(["rw", "ga", "aco", "rl"]),
+        seed=st.integers(0, 2**16),
+        n_samples=st.integers(1, 90),
+        oversample=st.integers(1, 8),
+        refresh=st.floats(0.0, 0.5),
+        min_corpus=st.integers(8, 24),
+    )
+    @settings(max_examples=40, deadline=None)
+    def check(agent_name, seed, n_samples, oversample, refresh, min_corpus):
+        knobs = dict(proxy_oversample=oversample, proxy_refresh=refresh,
+                     proxy_min_corpus=min_corpus)
+        runs = []
+        for driver in (run_agent_reference, run_agent):
+            with tempfile.TemporaryDirectory() as store_dir:
+                runs.append(_driven(driver, agent_name, seed, n_samples,
+                                    knobs, store_dir))
+        assert runs[1] == runs[0]
+        record = runs[0]["record"]
+        assert len(record["reward_history"]) == n_samples
+        if record["proxy_screened"]:
+            reached.add("screened")
+            if record["proxy_accepted"] < record["proxy_screened"]:
+                reached.add("rejected")
+        else:
+            reached.add("plain")
+
+    check()
+    assert reached == {"plain", "screened", "rejected"}

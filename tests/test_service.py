@@ -394,6 +394,10 @@ class BulkCacheEndpoints:
             ("PUT", {"entries": [[7, {"cost": 1.0}]]}),
             ("PUT", {"entries": [["k", {"cost": "NaN"}]]}),
             ("PUT", {"entries": {"k": {"cost": 1.0}}}),
+            # a good entry first: a refused metric stores nothing
+            ("PUT", {"entries": [["ok", {"cost": 1.0}], ["k", {"cost": "abc"}]]}),
+            ("PUT", {"entries": [["ok", {"cost": 1.0}],
+                                 ["k", {"cost": float("inf")}]]}),
         ]
         for method, body in bad:
             status, parsed = client._request(method, "/cache", body)

@@ -21,8 +21,9 @@ over a two-host pool with a mid-sweep kill:
    sweep below;
 3. starts a seeded sweep spread over both hosts (two ``--service-url``
    flags — round-robin scheduling with failover) with the replicated
-   shared-cache tier on (``--shared-cache --cache-replicas 2`` — host
-   A, the first URL, is the cache *primary*) exporting its report;
+   shared-cache tier on (``--shared-cache``, which writes every entry
+   to both hosts of the pool — host A, the first URL, is the cache
+   *primary*) exporting its report;
 4. while the sweep runs, waits until host A has actually evaluated
    design points, then **SIGKILLs** it — the real thing, not a
    graceful shutdown — taking down the dispatch host *and* the cache
@@ -78,9 +79,10 @@ SWEEP_ARGS = [
     "--trials", "2", "--samples", "80", "--seed", "11", "--workers", "1",
 ]
 
-#: The replicated shared-cache tier: every put fans out to two pool
-#: hosts, so the primary's death must not lose a single entry.
-CACHE_ARGS = ["--shared-cache", "--cache-replicas", "2"]
+#: The replicated shared-cache tier: on this two-host pool every put
+#: goes to both hosts, so the primary's death must not lose a single
+#: entry.
+CACHE_ARGS = ["--shared-cache"]
 
 
 def main() -> int:

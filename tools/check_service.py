@@ -240,9 +240,10 @@ def generation_cache_microbench(
 ) -> None:
     """A GA generation's ``/cache`` traffic: per-point steps vs one
     ``env.step_batch`` over the pool, with the replicated shared-cache
-    tier (``ServerCacheStore``, 2 replicas) riding the backend's pool,
-    as in a sweep. Only ``/cache`` round trips are counted; the
-    pool's evaluation requests are not.
+    tier (``ServerCacheStore``, which writes to the first two living
+    hosts) riding the backend's pool, as in a sweep. ``urls`` names
+    two hosts, so each write makes two copies. Only ``/cache`` round
+    trips are counted; the pool's evaluation requests are not.
 
     Per point, ``env.step`` is a one-point batch: it looks each design
     point up (one ``POST /cache``) and writes each miss to both
@@ -277,7 +278,7 @@ def generation_cache_microbench(
         env.enable_cache()
         backend = RemoteBackend(urls, timeout_s=30.0, retries=0)
         env.attach_backend(backend)
-        env.attach_shared_cache(ServerCacheStore(backend.pool, replicas=2))
+        env.attach_shared_cache(ServerCacheStore(backend.pool))
         env.reset(seed=0)
         before = cache_requests[0]
         generation = GAAgent(
