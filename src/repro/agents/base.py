@@ -384,8 +384,9 @@ def run_agent(
         env.set_source(source_tag or agent.hyperparam_tag())
     step_batch = env.step_batch_stream if pipeline else env.step_batch
 
-    # Snapshot counters so a shared environment (e.g. the CLI's collect
-    # command) attributes only this run's simulator cost to the result.
+    # Snapshot counters so an environment that several runs share (e.g.
+    # one logging a multi-agent dataset) attributes only this run's
+    # simulator cost to the result.
     sim_time_0 = env.stats.total_sim_time
     hits_0 = env.stats.cache_hits
     misses_0 = env.stats.cache_misses

@@ -92,7 +92,7 @@ class BOAgent(Agent):
         z, __, __ = robust_standardize(y)
         self._gp.fit(X, z)
 
-        candidates = [self.space.sample(self.rng) for _ in range(self.candidate_pool)]
+        candidates = self.space.sample_batch(self.rng, self.candidate_pool)
         C = np.stack([self.space.to_unit_vector(a) for a in candidates])
         mean, var = self._gp.predict(C)
         scores = self._acquire(mean, var, best_z=float(z.max()))

@@ -109,7 +109,7 @@ class OfflineAgent(Agent):
     def propose(self) -> Dict[str, Any]:
         if not self._fitted or self.rng.random() < self.exploration:
             return self.space.sample(self.rng)
-        candidates = [self.space.sample(self.rng) for _ in range(self.candidate_pool)]
+        candidates = self.space.sample_batch(self.rng, self.candidate_pool)
         C = np.stack([self.space.to_unit_vector(a) for a in candidates])
         scores = self._forest.predict(C)
         return candidates[int(np.argmax(scores))]

@@ -65,6 +65,7 @@ from repro.agents import (
 )
 from repro.core.dataset import ArchGymDataset
 from repro.sweeps import (
+    SweepReport,
     TrialTask,
     execute_trials,
     resolve_execution_backend,
@@ -386,15 +387,13 @@ def _cmd_collect(args: argparse.Namespace) -> int:
             "seed": args.seed, "collect": True, "n_tasks": len(tasks),
             "workers": args.workers,
         }
-        outcomes = execute_durable(
-            tasks, args.out_dir, manifest, workers=args.workers,
-            resume=args.resume, keep_outcomes=True,
-        )
+        execute_durable(tasks, args.out_dir, manifest, workers=args.workers, resume=args.resume)
+        dataset = SweepReport.from_shards(args.out_dir).dataset
     else:
         outcomes = execute_trials(tasks, workers=args.workers)
-    dataset = ArchGymDataset.merge_all(
-        [ArchGymDataset(o.env_id, o.transitions) for o in outcomes]
-    )
+        dataset = ArchGymDataset.merge_all(
+            [ArchGymDataset(o.env_id, o.transitions) for o in outcomes]
+        )
     # Per-task environments restart their step counters; restore the
     # single-process global numbering before writing.
     dataset.renumber_steps()

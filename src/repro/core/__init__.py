@@ -29,7 +29,6 @@ from repro.core.rewards import (
 from repro.core.spaces import (
     Categorical,
     CompositeSpace,
-    Continuous,
     Discrete,
     Parameter,
 )
@@ -66,6 +65,5 @@ __all__ = [
     "Parameter",
     "Categorical",
     "Discrete",
-    "Continuous",
     "CompositeSpace",
 ]

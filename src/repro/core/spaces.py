@@ -5,15 +5,18 @@ tunable architecture parameters as a mixed categorical/numeric space.
 Every agent — whether it reasons over integer indices (GA genomes, ACO
 pheromone tables), unit-interval vectors (Bayesian optimization, RL
 policies) or raw parameter dictionaries (random walker) — interacts with
-the *same* space object, which provides lossless conversions between the
-three representations:
+the *same* space object, which converts between the three
+representations:
 
 ``dict``  <->  ``index vector`` (one integer per dimension)
           <->  ``unit vector``  (one float in [0, 1] per dimension)
 
 The design mirrors Fig. 3 of the paper: numeric parameters are specified
 in ``(min, max, step)`` tuple format and categorical parameters as an
-explicit choice list.
+explicit choice list. Every parameter is therefore a finite, ordered
+set of values, and every codec is lossless on them: for an action ``a``
+of listed values, ``decode(encode(a))`` and
+``from_unit_vector(to_unit_vector(a))`` both return ``a``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "Parameter",
     "Categorical",
     "Discrete",
-    "Continuous",
     "CompositeSpace",
     "choice_cdf",
     "choice_index",
@@ -41,10 +43,10 @@ __all__ = [
 class Parameter:
     """A single named design parameter.
 
-    Subclasses implement a finite (or discretized) set of admissible
-    values, ordered so that each value has a stable integer index. Agents
-    that operate on indices or unit floats use :meth:`to_index`,
-    :meth:`from_index`, :meth:`to_unit`, :meth:`from_unit`.
+    Subclasses implement a finite set of admissible values, ordered so
+    that each value has a stable integer index. Agents that operate on
+    indices or unit floats use :meth:`to_index`, :meth:`from_index`,
+    :meth:`to_unit`, :meth:`from_unit`.
     """
 
     name: str
@@ -247,60 +249,6 @@ class Discrete(Parameter):
         return float(round(value, 10))
 
 
-@dataclass(frozen=True)
-class Continuous(Parameter):
-    """A real-valued parameter in ``[low, high]``, discretized on demand.
-
-    Agents that need a finite grid (GA/ACO index representations) see
-    ``resolution`` evenly spaced values; agents operating on unit vectors
-    get the full continuous range.
-    """
-
-    name: str
-    low: float
-    high: float
-    resolution: int = 64
-
-    def __post_init__(self) -> None:
-        if self.high <= self.low:
-            raise SpaceError(f"parameter {self.name!r} needs high > low")
-        if self.resolution < 2:
-            raise SpaceError(f"parameter {self.name!r} needs resolution >= 2")
-
-    @property
-    def cardinality(self) -> int:
-        return self.resolution
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
-
-    def contains(self, value: Any) -> bool:
-        return isinstance(value, (int, float, np.integer, np.floating)) and (
-            self.low - 1e-12 <= float(value) <= self.high + 1e-12
-        )
-
-    def to_index(self, value: Any) -> int:
-        if not self.contains(value):
-            raise SpaceError(f"value {value!r} outside [{self.low}, {self.high}] for {self.name!r}")
-        frac = (float(value) - self.low) / (self.high - self.low)
-        return min(int(frac * self.resolution), self.resolution - 1)
-
-    def from_index(self, index: int) -> float:
-        if not 0 <= index < self.resolution:
-            raise SpaceError(f"index {index} out of range for parameter {self.name!r}")
-        frac = (index + 0.5) / self.resolution
-        return self.low + frac * (self.high - self.low)
-
-    def to_unit(self, value: Any) -> float:
-        if not self.contains(value):
-            raise SpaceError(f"value {value!r} outside [{self.low}, {self.high}] for {self.name!r}")
-        return (float(value) - self.low) / (self.high - self.low)
-
-    def from_unit(self, u: float) -> float:
-        u = min(max(float(u), 0.0), 1.0)
-        return self.low + u * (self.high - self.low)
-
-
 @dataclass
 class CompositeSpace:
     """An ordered collection of named parameters — one DSE action space.
@@ -312,7 +260,8 @@ class CompositeSpace:
     - :meth:`encode` / :meth:`decode` — integer index vectors (GA, ACO)
     - :meth:`to_unit_vector` / :meth:`from_unit_vector` — floats in [0,1]
       (BO, RL)
-    - :meth:`sample` — uniform random actions (random walker)
+    - :meth:`sample` / :meth:`sample_batch` — uniform random actions
+      (random walker; BO and offline candidate pools)
     - :meth:`neighbors` — single-parameter perturbations (local search)
     """
 
@@ -389,6 +338,8 @@ class CompositeSpace:
         return {p.name: p.sample(rng) for p in self.parameters}
 
     def sample_batch(self, rng: np.random.Generator, n: int) -> List[Dict[str, Any]]:
+        """Draw ``n`` actions: what ``n`` calls of :meth:`sample` draw,
+        leaving ``rng`` where they leave it (agents' candidate pools)."""
         return [self.sample(rng) for _ in range(n)]
 
     # -- codecs ---------------------------------------------------------------
@@ -442,16 +393,3 @@ class CompositeSpace:
                 neighbor[p.name] = p.from_index((current + offset) % p.cardinality)
             out.append(neighbor)
         return out
-
-    def mutate(
-        self,
-        action: Mapping[str, Any],
-        rng: np.random.Generator,
-        rate: float,
-    ) -> Dict[str, Any]:
-        """Independently resample each parameter with probability ``rate``."""
-        mutated = dict(action)
-        for p in self.parameters:
-            if rng.random() < rate:
-                mutated[p.name] = p.sample(rng)
-        return mutated

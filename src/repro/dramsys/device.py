@@ -88,6 +88,10 @@ class DramTimings:
         _require_finite(self)
         if self.tck <= 0:
             raise SimulationError("tck must be positive")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value < 0:
+                raise SimulationError(f"{field.name} must be non-negative, got {value}")
         if self.trc < self.tras:
             raise SimulationError("trc must be >= tras")
         if self.trefi <= self.trfc:

@@ -109,8 +109,8 @@ class EvaluationService:
         in memory for the server's lifetime.
 
     Use as a context manager (``with EvaluationService() as svc:``) or
-    call :meth:`start`/:meth:`stop` explicitly; :meth:`serve_forever`
-    is the blocking entry point the ``repro serve`` CLI uses.
+    call :meth:`start`/:meth:`stop` explicitly; the ``repro serve`` CLI
+    calls :meth:`start`, prints the URL, then blocks in :meth:`wait`.
     """
 
     def __init__(
@@ -328,18 +328,14 @@ class EvaluationService:
     def url(self) -> str:
         return f"http://{self._host}:{self.port}"
 
-    def _make_httpd(self) -> ThreadingHTTPServer:
-        handler = type("_BoundHandler", (_Handler,), {"service": self})
-        httpd = _QuietServer((self._host, self._requested_port), handler)
-        httpd.daemon_threads = True
-        return httpd
-
     def start(self) -> str:
         """Serve in a daemon thread; returns the bound base URL."""
         if self._httpd is not None:
             raise ServiceError("service already started")
         self._stopping = False
-        self._httpd = self._make_httpd()
+        handler = type("_BoundHandler", (_Handler,), {"service": self})
+        self._httpd = _QuietServer((self._host, self._requested_port), handler)
+        self._httpd.daemon_threads = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="archgym-evaluation-service",
@@ -357,18 +353,6 @@ class EvaluationService:
         thread = self._thread
         if thread is not None:
             thread.join()
-
-    def serve_forever(self) -> None:
-        """Bind and serve on the calling thread (the CLI entry point)."""
-        if self._httpd is not None:
-            raise ServiceError("service already started")
-        self._stopping = False
-        self._httpd = self._make_httpd()
-        try:
-            self._httpd.serve_forever()
-        finally:
-            self._httpd.server_close()
-            self._close_connections()
 
     def stop(self) -> None:
         """Stop accepting requests and release the socket (idempotent).
@@ -473,7 +457,7 @@ class _QuietServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP verbs onto the owning :class:`EvaluationService`."""
 
-    #: Injected by :meth:`EvaluationService._make_httpd`.
+    #: Injected by :meth:`EvaluationService.start`.
     service: EvaluationService
 
     #: Keep-alive: one TCP connection carries a whole sweep's requests

@@ -31,7 +31,7 @@ from repro.agents.hyperparams import make_agent
 from repro.core.dataset import ArchGymDataset, Transition
 from repro.core.env import ArchGymEnv
 from repro.core.errors import ExecutorError, ServiceError
-from repro.service.client import ServiceClient
+from repro.sweeps.hostpool import HostPool
 
 __all__ = [
     "BackendSpec",
@@ -226,9 +226,11 @@ def resolve_execution_backend(
     :class:`~repro.core.cache_store.ServerCacheStore` rides its
     backend's pool) over a file store under ``out_dir``.
 
-    Each URL is spelled as the pool's clients spell it
-    (``ServiceClient.base_url``), and hosts are deduped on that
-    spelling. A malformed URL, one host given two weights, or a bad
+    The pool checks the fleet: this builds (and closes) a
+    :class:`~repro.sweeps.hostpool.HostPool`, which opens no socket,
+    and takes the URLs and weights from its ``weights_by_host``, so
+    hosts are spelled and deduped as each trial's pool spells them. A
+    malformed URL or weight, one host given two weights, or a bad
     ``timeout_s``/``retries`` policy raises :class:`ExecutorError`
     here, before any trial runs or any ``sweep.json`` is written.
     """
@@ -251,29 +253,20 @@ def resolve_execution_backend(
         overrides["retries"] = retries
     urls: Optional[Tuple[str, ...]] = None
     weights: Optional[Tuple[float, ...]] = None
-    if service_url is not None:
-        specs = (
-            (service_url,) if isinstance(service_url, str) else tuple(service_url)
-        )
-        by_url: Dict[str, float] = {}
-        for spec in specs:
-            raw_url, weight = parse_weighted_url(spec)
-            try:  # the pool's own spelling and policy; opens no socket
-                url = ServiceClient(raw_url, **overrides).base_url
-            except ServiceError as exc:
-                raise ExecutorError(str(exc)) from None
-            if url in by_url:  # dedupe, keep order — weights must agree
-                if by_url[url] != weight:
-                    raise ExecutorError(
-                        f"conflicting weights for service url {url!r}: "
-                        f"{by_url[url]} vs {weight}"
-                    )
-                continue
-            by_url[url] = weight
-        if by_url:
-            urls = tuple(by_url)
-            if any(w != 1.0 for w in by_url.values()):
-                weights = tuple(by_url.values())
+    specs = (
+        (service_url,) if isinstance(service_url, str) else tuple(service_url or ())
+    )
+    if specs:
+        hosts, host_weights = zip(*map(parse_weighted_url, specs))
+        try:
+            pool = HostPool(hosts, weights=host_weights, **overrides)
+        except ServiceError as exc:
+            raise ExecutorError(str(exc)) from None
+        pool.close()
+        by_host = pool.weights_by_host
+        urls = tuple(by_host)
+        if any(w != 1.0 for w in by_host.values()):
+            weights = tuple(by_host.values())
     backend = None
     if urls is not None:
         backend = BackendSpec(

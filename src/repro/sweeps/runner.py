@@ -619,10 +619,7 @@ def run_lottery_sweep(
     start = time.perf_counter()
     # Stream each finished trial straight to disk and drop it — memory
     # stays flat no matter how large the sweep is.
-    execute_durable(
-        tasks, out_dir, manifest, workers=workers, resume=resume,
-        keep_outcomes=False,
-    )
+    execute_durable(tasks, out_dir, manifest, workers=workers, resume=resume)
     wall_time_s = time.perf_counter() - start
 
     report = SweepReport.from_shards(out_dir)

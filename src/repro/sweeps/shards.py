@@ -26,7 +26,7 @@ import json
 import os
 from functools import partial
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterator, Optional, Sequence, Set
 
 from repro.agents.base import SearchResult
 from repro.core.dataset import Transition
@@ -269,30 +269,20 @@ def execute_durable(
     manifest: Dict[str, Any],
     workers: int = 1,
     resume: bool = False,
-    keep_outcomes: bool = False,
-) -> List[TrialOutcome]:
+) -> None:
     """Run a task batch against a shard directory.
 
     Prepares (or re-enters) ``out_dir`` under ``manifest``, skips trial
     indices whose shard is already on disk, and streams every freshly
-    finished trial to a shard as it completes.
-
-    With ``keep_outcomes=False`` (the memory-flat mode) the return
-    value is empty — rebuild the result from disk, e.g. via
-    :meth:`~repro.sweeps.runner.SweepReport.from_shards`. With
-    ``keep_outcomes=True`` the full outcome list (previously completed
-    shards loaded from disk, fresh ones kept in memory — no re-read of
-    what was just written) is returned in trial-index order.
+    finished trial to a shard as it completes, keeping none in memory.
+    Read the run back from disk, fresh and earlier shards alike, with
+    :meth:`~repro.sweeps.runner.SweepReport.from_shards`.
     """
     completed = prepare_sweep_dir(out_dir, manifest, resume=resume)
     pending = [t for t in tasks if t.index not in completed]
-    fresh = execute_trials(
+    execute_trials(
         pending,
         workers=workers,
         on_outcome=partial(write_shard, out_dir),
-        keep_outcomes=keep_outcomes,
+        keep_outcomes=False,
     )
-    if not keep_outcomes:
-        return []
-    prior = [load_shard(shard_path(out_dir, i)) for i in sorted(completed)]
-    return sorted(prior + fresh, key=lambda o: o.index)

@@ -23,7 +23,6 @@ from repro.core.errors import AgentError
 from repro.core.spaces import (
     Categorical,
     CompositeSpace,
-    Continuous,
     Discrete,
     choice_cdf,
     choice_index,
@@ -40,13 +39,13 @@ def make_space(dims):
         elif kind == "discrete":
             params.append(Discrete(name, 0, k - 1, 1))
         else:
-            params.append(Continuous(name, -1.0, 1.0, resolution=max(k, 2)))
+            params.append(Discrete(name, 0.0, 0.25 * (k - 1), 0.25, integer=False))
     return CompositeSpace(params)
 
 
 spaces = st.lists(
     st.tuples(
-        st.sampled_from(["categorical", "discrete", "continuous"]),
+        st.sampled_from(["categorical", "discrete", "float"]),
         st.integers(1, 24),
     ),
     min_size=1,

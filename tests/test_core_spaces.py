@@ -1,12 +1,15 @@
 """Unit and property tests for repro.core.spaces."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.errors import SpaceError
-from repro.core.spaces import Categorical, CompositeSpace, Continuous, Discrete
+from repro.core.spaces import Categorical, CompositeSpace, Discrete
 
 
 def make_space() -> CompositeSpace:
@@ -15,7 +18,7 @@ def make_space() -> CompositeSpace:
             Categorical("policy", ("Open", "Closed", "OpenAdaptive")),
             Discrete("buffer", low=1, high=8, step=1),
             Discrete("banks", low=2, high=16, step=2),
-            Continuous("freq", low=0.5, high=2.0, resolution=16),
+            Discrete("freq", low=0.5, high=2.0, step=0.1, integer=False),
         ]
     )
 
@@ -99,29 +102,6 @@ class TestDiscrete:
         assert list(p.values()) == [0.5, 1.0, 1.5, 2.0]
 
 
-class TestContinuous:
-    def test_sample_in_range(self):
-        p = Continuous("x", -1.0, 1.0)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            assert -1.0 <= p.sample(rng) <= 1.0
-
-    def test_unit_roundtrip_exact(self):
-        p = Continuous("x", 2.0, 6.0)
-        assert p.from_unit(p.to_unit(4.0)) == pytest.approx(4.0)
-
-    def test_index_quantization(self):
-        p = Continuous("x", 0.0, 1.0, resolution=4)
-        assert p.cardinality == 4
-        # from_index returns bin centers
-        assert p.from_index(0) == pytest.approx(0.125)
-        assert p.from_index(3) == pytest.approx(0.875)
-
-    def test_invalid_range(self):
-        with pytest.raises(SpaceError):
-            Continuous("x", 1.0, 1.0)
-
-
 class TestCompositeSpace:
     def test_dimension_and_cardinality(self):
         space = make_space()
@@ -144,9 +124,7 @@ class TestCompositeSpace:
         rng = np.random.default_rng(2)
         for _ in range(100):
             action = space.sample(rng)
-            decoded = space.decode(space.encode(action))
-            # Continuous params quantize; compare through encoding.
-            assert np.array_equal(space.encode(decoded), space.encode(action))
+            assert space.decode(space.encode(action)) == action
 
     def test_validate_missing_key(self):
         space = make_space()
@@ -186,19 +164,6 @@ class TestCompositeSpace:
             ]
             assert len(diffs) == 1
 
-    def test_mutate_rate_zero_is_identity(self):
-        space = make_space()
-        rng = np.random.default_rng(4)
-        action = space.sample(rng)
-        assert space.mutate(action, rng, rate=0.0) == action
-
-    def test_mutate_rate_one_still_valid(self):
-        space = make_space()
-        rng = np.random.default_rng(5)
-        action = space.sample(rng)
-        mutated = space.mutate(action, rng, rate=1.0)
-        assert space.contains(mutated)
-
     def test_decode_wrong_length(self):
         space = make_space()
         with pytest.raises(SpaceError):
@@ -232,8 +197,7 @@ def test_prop_unit_vector_roundtrip(indices):
     """from_unit_vector(to_unit_vector(.)) preserves the design point."""
     space = make_space()
     action = space.decode(list(indices))
-    recovered = space.from_unit_vector(space.to_unit_vector(action))
-    assert tuple(space.encode(recovered)) == indices
+    assert space.from_unit_vector(space.to_unit_vector(action)) == action
 
 
 @given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
@@ -254,3 +218,35 @@ def test_prop_discrete_cardinality_matches_values(low, span, step):
     assert all(p.contains(v) for v in values)
     assert values[0] == low
     assert values[-1] <= low + span
+
+
+@functools.lru_cache(maxsize=None)
+def builtin_space(env_id: str) -> CompositeSpace:
+    env = repro.make(env_id)
+    try:
+        return env.action_space
+    finally:
+        env.close()
+
+
+@given(
+    st.sampled_from(repro.registered_ids()),
+    st.integers(0, 2**63 - 1),
+    st.integers(0, 64),
+)
+@settings(max_examples=200, deadline=None)
+def test_prop_builtin_spaces_keep_the_codec_contract(env_id, seed, n):
+    """On every registered env's action space, sampled actions survive
+    both codecs exactly (``repr`` also compares value types and key
+    order), and ``sample_batch`` draws what ``n`` calls of ``sample``
+    draw from an equal generator, leaving it in the same state."""
+    space = builtin_space(env_id)
+    batch_rng = np.random.default_rng(seed)
+    loop_rng = np.random.default_rng(seed)
+    actions = space.sample_batch(batch_rng, n)
+    assert repr(actions) == repr([space.sample(loop_rng) for _ in range(n)])
+    assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+    for action in actions:
+        assert repr(space.decode(space.encode(action))) == repr(action)
+        unit = space.from_unit_vector(space.to_unit_vector(action))
+        assert repr(unit) == repr(action)

@@ -62,6 +62,12 @@ class TestDevice:
             DramTimings(trefi=100.0, trfc=200.0)
         with pytest.raises(SimulationError):
             DramTimings(burst_length=3)
+        # a negative time would simulate to numbers (a negative latency
+        # penalty, a refresh with a negative blackout)
+        for kwargs in ({"trcd": -100.0}, {"tcl": -50.0}, {"trfc": -10.0, "trefi": 5.0}):
+            name, value = next(iter(kwargs.items()))
+            with pytest.raises(SimulationError, match=f"{name} must be non-negative, got {value}"):
+                DramTimings(**kwargs)
         # a non-finite time would keep the event loop's clock from
         # advancing (NaN) or trap it in the refresh loop (inf)
         for field in fields(DramTimings):
@@ -232,9 +238,10 @@ class TestSimulator:
     #: Each case hung ``simulate`` until it was refused: a far-future
     #: arrival, a clock period whose ``burst_time`` overflows to inf,
     #: one whose every time is finite but whose first burst jumps the
-    #: clock ~1e297 refresh intervals, and a zero refresh interval. Run
-    #: in a child process with a timeout, so that a regression fails
-    #: instead of hanging the suite.
+    #: clock ~1e297 refresh intervals, and a refresh interval so small
+    #: that adding it never moves the due time. Run in a child process
+    #: with a timeout, so that a regression fails instead of hanging
+    #: the suite.
     HANG_SCRIPT = """
 import json
 import sys
@@ -265,7 +272,7 @@ except SimulationError as exc:
             ("arrival", "refresh intervals of 7800.0 ns"),
             ('{"tck": 1e308}', "burst_time must be finite, got inf"),
             ('{"tck": 1e300}', "refresh intervals of 7800.0 ns"),
-            ('{"trfc": -10.0, "trefi": 0.0}', "refresh intervals of 0.0 ns"),
+            ('{"trfc": 0.0, "trefi": 5e-324}', "refresh intervals of 5e-324 ns"),
         ],
         ids=["far-arrival", "tck-1e308", "tck-1e300", "zero-interval"],
     )
