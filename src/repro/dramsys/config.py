@@ -71,12 +71,17 @@ class ControllerConfig:
         check(self.resp_queue_policy, RESP_QUEUE_POLICIES, "resp_queue_policy")
         check(self.refresh_policy, REFRESH_POLICIES, "refresh_policy")
         check(self.arbiter, ARBITERS, "arbiter")
-        if self.request_buffer_size < 1:
-            raise SimulationError("request_buffer_size must be >= 1")
-        if self.refresh_max_postponed < 0 or self.refresh_max_pulledin < 0:
-            raise SimulationError("refresh elasticity must be >= 0")
-        if self.max_active_transactions < 1:
-            raise SimulationError("max_active_transactions must be >= 1")
+        # counts are ints, not floats or bools: the simulator indexes
+        # with the in-flight cap, and a bool buffer size is a buffer of one
+        for name, low in (
+            ("request_buffer_size", 1),
+            ("refresh_max_postponed", 0),
+            ("refresh_max_pulledin", 0),
+            ("max_active_transactions", 1),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise SimulationError(f"{name} must be an integer >= {low}, got {value!r}")
 
     @classmethod
     def from_action(cls, action: Mapping[str, Any]) -> "ControllerConfig":

@@ -28,7 +28,6 @@ Modeled mechanisms — exactly the ones the controller parameters tune:
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import insort
 from dataclasses import dataclass
@@ -223,7 +222,7 @@ def _run(
     max_lag = _MAX_REFRESH_LAG * interval
     refresh_debt = 0
     refresh_credit = 0
-    inflight: List[float] = []      # min-heap of finish times
+    done_times: List[float] = []    # finish times, in serving order
     draining_writes = False         # ReadWrite buffer organization
     bank_rr = 0                     # Bankwise round-robin pointer
     refresh_rr_bank = 0
@@ -233,7 +232,6 @@ def _run(
     e_rw_total = 0.0
     e_refresh_total = 0.0
     finish = [0.0] * n
-    heappush, heappop = heapq.heappush, heapq.heappop
 
     next_idx = 0
     buffer: List[_Request] = []
@@ -268,7 +266,8 @@ def _run(
                 n_refreshes += 1
                 refresh_credit += 1
                 now += duration
-            now = max(now, next_arrival)
+            if next_arrival > now:
+                now = next_arrival
             continue
 
         # refresh postpone / pull-in policy at the current time
@@ -298,11 +297,16 @@ def _run(
                 refresh_debt = 0
             refresh_due += interval
 
-        # in-flight cap: wait for the oldest transaction to retire
-        while len(inflight) >= max_active:
-            now = max(now, heappop(inflight))
-        while inflight and inflight[0] <= now:
-            heappop(inflight)
+        # in-flight cap: at most ``max_active`` transactions in flight, so
+        # the clock waits for the one served ``max_active`` back. One
+        # lookup is exact because finish times never fall in serving
+        # order (a burst starts at or after the previous one ends, and no
+        # timing is negative) and ``now`` never falls: every transaction
+        # served before that one finished no later, so none can move it.
+        if len(done_times) >= max_active:
+            oldest = done_times[-max_active]
+            if oldest > now:
+                now = oldest
 
         # candidates: the scheduler-buffer organization, then the arbiter
         if read_write_buffer:
@@ -359,7 +363,8 @@ def _run(
 
         # per-access timing. A maximum written as ``x = a`` then
         # ``if b > x: x = b`` is ``max(a, b)`` exactly (the first of equal
-        # operands wins), without the call.
+        # operands wins), without the call; ``d if d > 0.0 else 0.0`` is
+        # ``max(0.0, d)`` for every float, -0.0 and NaN included.
         order, bank, row, is_write = entry
         start = now
         if ready_at[bank] > start:
@@ -380,7 +385,8 @@ def _run(
                 row_conflicts += 1
                 since = opened_since[bank]
                 if since is not None:
-                    open_time[bank] += max(0.0, start - since)
+                    gap = start - since
+                    open_time[bank] += gap if gap > 0.0 else 0.0
                 act_at = start + trp                    # precharge done
                 if last_act[bank] + tras + trp > act_at:
                     act_at = last_act[bank] + tras + trp
@@ -414,7 +420,7 @@ def _run(
             e_rw_total += e_read
 
         now = data_start
-        heappush(inflight, done_at)
+        done_times.append(done_at)
 
         # page policy: close the row, except that the adaptive policies
         # keep it open while a pending request targets it
@@ -428,7 +434,8 @@ def _run(
             close_at = ready_at[bank]
             since = opened_since[bank]
             if since is not None:
-                open_time[bank] += max(0.0, close_at - since)
+                gap = close_at - since
+                open_time[bank] += gap if gap > 0.0 else 0.0
                 opened_since[bank] = None
             open_row[bank] = None
             # auto-precharge overlaps other banks; only this bank pays tRP
@@ -444,11 +451,14 @@ def _run(
     if release_in_order:
         release = 0.0
         for arrival, done_at in zip(arrivals, finish):
-            release = max(release, done_at)
-            total_latency += max(0.0, release - arrival)
+            if done_at > release:
+                release = done_at
+            wait = release - arrival
+            total_latency += wait if wait > 0.0 else 0.0
     else:
         for arrival, done_at in zip(arrivals, finish):
-            total_latency += max(0.0, done_at - arrival)
+            wait = done_at - arrival
+            total_latency += wait if wait > 0.0 else 0.0
     avg_latency = total_latency / n
 
     # background energy from bank-open residency

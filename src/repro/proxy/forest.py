@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.errors import ProxyModelError
-from repro.proxy.tree import DecisionTreeRegressor, _is_count
+from repro.proxy.tree import DecisionTreeRegressor, _descend, _is_count
 
 __all__ = ["RandomForestRegressor"]
 
@@ -18,6 +18,9 @@ class RandomForestRegressor:
     The paper trains one random forest per predicted metric (latency,
     power, energy) on ArchGym datasets; this implementation mirrors the
     scikit-learn estimator the authors used.
+
+    ``fit`` joins the trees' flat node arrays into one table, so
+    ``predict`` walks every tree in one descent instead of one per tree.
     """
 
     def __init__(
@@ -46,6 +49,9 @@ class RandomForestRegressor:
         self.bootstrap = bootstrap
         self.seed = seed
         self._trees: List[DecisionTreeRegressor] = []
+        # (n_features, roots, depth, feature, threshold, children, value),
+        # set only by a fit that grew every tree
+        self._table: Optional[Tuple] = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         X = np.asarray(X, dtype=np.float64)
@@ -53,6 +59,7 @@ class RandomForestRegressor:
         if len(X) != len(y) or len(y) == 0:
             raise ProxyModelError(f"bad training shapes X{X.shape} y{y.shape}")
         rng = np.random.default_rng(self.seed)
+        self._table = None
         self._trees = []
         n = len(y)
         for t in range(self.n_estimators):
@@ -68,14 +75,36 @@ class RandomForestRegressor:
             else:
                 tree.fit(X, y)
             self._trees.append(tree)
+        # one node table: the trees' arrays end to end, each tree's
+        # children shifted by where its nodes start. The walk takes the
+        # deepest tree's depth; leaves absorb, so shallower trees stay put.
+        trees = self._trees
+        roots = np.cumsum([0] + [len(tree._value) for tree in trees[:-1]])
+        self._table = (
+            trees[0].n_features_,
+            roots,
+            max(tree._depth for tree in trees),
+            np.concatenate([tree._feature for tree in trees]),
+            np.concatenate([tree._threshold for tree in trees]),
+            np.concatenate([tree._children + root for tree, root in zip(trees, roots)]),
+            np.concatenate([tree._value for tree in trees]),
+        )
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self._trees:
+        table = self._table
+        if table is None:
             raise ProxyModelError("forest is not fitted")
-        preds = np.stack([tree.predict(X) for tree in self._trees])
-        return preds.mean(axis=0)
+        n_features, *nodes = table
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != n_features:
+            raise ProxyModelError(
+                f"expected X with {n_features} features, got {X.shape}"
+            )
+        # the same (trees, rows) array that stacking each tree's
+        # predictions builds, so the mean has the same bits
+        return _descend(*nodes, X).mean(axis=0)
 
     @property
     def is_fitted(self) -> bool:
-        return bool(self._trees)
+        return self._table is not None

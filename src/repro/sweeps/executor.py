@@ -510,14 +510,23 @@ def execute_trials(
     finally:
         # Fail-fast: on error, drop the queue and return immediately
         # instead of waiting out every already-running worker. Snapshot
-        # the workers first — shutdown() clears pool._processes.
+        # the workers and the pool's manager thread first — shutdown()
+        # clears pool._processes and pool._executor_manager_thread.
         workers_to_kill = (
             [] if completed_ok
             else list((getattr(pool, "_processes", None) or {}).values())
         )
+        manager = None if completed_ok else getattr(pool, "_executor_manager_thread", None)
         pool.shutdown(wait=completed_ok, cancel_futures=not completed_ok)
         for proc in workers_to_kill:
             # Kill the in-flight trials too, or concurrent.futures'
             # exit hook would still join them at interpreter exit.
             proc.terminate()
+        # Then wait for them to go, and for the manager thread, which
+        # joins the call queue's feeder thread on its way out: a thread
+        # still alive when the caller next forks can hang the child.
+        for proc in workers_to_kill:
+            proc.join()
+        if manager is not None:
+            manager.join()
     return sorted(outcomes, key=lambda o: o.index)

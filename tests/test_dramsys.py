@@ -191,6 +191,25 @@ class TestControllerConfig:
             ControllerConfig(max_active_transactions=0)
         with pytest.raises(SimulationError):
             ControllerConfig(refresh_max_postponed=-1)
+        # counts must be ints: a float cap used to simulate, and a bool
+        # buffer size ran as a buffer of one
+        for name, value in (
+            ("max_active_transactions", 2.5),
+            ("max_active_transactions", True),
+            ("request_buffer_size", True),
+            ("request_buffer_size", 8.0),
+            ("refresh_max_postponed", 1.5),
+            ("refresh_max_pulledin", -1),
+            ("refresh_max_pulledin", False),
+            ("refresh_max_postponed", "4"),
+        ):
+            with pytest.raises(SimulationError, match=f"{name} .*got {value!r}"):
+                ControllerConfig(**{name: value})
+        # the bounds themselves are accepted
+        ControllerConfig(
+            request_buffer_size=1, max_active_transactions=1,
+            refresh_max_postponed=0, refresh_max_pulledin=0,
+        )
 
     def test_action_roundtrip(self):
         cfg = ControllerConfig(page_policy="Closed", request_buffer_size=3)

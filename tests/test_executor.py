@@ -11,6 +11,7 @@ The two load-bearing guarantees of the execution engine:
    accounting, and never changes any result.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -553,6 +554,24 @@ class TestFailFastShutdown:
             f"fail-fast abort took {elapsed:.2f}s — the executor waited "
             "for in-flight slow trials instead of shutting down"
         )
+
+    def test_abort_leaves_no_pool_thread_alive(self):
+        """The abort joins the pool's manager thread (and so the call
+        queue's feeder thread): a thread still running when the next
+        caller forks can hang the child."""
+        before = set(threading.enumerate())
+        tasks = [
+            TrialTask(
+                index=i, agent="rw", hyperparams={"locality": 0.2},
+                agent_seed=i, run_seed=i, n_samples=2,
+                env_factory=PoisonedFactory(),
+            )
+            for i in range(2)
+        ]
+        with pytest.raises(RuntimeError, match="poisoned"):
+            execute_trials(tasks, workers=2)
+        alive = [t for t in threading.enumerate() if t not in before and t.is_alive()]
+        assert not alive, alive
 
     def test_failed_sweep_process_exits_promptly(self):
         """In-flight workers are terminated on failure — otherwise the

@@ -132,6 +132,26 @@ class TestForest:
                 RandomForestRegressor(**{name: bad})
         RandomForestRegressor(n_estimators=np.int64(2), max_depth=np.int32(4))
 
+    def test_predict_refuses_wrong_width(self):
+        X, y = toy_data(n=60)
+        forest = RandomForestRegressor(n_estimators=3, seed=0).fit(X, y)
+        with pytest.raises(ProxyModelError, match=f"expected X with {X.shape[1]} features"):
+            forest.predict(np.zeros((4, X.shape[1] + 1)))
+        with pytest.raises(ProxyModelError, match="expected X with"):
+            forest.predict(np.zeros(X.shape[1]))
+
+    def test_failed_refit_leaves_it_unfitted(self):
+        """A refit that raises part-way (here in the first tree's fit)
+        drops the old node table with the old trees: predict refuses
+        instead of walking the old forest."""
+        X, y = toy_data(n=60)
+        forest = RandomForestRegressor(n_estimators=3, seed=0).fit(X, y)
+        with pytest.raises(ProxyModelError, match="bad training shapes"):
+            forest.fit(X[:, 0], y)
+        assert not forest.is_fitted
+        with pytest.raises(ProxyModelError, match="not fitted"):
+            forest.predict(X)
+
     def test_no_bootstrap_mode(self):
         X, y = toy_data(n=100)
         f = RandomForestRegressor(n_estimators=3, bootstrap=False, max_features=None, seed=0)

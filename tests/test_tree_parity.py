@@ -2,12 +2,14 @@
 replaced (``tree_reference.ReferenceTree``): every tree must equal the
 reference node for node — feature, threshold and value in pre-order,
 compared by ``float.hex`` so a sign of zero or a NaN counts, and the
-node count — and forests of either must predict the same values, also
-by ``float.hex``, on any data: continuous and gridded features with
+node count — on any data: continuous and gridded features with
 many ties, constant columns, NaN features, constant targets, targets
 with few levels (tied gains), and targets with NaN, ±inf, -0.0 and
 magnitudes up to 1e300, whose squares overflow to inf so gains turn NaN
-or inf.
+or inf. Predictions are held to the per-tree descent the forest's one
+joined walk replaced (``tree_reference.reference_predict``): each tree's
+own, and the forest's mean over the reference-grown trees, by
+``float.hex``.
 
 ``repro.proxy.tree`` scores a node of more than ``_SMALL_NODE`` rows
 with numpy and a smaller one in plain Python; the tree property must
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tree_reference import ReferenceTree
+from tree_reference import ReferenceTree, reference_forest_predict, reference_predict
 
 import repro.proxy.forest as forest_module
 from repro.envs.dram import DRAMGymEnv
@@ -141,6 +143,7 @@ def check_tree_matches_reference(data, kwargs):
     X, y = data
     new = DecisionTreeRegressor(**kwargs).fit(X, y)
     assert_same_trees(new, ReferenceTree(**kwargs).fit(X, y))
+    assert hexes(new.predict(X)) == hexes(reference_predict(new, X))
     for size in split_sizes(new, X):
         REACHED["numpy scan" if size > _SMALL_NODE else "scalar scan"] += 1
 
@@ -163,7 +166,11 @@ def test_prop_forest_predictions_match_reference(data, kwargs, n_estimators):
     for new_tree, ref_tree in zip(forest._trees, ref._trees):
         assert_same_trees(new_tree, ref_tree)
     queries = np.vstack([X, np.random.default_rng(0).random((50, X.shape[1]))])
-    assert hexes(forest.predict(queries)) == hexes(ref.predict(queries))
+    for tree in forest._trees:
+        assert hexes(tree.predict(queries)) == hexes(reference_predict(tree, queries))
+    assert hexes(forest.predict(queries)) == hexes(
+        reference_forest_predict(ref._trees, queries)
+    )
 
 
 def spread_values(seed, n, special_share):
@@ -251,4 +258,4 @@ def test_dram_corpus_forest_matches_reference():
     ref = reference_forest(X, y, **kwargs)
     for new_tree, ref_tree in zip(forest._trees, ref._trees):
         assert_same_trees(new_tree, ref_tree)
-    assert np.array_equal(forest.predict(X), ref.predict(X))
+    assert hexes(forest.predict(X)) == hexes(reference_forest_predict(ref._trees, X))

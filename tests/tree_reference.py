@@ -7,6 +7,11 @@ small. This module holds the per-feature scan both replaced, so
 same tree node for node. ``_best_split``, ``_grow`` and
 ``_feature_subset`` are copied unchanged; ``ReferenceTree`` is a
 ``DecisionTreeRegressor`` whose ``fit`` grows with them.
+
+``reference_predict`` and ``reference_forest_predict`` keep the
+prediction the forest's one joined walk replaced: each tree descends on
+its own, gathering ``X[rows, feature]``, and the forest takes the mean of
+the stacked per-tree predictions.
 """
 
 from __future__ import annotations
@@ -110,3 +115,22 @@ class ReferenceTree(DecisionTreeRegressor):
         node.left = self._grow(X[mask], y[mask], depth + 1)
         node.right = self._grow(X[~mask], y[~mask], depth + 1)
         return node
+
+
+def reference_predict(tree: DecisionTreeRegressor, X: np.ndarray) -> np.ndarray:
+    """One fitted tree's original descent over its flat arrays: every row
+    walks in lockstep for exactly the tree's depth (a row that reaches
+    its leaf stays there)."""
+    X = np.asarray(X, dtype=np.float64)
+    rows = np.arange(len(X))
+    idx = np.zeros(len(X), dtype=np.int64)
+    for _ in range(tree._depth):
+        go_left = X[rows, tree._feature[idx]] <= tree._threshold[idx]
+        idx = tree._children[2 * idx + go_left]
+    return tree._value[idx]
+
+
+def reference_forest_predict(trees, X: np.ndarray) -> np.ndarray:
+    """The original forest prediction: the mean of the stacked per-tree
+    predictions."""
+    return np.stack([reference_predict(tree, X) for tree in trees]).mean(axis=0)
