@@ -7,6 +7,15 @@ candidate pool (discrete spaces make gradient-based acquisition
 optimization moot); the surrogate refits on every new observation, with
 a sliding window to respect BO's cubic fitting cost (§2 of the paper
 discusses exactly this scaling limit).
+
+EI and PI take the standard normal CDF as ``scipy.special.ndtr(z)`` and
+its PDF as ``exp(-z**2/2) / sqrt(2*pi)``. Those are what
+``scipy.stats.norm.cdf`` and ``norm.pdf`` compute at ``loc=0, scale=1``
+(their ``(z - 0) / 1`` is exact, and their masks give the same values
+at ±inf and NaN), so the scores keep their bits without importing
+``scipy.stats``. SciPy is imported where it is first needed, here and
+in :mod:`repro.agents.gp`: ``import repro`` stays free of it, and only a
+run that reaches a model-based proposal pays its import.
 """
 
 from __future__ import annotations
@@ -14,7 +23,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.agents.base import Agent
 from repro.agents.gp import GaussianProcess, robust_standardize
@@ -24,6 +32,8 @@ from repro.core.spaces import CompositeSpace
 __all__ = ["BOAgent", "ACQUISITIONS"]
 
 ACQUISITIONS = ("ei", "ucb", "pi")
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 class BOAgent(Agent):
@@ -73,12 +83,14 @@ class BOAgent(Agent):
         std = np.sqrt(var)
         if self.acquisition == "ucb":
             return mean + self.kappa * std
+        from scipy.special import ndtr
+
         improvement = mean - best_z - self.xi
         z = improvement / std
         if self.acquisition == "pi":
-            return norm.cdf(z)
+            return ndtr(z)
         # expected improvement
-        return improvement * norm.cdf(z) + std * norm.pdf(z)
+        return improvement * ndtr(z) + std * (np.exp(-z**2 / 2.0) / _SQRT_2PI)
 
     # -- Agent interface ---------------------------------------------------------------
 

@@ -4,6 +4,10 @@ Backs the Bayesian optimization agent: RBF kernel on unit-vector
 encodings, Cholesky-based exact inference, robust target standardization
 (median/IQR with clipping) so the REWARD_CAP outliers of target-style
 rewards don't destroy the fit.
+
+``fit`` and ``predict`` import ``scipy.linalg`` themselves: SciPy is
+only needed once a GP is fitted, so importing :mod:`repro` (every CLI
+call, service host and sweep worker) does not load it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from repro.core.errors import AgentError
 
@@ -77,6 +80,8 @@ class GaussianProcess:
             raise AgentError(f"bad GP training shapes: X{X.shape}, y{y.shape}")
         if len(X) == 0:
             raise AgentError("cannot fit a GP on zero observations")
+        from scipy.linalg import cho_factor, cho_solve
+
         K = self._kernel(X, X)
         K[np.diag_indices_from(K)] += self.noise
         self._cho = cho_factor(K, lower=True)
@@ -88,6 +93,8 @@ class GaussianProcess:
         """Posterior mean and variance at query points."""
         if self._X is None or self._alpha is None:
             raise AgentError("GP is not fitted")
+        from scipy.linalg import cho_solve
+
         Xs = np.asarray(Xs, dtype=np.float64)
         Ks = self._kernel(Xs, self._X)
         mean = Ks @ self._alpha

@@ -156,6 +156,9 @@ class SharedCacheStore:
             {} for _ in range(n_shards)
         ]
         self._offsets: List[int] = [0] * n_shards
+        # Every held key in sorted order, kept until a key not held
+        # before arrives (a new value for a held key keeps it).
+        self._sorted_keys: Optional[List[str]] = None
 
     # -- public API ---------------------------------------------------------------
 
@@ -257,7 +260,10 @@ class SharedCacheStore:
                     for key_str, clean in shard_entries
                 )
                 self._append(shard, lines.encode("utf-8"))
-            self._entries[shard].update(shard_entries)
+            held = self._entries[shard]
+            if any(key_str not in held for key_str, __ in shard_entries):
+                self._sorted_keys = None
+            held.update(shard_entries)
 
     def __len__(self) -> int:
         """Distinct keys currently visible (refreshes every shard)."""
@@ -269,20 +275,15 @@ class SharedCacheStore:
         """Sorted encoded keys currently visible (refreshes every
         shard) — the deterministic enumeration the evaluation
         service's paginated ``GET /cache`` listing pages through."""
-        for shard in range(self.n_shards):
-            self._refresh(shard)
-        keys: List[str] = []
-        for entries in self._entries:
-            keys.extend(entries)
-        keys.sort()
-        return keys
+        return list(self._held_keys())
 
     def list_encoded(self, offset: int = 0, limit: int = 500) -> Tuple[Entries, int]:
         """One page of the store in sorted-key order:
         ``([(key_str, metrics), ...], total)`` — the same paging
         contract :meth:`ServerCacheStore.list_encoded` serves, so
-        :func:`listing_pages` walks either tier identically."""
-        keys = self.keys_encoded()
+        :func:`listing_pages` walks either tier identically. The
+        sorted keys are kept between pages until a new key arrives."""
+        keys = self._held_keys()
         window = keys[offset:offset + limit]
         found = self.get_many_encoded(window)
         return [(k, found[k]) for k in window if k in found], len(keys)
@@ -295,6 +296,20 @@ class SharedCacheStore:
         )
 
     # -- internals ----------------------------------------------------------------
+
+    def _held_keys(self) -> List[str]:
+        """The kept sorted key list (refreshes every shard first, and
+        sorts only if a new key arrived since the last sort). Callers
+        must not change it."""
+        for shard in range(self.n_shards):
+            self._refresh(shard)
+        if self._sorted_keys is None:
+            keys: List[str] = []
+            for entries in self._entries:
+                keys.extend(entries)
+            keys.sort()
+            self._sorted_keys = keys
+        return self._sorted_keys
 
     def _append(self, shard: int, lines: bytes) -> None:
         """One atomic ``O_APPEND`` write of one or more complete lines;
@@ -382,7 +397,11 @@ class SharedCacheStore:
                     # (Python's json parses them); skip rather than
                     # serve a value strict peers could never round-trip.
                     continue
-                self._entries[shard][record["k"]] = folded
+                held = self._entries[shard]
+                key_str = record["k"]
+                if key_str not in held:
+                    self._sorted_keys = None
+                held[key_str] = folded
             except (ValueError, KeyError, TypeError):
                 # A torn/corrupt line loses one memo entry, never a result.
                 continue

@@ -79,16 +79,26 @@ class RandomForestRegressor:
         # children shifted by where its nodes start. The walk takes the
         # deepest tree's depth; leaves absorb, so shallower trees stay put.
         trees = self._trees
-        roots = np.cumsum([0] + [len(tree._value) for tree in trees[:-1]])
+        sizes = [len(tree._value) for tree in trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        feature = np.concatenate([tree._feature for tree in trees])
+        threshold = np.concatenate([tree._threshold for tree in trees])
+        value = np.concatenate([tree._value for tree in trees])
         self._table = (
             trees[0].n_features_,
             roots,
             max(tree._depth for tree in trees),
-            np.concatenate([tree._feature for tree in trees]),
-            np.concatenate([tree._threshold for tree in trees]),
+            feature,
+            threshold,
             np.concatenate([tree._children + root for tree, root in zip(trees, roots)]),
-            np.concatenate([tree._value for tree in trees]),
+            value,
         )
+        # each tree keeps views of its nodes in the table instead of its
+        # own copies; its children stay its own, unshifted
+        for tree, start, size in zip(trees, roots, sizes):
+            tree._feature = feature[start:start + size]
+            tree._threshold = threshold[start:start + size]
+            tree._value = value[start:start + size]
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

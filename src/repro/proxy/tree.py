@@ -200,12 +200,9 @@ class DecisionTreeRegressor:
         self.n_nodes_: int = 0
 
     def _feature_subset(self, d: int) -> np.ndarray:
-        if self.max_features is None:
+        m = self._subset_size
+        if m is None:
             return np.arange(d)
-        if self.max_features == "sqrt":
-            m = max(1, int(np.sqrt(d)))
-        else:
-            m = max(1, min(int(self.max_features), d))
         return self.rng.choice(d, size=m, replace=False)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
@@ -215,8 +212,15 @@ class DecisionTreeRegressor:
             raise ProxyModelError(f"bad training shapes X{X.shape} y{y.shape}")
         if len(y) == 0:
             raise ProxyModelError("cannot fit on zero samples")
-        self.n_features_ = X.shape[1]
+        d = self.n_features_ = X.shape[1]
         self.n_nodes_ = 0
+        # features drawn per split (None: all of them), worked out once
+        if self.max_features is None:
+            self._subset_size = None
+        elif self.max_features == "sqrt":
+            self._subset_size = max(1, int(np.sqrt(d)))
+        else:
+            self._subset_size = max(1, min(int(self.max_features), d))
         # a fresh generator per fit, so a refit on the same data grows
         # the same tree
         self.rng = np.random.default_rng(self.seed)

@@ -1,13 +1,16 @@
-"""The RL and ACO agents' original sampling code, kept as the parity
+"""The RL, ACO and BO agents' original code, kept as the parity
 reference.
 
 ``repro.agents.rl`` and ``repro.agents.aco`` draw each parameter from a
 CDF cached until the policy next moves, and RL's gradient adds one
-full-length vector per sample. This module holds the code they
-replaced, so ``tests/test_agents_parity.py`` can require that both give
-the same proposals, RNG states, weights and trails. ``propose`` and
-``_update_once`` are copied unchanged; each reference agent is the
-current agent with those methods swapped back in.
+full-length vector per sample. ``repro.agents.bo`` scores EI and PI
+with ``scipy.special.ndtr`` and the normal PDF's formula instead of
+``scipy.stats.norm``. This module holds the code they replaced, so
+``tests/test_agents_parity.py`` can require that both give the same
+proposals, RNG states, weights, trails and acquisition scores.
+``propose``, ``_update_once`` and ``_acquire`` are copied unchanged;
+each reference agent is the current agent with those methods swapped
+back in. Importing ``scipy.stats`` here is a test-only cost.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ from __future__ import annotations
 from typing import Any, Dict
 
 import numpy as np
+from scipy.stats import norm
 
 from repro.agents.aco import ACOAgent
+from repro.agents.bo import BOAgent
 from repro.agents.rl import RLAgent
 
 
@@ -71,3 +76,18 @@ class ReferenceACOAgent(ACOAgent):
                 weights = weights / weights.sum()
                 indices[i] = int(self.rng.choice(len(trail), p=weights))
         return self.space.decode(indices)
+
+
+class ReferenceBOAgent(BOAgent):
+    """``BOAgent`` scoring with ``scipy.stats.norm``."""
+
+    def _acquire(self, mean: np.ndarray, var: np.ndarray, best_z: float) -> np.ndarray:
+        std = np.sqrt(var)
+        if self.acquisition == "ucb":
+            return mean + self.kappa * std
+        improvement = mean - best_z - self.xi
+        z = improvement / std
+        if self.acquisition == "pi":
+            return norm.cdf(z)
+        # expected improvement
+        return improvement * norm.cdf(z) + std * norm.pdf(z)

@@ -8,17 +8,25 @@ pheromone trails equal bit for bit after every proposal and update.
 The sampling helper itself is pinned to ``Generator.choice``: the same
 index and the same generator state after every draw, and a rejection
 wherever ``choice`` rejects. A numpy whose ``choice`` changes fails
-here rather than in a golden digest."""
+here rather than in a golden digest.
 
+BO's acquisition (``ndtr`` and the normal PDF's formula) is held to
+``scipy.stats.norm`` bit for bit, on drawn posteriors and over whole
+trials. The reference is the installed SciPy's ``norm``, so the CI
+``tests`` job logs SciPy's version."""
+
+import dataclasses
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
-from agents_reference import ReferenceACOAgent, ReferenceRLAgent
+from agents_reference import ReferenceACOAgent, ReferenceBOAgent, ReferenceRLAgent
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from repro.agents import HYPERPARAM_GRIDS, ACOAgent, RLAgent
+import repro
+from repro.agents import ACQUISITIONS, HYPERPARAM_GRIDS, ACOAgent, BOAgent, RLAgent, run_agent
 from repro.core.errors import AgentError
 from repro.core.spaces import (
     Categorical,
@@ -320,3 +328,78 @@ def test_prop_choice_cdf_rejects_what_choice_rejects(p):
             cdf = choice_cdf(p)
             a, b = np.random.default_rng(1), np.random.default_rng(1)
             assert choice_index(cdf, b) == a.choice(len(p), p=p)
+
+
+# -- BO's acquisition keeps scipy.stats.norm's bits -----------------------------
+
+#: Zero and subnormal variances make ``std`` 0 or tiny, so ``|z|`` runs past
+#: 38, where ``ndtr`` saturates to 0 or 1, or to ±inf; a zero improvement
+#: over a zero ``std`` is 0/0. ``None`` stands for a mean equal to
+#: ``best_z``, an exact zero improvement when ``xi`` is 0.
+VARIANCES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-12, np.inf]),
+    st.floats(0.0, 1e6),
+)
+MEANS = st.one_of(
+    st.floats(-60.0, 60.0),
+    st.sampled_from([-0.0, np.inf, -np.inf, np.nan]),
+    st.none(),
+)
+
+BO_REACHED = Counter()
+
+
+def assert_same_scores(new, ref):
+    """Equal bits wherever the reference is a number, NaN where it is NaN
+    (numpy does not keep a NaN's sign and payload stable)."""
+    assert new.dtype == ref.dtype == np.float64
+    assert new.shape == ref.shape
+    nan = np.isnan(ref)
+    assert (np.isnan(new) == nan).all()
+    assert (new[~nan].view(np.int64) == ref[~nan].view(np.int64)).all()
+
+
+@given(
+    acquisition=st.sampled_from(ACQUISITIONS),
+    kappa=st.sampled_from(HYPERPARAM_GRIDS["bo"]["kappa"]),
+    xi=st.sampled_from([0.0, 0.01]),
+    best_z=st.floats(-5.0, 5.0),
+    points=st.lists(st.tuples(MEANS, VARIANCES), min_size=1, max_size=24),
+)
+@settings(max_examples=300, deadline=None)
+def check_acquire_matches_reference(acquisition, kappa, xi, best_z, points):
+    space = make_space([("discrete", 4)])
+    kwargs = dict(acquisition=acquisition, kappa=kappa, xi=xi)
+    new, ref = BOAgent(space, **kwargs), ReferenceBOAgent(space, **kwargs)
+    mean = np.array([best_z if m is None else m for m, __ in points])
+    var = np.array([v for __, v in points])
+    with np.errstate(all="ignore"):
+        assert_same_scores(new._acquire(mean, var, best_z), ref._acquire(mean, var, best_z))
+        improvement = mean - best_z - xi
+        z = improvement / np.sqrt(var)
+    BO_REACHED["zero var"] += int((var == 0.0).sum())
+    BO_REACHED["subnormal var"] += int(((var > 0.0) & (var < 2.2250738585072014e-308)).sum())
+    BO_REACHED["|z| > 38"] += int((np.isfinite(z) & (np.abs(z) > 38.0)).sum())
+    BO_REACHED["0/0"] += int(((improvement == 0.0) & (var == 0.0)).sum())
+
+
+def test_prop_bo_acquire_matches_reference():
+    BO_REACHED.clear()
+    check_acquire_matches_reference()
+    assert set(BO_REACHED) == {"zero var", "subnormal var", "|z| > 38", "0/0"}
+    assert min(BO_REACHED.values()) > 0, BO_REACHED
+
+
+@pytest.mark.parametrize("env_id", ["DRAMGym-v0", "FARSIGym-v0"])
+@pytest.mark.parametrize("acquisition", ACQUISITIONS)
+def test_bo_trial_matches_reference(env_id, acquisition):
+    """Whole trials past the warm-up (24 samples, 16 of them model-based)
+    give the same records, times aside."""
+    results = []
+    for cls in (BOAgent, ReferenceBOAgent):
+        env = repro.make(env_id)
+        result = run_agent(cls(env.action_space, seed=3, acquisition=acquisition), env, 24, seed=3)
+        results.append(repr(dataclasses.asdict(
+            dataclasses.replace(result, wall_time_s=0.0, sim_time_s=0.0)
+        )))
+    assert results[0] == results[1]

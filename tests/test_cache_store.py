@@ -11,10 +11,13 @@ fixture that returns fresh *handles onto one shared backing*, plus an
 has made.
 """
 
+import tempfile
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cache_store import ServerCacheStore, SharedCacheStore, encode_key
 from repro.core.env import canonical_action_key
@@ -447,6 +450,78 @@ class TestSharedStoreBulk:
         assert reader.io_calls == 4
         reader.get_many([_key(i) for i in range(32)])  # all held: no reads
         assert reader.io_calls == 4
+
+
+def _listing_reference(store, offset, limit):
+    """``list_encoded`` as it was before the sorted keys were kept:
+    refresh every shard and sort every key, for every page."""
+    for shard in range(store.n_shards):
+        store._refresh(shard)
+    keys = sorted(key for entries in store._entries for key in entries)
+    window = keys[offset:offset + limit]
+    found = store.get_many_encoded(window)
+    return [(k, found[k]) for k in window if k in found], len(keys)
+
+
+#: A put of a small key range with three values, so puts both add keys
+#: and change the value of held ones.
+_PUTS = st.lists(
+    st.tuples(st.integers(0, 40), st.sampled_from([0.0, 1.0, -2.5])),
+    min_size=1,
+    max_size=4,
+)
+_STORE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _PUTS),
+        st.tuples(st.just("other put"), _PUTS),
+        st.tuples(st.just("get"), st.integers(0, 40)),
+        st.tuples(st.just("list"), st.integers(0, 45), st.integers(1, 12)),
+    ),
+    max_size=40,
+)
+
+
+class TestSortedKeyListing:
+    """A store keeps its sorted keys between listing pages and sorts
+    again only once a key it did not hold arrives."""
+
+    @given(on_disk=st.booleans(), n_shards=st.integers(1, 4), ops=_STORE_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_prop_pages_match_a_sort_per_page(self, on_disk, n_shards, ops):
+        """Over a directory store (a second handle on the directory
+        stands for another process) and ``SharedCacheStore(None)``,
+        every page equals the sort-every-time listing."""
+        with tempfile.TemporaryDirectory() as tmp:
+            store = SharedCacheStore(tmp if on_disk else None, n_shards=n_shards)
+            other = SharedCacheStore(tmp, n_shards=n_shards) if on_disk else store
+            for op, *args in ops:
+                if op in ("put", "other put"):
+                    writer = store if op == "put" else other
+                    writer.put_many([(_key(i), {"cost": v}) for i, v in args[0]])
+                elif op == "get":
+                    store.get(_key(args[0]))
+                else:
+                    page = store.list_encoded(*args)
+                    assert page == _listing_reference(store, *args)
+                    keys = store.keys_encoded()
+                    assert keys == sorted(k for entries in store._entries for k in entries)
+                    keys.clear()  # a copy: the kept list is untouched
+                    assert store.list_encoded(*args) == page
+
+    def test_pages_share_one_sort_until_a_new_key(self, tmp_path):
+        store = SharedCacheStore(tmp_path / "cache", n_shards=4)
+        store.put_many([(_key(i), {"cost": float(i)}) for i in range(40)])
+        kept = store._held_keys()
+        for offset in range(0, 40, 7):
+            store.list_encoded(offset, 7)
+        store.put(_key(3), {"cost": -3.0})  # a new value for a held key
+        assert store._held_keys() is kept
+        store.put(_key(40), {"cost": 40.0})
+        assert store._held_keys() is not kept
+        kept = store._held_keys()
+        SharedCacheStore(tmp_path / "cache", n_shards=4).put(_key(41), {"cost": 41.0})
+        assert store.list_encoded(0, 50)[1] == 42
+        assert store._held_keys() is not kept
 
 
 class TestSharding:

@@ -17,6 +17,7 @@ reach split nodes on both sides of that bound. The scalar scan's node
 sum copies numpy's pairwise order, so ``_node_sum`` is pinned to
 ``np.sum``; if that pin fails, numpy's sum moved."""
 
+import copy
 from collections import Counter
 from unittest import mock
 
@@ -171,6 +172,31 @@ def test_prop_forest_predictions_match_reference(data, kwargs, n_estimators):
     assert hexes(forest.predict(queries)) == hexes(
         reference_forest_predict(ref._trees, queries)
     )
+
+
+def test_forest_trees_view_the_joined_table():
+    """A fitted forest keeps each node once: every tree's feature,
+    threshold and value arrays are views of the joined table, equal to a
+    fresh flattening of its node tree, while its children stay its own,
+    unshifted. Each tree still predicts as the per-tree descent does."""
+    rng = np.random.default_rng(3)
+    X = rng.random((400, 6))
+    y = X @ rng.normal(size=6) + 0.1 * rng.normal(size=400)
+    forest = RandomForestRegressor(n_estimators=5, max_features="sqrt", seed=4).fit(X, y)
+    __, roots, __, feature, threshold, children, value = forest._table
+    queries = np.vstack([X, rng.random((50, 6))])
+    for tree, root in zip(forest._trees, roots.tolist()):
+        own = copy.copy(tree)
+        own._flatten()  # the tree's own arrays, rebuilt from its nodes
+        for name, joined in (("_feature", feature), ("_threshold", threshold), ("_value", value)):
+            assert np.shares_memory(getattr(tree, name), joined)
+            assert getattr(tree, name).tobytes() == getattr(own, name).tobytes()
+        assert not np.shares_memory(tree._children, children)
+        assert tree._children.tobytes() == own._children.tobytes()
+        assert children[2 * root:2 * root + len(own._children)].tobytes() == (
+            own._children + root
+        ).tobytes()
+        assert hexes(tree.predict(queries)) == hexes(reference_predict(own, queries))
 
 
 def spread_values(seed, n, special_share):
