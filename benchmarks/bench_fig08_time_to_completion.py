@@ -11,6 +11,9 @@ environment.
 Evaluation caching is disabled so each step pays the real simulation.
 """
 
+# BO loads SciPy on first use: import it here, or the first BO trial's time counts the import.
+import scipy.linalg  # noqa: F401
+import scipy.special  # noqa: F401
 
 from repro.agents import AGENT_NAMES, make_agent, run_agent
 from repro.envs.dram import DRAMGymEnv

@@ -21,8 +21,11 @@ setup(
     license="Apache-2.0",
     author="ArchGym Reproduction Authors",
     python_requires=">=3.9",
-    install_requires=["numpy>=1.23", "scipy>=1.9", "networkx>=2.8"],
-    extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
+    install_requires=["numpy>=1.23", "scipy>=1.9"],
+    # networkx is the oracle of tests/test_taskgraph_oracle.py only.
+    extras_require={
+        "dev": ["pytest", "pytest-benchmark", "hypothesis", "networkx>=2.8"]
+    },
     package_dir={"": "src"},
     packages=find_packages(where="src"),
 )

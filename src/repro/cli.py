@@ -64,6 +64,7 @@ from repro.agents import (
     run_agent,
 )
 from repro.core.dataset import ArchGymDataset
+from repro.core.errors import ArchGymError
 from repro.sweeps import (
     SweepReport,
     TrialTask,
@@ -283,8 +284,13 @@ def _cmd_agents() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    env = repro.make(args.env, **_env_kwargs(args))
     hyperparams = json.loads(args.hyperparams) if args.hyperparams else {}
+    if not isinstance(hyperparams, dict):
+        raise ArchGymError(
+            "--hyperparams must be a JSON object of agent hyperparameters, "
+            f"got {args.hyperparams!r}"
+        )
+    env = repro.make(args.env, **_env_kwargs(args))
     agent = make_agent(args.agent, env.action_space, seed=args.seed, **hyperparams)
     result = run_agent(agent, env, n_samples=args.samples, seed=args.seed)
     print(f"agent:       {agent.hyperparam_tag()}")
@@ -406,7 +412,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import functools
 
-    from repro.core.errors import ArchGymError
     from repro.service import EvaluationService
 
     if args.envs:

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-import networkx as nx
-
 from repro.core.errors import SimulationError
 
 __all__ = ["Task", "TaskGraph", "GraphPlan", "TASK_KINDS"]
@@ -51,7 +49,7 @@ class GraphPlan(NamedTuple):
     """A task graph's structure, flattened for the list scheduler.
 
     Entry ``i`` of each tuple describes the ``i``-th task in
-    ``nx.topological_sort`` order; ``preds[i]`` lists its producers as
+    ``graph.topological_order()``; ``preds[i]`` lists its producers as
     ``(index, kib)`` pairs in ``graph.predecessors`` order.
     """
 
@@ -66,8 +64,9 @@ class TaskGraph:
 
     def __init__(self, name: str):
         self.name = name
-        self._graph = nx.DiGraph()
         self._tasks: Dict[str, Task] = {}
+        self._succ: Dict[str, Dict[str, float]] = {}
+        self._pred: Dict[str, Dict[str, float]] = {}
         self._plan: Optional[GraphPlan] = None
 
     # -- construction -------------------------------------------------------------
@@ -77,10 +76,14 @@ class TaskGraph:
             raise SimulationError(f"duplicate task {task.name!r}")
         self._plan = None
         self._tasks[task.name] = task
-        self._graph.add_node(task.name)
+        self._succ[task.name] = {}
+        self._pred[task.name] = {}
 
     def add_edge(self, producer: str, consumer: str, kib: float) -> None:
-        """Declare that ``consumer`` reads ``kib`` KiB from ``producer``."""
+        """Declare that ``consumer`` reads ``kib`` KiB from ``producer``.
+
+        Adding an edge again keeps its place and takes the new volume.
+        """
         for name in (producer, consumer):
             if name not in self._tasks:
                 raise SimulationError(f"unknown task {name!r}")
@@ -89,9 +92,10 @@ class TaskGraph:
                 f"edge data volume must be finite and >= 0, got {kib!r}"
             )
         self._plan = None
-        self._graph.add_edge(producer, consumer, kib=float(kib))
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(producer, consumer)
+        self._succ[producer][consumer] = self._pred[consumer][producer] = float(kib)
+        if len(self._sorted_names()) < len(self._tasks):
+            # Only a new edge can close a cycle, so this leaves no trace.
+            del self._succ[producer][consumer], self._pred[consumer][producer]
             raise SimulationError(
                 f"edge {producer!r}->{consumer!r} would create a cycle"
             )
@@ -103,7 +107,7 @@ class TaskGraph:
 
     @property
     def tasks(self) -> List[Task]:
-        return [self._tasks[n] for n in self._graph.nodes]
+        return list(self._tasks.values())
 
     def task(self, name: str) -> Task:
         try:
@@ -111,34 +115,47 @@ class TaskGraph:
         except KeyError:
             raise SimulationError(f"unknown task {name!r}") from None
 
+    def _sorted_names(self) -> List[str]:
+        """Task names in topological order by Kahn's algorithm, one
+        generation at a time: the tasks without producers in insertion
+        order, then each generation's newly ready consumers in edge
+        insertion order. A task on a cycle is never reached."""
+        waiting = {name: len(preds) for name, preds in self._pred.items() if preds}
+        generation = [name for name, preds in self._pred.items() if not preds]
+        order: List[str] = []
+        while generation:
+            order += generation
+            ready = []
+            for name in generation:
+                for child in self._succ[name]:
+                    waiting[child] -= 1
+                    if not waiting[child]:
+                        ready.append(child)
+            generation = ready
+        return order
+
     def topological_order(self) -> List[Task]:
-        return [self._tasks[n] for n in nx.topological_sort(self._graph)]
+        return [self._tasks[n] for n in self._sorted_names()]
 
     def predecessors(self, name: str) -> List[Tuple[Task, float]]:
         """(producer task, KiB transferred) pairs feeding ``name``."""
-        return [
-            (self._tasks[p], self._graph.edges[p, name]["kib"])
-            for p in self._graph.predecessors(name)
-        ]
+        self.task(name)  # an unknown name raises SimulationError
+        return [(self._tasks[p], kib) for p, kib in self._pred[name].items()]
 
     def plan(self) -> GraphPlan:
         """The graph's :class:`GraphPlan`, built on first use after any
         change."""
         plan = self._plan
         if plan is None:
-            order = list(nx.topological_sort(self._graph))
+            order = self._sorted_names()
             index = {name: i for i, name in enumerate(order)}
-            edges = self._graph.edges
             tasks = [self._tasks[name] for name in order]
             plan = GraphPlan(
                 names=tuple(order),
                 mops=tuple(t.mops for t in tasks),
                 kinds=tuple(t.kind for t in tasks),
                 preds=tuple(
-                    tuple(
-                        (index[p], edges[p, name]["kib"])
-                        for p in self._graph.predecessors(name)
-                    )
+                    tuple((index[p], kib) for p, kib in self._pred[name].items())
                     for name in order
                 ),
             )
@@ -148,8 +165,9 @@ class TaskGraph:
         return plan
 
     def edges(self) -> Iterable[Tuple[str, str, float]]:
-        for u, v, data in self._graph.edges(data=True):
-            yield u, v, data["kib"]
+        for u, consumers in self._succ.items():
+            for v, kib in consumers.items():
+                yield u, v, kib
 
     @property
     def total_mops(self) -> float:

@@ -4,7 +4,8 @@ reference.
 ``repro.farsi.simulator`` reads each task graph's plan (topological
 order and index-addressed predecessors, built once per graph) and costs
 each PE type once per call. This module holds the loop it replaced,
-which walks the networkx graph on every call, so
+which re-walks ``graph.topological_order()`` and
+``graph.predecessors()`` on every call, so
 ``tests/test_farsi_parity.py`` can require that both give equal
 ``SocResult``s on any task graph and SoC. ``simulate`` is copied
 unchanged; ``ReferenceFarsiSimulator`` is a ``FarsiSimulator`` with it
@@ -28,7 +29,7 @@ from repro.farsi.taskgraph import TaskGraph
 
 
 class ReferenceFarsiSimulator(FarsiSimulator):
-    """``FarsiSimulator`` that re-walks the networkx graph on every call."""
+    """``FarsiSimulator`` that re-walks the task graph on every call."""
 
     def simulate(self, config: SoCConfig, graph: TaskGraph) -> SocResult:
         """Map ``graph`` onto ``config`` and estimate cost."""

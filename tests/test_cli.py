@@ -55,6 +55,18 @@ class TestCommands:
         assert code == 0
         assert "population_size=4" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "3", "null"])
+    def test_run_refuses_hyperparams_that_are_not_an_object(self, monkeypatch, text):
+        """Refused before the environment is built; ``make_agent(**...)``
+        used to fail on it with a bare ``TypeError``."""
+        import repro
+        from repro.core.errors import ArchGymError
+
+        monkeypatch.setattr(repro, "make", lambda *a, **k: pytest.fail("env built"))
+        with pytest.raises(ArchGymError, match="--hyperparams must be a JSON object"):
+            main(["run", "--env", "MaestroGym-v0", "--agent", "ga",
+                  "--hyperparams", text])
+
     def test_sweep(self, capsys):
         code = main([
             "sweep", "--env", "MaestroGym-v0", "--agents", "rw,ga",
